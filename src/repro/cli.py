@@ -57,10 +57,16 @@ from repro.runtime.engine import CypherEngine
 def _cache_line(cache_info):
     """One-line plan-cache report for the explain outputs."""
     rate = cache_info["hit_rate"]
-    return "plan cache: %d hit(s), %d miss(es)%s" % (
+    return (
+        "plan cache: %d hit(s), %d miss(es)%s; %d revalidated, "
+        "evicted: %d schema, %d drift"
+    ) % (
         cache_info["hits"],
         cache_info["misses"],
         "" if rate is None else " (hit rate %.0f%%)" % (rate * 100),
+        cache_info["revalidated"],
+        cache_info["evicted_schema"],
+        cache_info["evicted_drift"],
     )
 
 

@@ -19,6 +19,8 @@ Mutation maintenance is **eager for structure, lazy for labels**: every
 ``add_edge``/``remove_edge`` keeps the condensation exact — cycle-closing
 inserts merge the components on any path between the endpoints, intra-
 component deletes re-run Tarjan locally over the old component's members
+(only when the deleted edge's source no longer reaches its target inside
+the component; a redundant edge needs one early-exit search, no Tarjan)
 — while the interval labels are recomputed on the first query after a
 structural change.  Both mutators are idempotent per relationship id so
 that crash-replay and undo-replay converge, matching the property-index
@@ -278,18 +280,48 @@ class ReachabilityIndex:
                 self._internal[cu] = remaining
             else:
                 del self._internal[cu]
-            if len(self._members[cu]) > 1:
+            members = self._members[cu]
+            if len(members) > 1 and not self._reaches_within(
+                source, target, members
+            ):
                 self._resplit(cu)
         self._untrack_if_isolated(source)
         self._untrack_if_isolated(target)
         self._touch()
 
+    def _reaches_within(self, source, target, members):
+        """Early-exit DFS: does ``source`` still reach ``target`` in ``members``?
+
+        Removing ``source→target`` from a strongly connected component
+        leaves it strongly connected iff this holds (every old path
+        through the edge re-routes over the surviving one), so a delete
+        of a redundant edge — the common case inside a dense component —
+        never pays for Tarjan.
+        """
+        if source == target:
+            return True
+        edges = self._edges
+        node_out = self._node_out
+        stack = [source]
+        seen = {source}
+        while stack:
+            for rel in node_out.get(stack.pop(), ()):
+                nxt = edges[rel][1]
+                if nxt == target:
+                    return True
+                if nxt not in seen and nxt in members:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
     def _resplit(self, comp):
-        """Re-run Tarjan locally after an intra-component edge delete."""
+        """Re-run Tarjan locally: an edge delete broke ``comp`` apart.
+
+        Only called once :meth:`_reaches_within` has failed, so the
+        component is known to split into at least two.
+        """
         members = self._members[comp]
         sccs = self._tarjan(members, local=True)
-        if len(sccs) == 1:
-            return  # still strongly connected; counts already adjusted
         old_succ = self._succ.pop(comp, {})
         old_pred = self._pred.pop(comp, {})
         self._internal.pop(comp, None)

@@ -168,6 +168,9 @@ class SnapshotGraph(PropertyGraph):
         """The pinned version — stable, so statistics caches stay warm."""
         return self._pin.version
 
+    #: The schema epoch never moves: the overlay advertises no indexes.
+    schema_version = 0
+
     # -- node state ---------------------------------------------------------
 
     def _node_state(self, node_id):
@@ -338,6 +341,10 @@ class SnapshotGraph(PropertyGraph):
         # no delta entry means the live scan list equals pin time.
         return pin.base._cached_scan("label", label)
 
+    def has_label_nodes(self, label):
+        """``bool(label_scan_ids(label))`` without building the scan list."""
+        return self.label_count(label) > 0
+
     def nodes_with_label(self, label):
         return iter(self.label_scan_ids(label))
 
@@ -396,6 +403,20 @@ class SnapshotGraph(PropertyGraph):
         return origins, rels, targets
 
     # -- statistics hooks ----------------------------------------------------
+
+    def label_count(self, label):
+        pin = self._pin
+        preserved = pin.labels.get(label)
+        if preserved is not None:
+            return len(preserved)
+        return len(pin.base._label_index.get(label, ()))
+
+    def type_count(self, rel_type):
+        pin = self._pin
+        preserved = pin.types.get(rel_type)
+        if preserved is not None:
+            return len(preserved)
+        return len(pin.base._type_index.get(rel_type, ()))
 
     def all_labels(self):
         return sorted(self.label_cardinalities())

@@ -65,7 +65,12 @@ Property indexes (added for the index-accelerated access paths):
 * index reads may **over-approximate** (a returned node need not satisfy
   the predicate — the planner always keeps the residual Filter/property
   check) but never under-approximate: a node whose predicate evaluates
-  to ``true`` is always returned.
+  to ``true`` is always returned;
+* :attr:`MemoryGraph.schema_version` is the **schema epoch**: it moves
+  when the set of property or reachability indexes may have changed
+  (the four DDL calls, :meth:`restore_from`) and never on a data
+  commit, so the engine's plan cache can tell "an index this plan names
+  may be gone" apart from "some rows changed".
 
 Write transactions (added for the slotted write pipeline):
 
@@ -859,6 +864,7 @@ class MemoryGraph(PropertyGraph):
 
     def __init__(self):
         self._version = 0  # bumped on every mutation; invalidates cached statistics
+        self._schema_version = 0  # bumped when the set of indexes may have changed
         self._next_node_id = 1
         self._next_rel_id = 1
         self._node_labels = {}        # NodeId -> set[str]
@@ -991,6 +997,23 @@ class MemoryGraph(PropertyGraph):
         """
         return self._cached_scan("label", label)
 
+    def has_label_nodes(self, label):
+        """``bool(label_scan_ids(label))`` without building the scan list.
+
+        The probe scans ask this once per driving row; going through the
+        version-keyed scan cache would re-sort the whole label after
+        every commit just to learn it is non-empty.
+        """
+        return bool(self._label_index.get(label))
+
+    def label_count(self, label):
+        """Number of nodes carrying ``label`` — O(1)."""
+        return len(self._label_index.get(label, ()))
+
+    def type_count(self, rel_type):
+        """Number of relationships of ``rel_type`` — O(1)."""
+        return len(self._type_index.get(rel_type, ()))
+
     def node_property_column(self, node_ids, key):
         """``[ι(n, key) for n in node_ids]`` off the internal dicts.
 
@@ -1099,8 +1122,9 @@ class MemoryGraph(PropertyGraph):
         label's inverted index once; from then on every mutation
         maintains the entries incrementally (the raw mutators below), so
         an index is never rebuilt on write.  Creating an index bumps the
-        version: plans whose access-path choice depended on statistics
-        must be reconsidered.
+        schema epoch (:attr:`schema_version`), which is what makes the
+        engine re-plan cached statements against the new access path,
+        and the data version, which statistics snapshots key on.
         """
         if not isinstance(label, str) or not label:
             raise ValueError("index label must be a non-empty string")
@@ -1123,6 +1147,7 @@ class MemoryGraph(PropertyGraph):
             index.update(node, properties[node])
         self._indexes_by_label.setdefault(label, {})[keys] = index
         self._version += 1
+        self._schema_version += 1
         return True
 
     def drop_index(self, label, keys):
@@ -1135,6 +1160,7 @@ class MemoryGraph(PropertyGraph):
         if not indexes:
             del self._indexes_by_label[label]
         self._version += 1
+        self._schema_version += 1
         return True
 
     def has_index(self, label, keys):
@@ -1300,8 +1326,9 @@ class MemoryGraph(PropertyGraph):
         all-types index.  The initial build runs one global Tarjan over
         the matching relationships; from then on the raw relationship
         mutators maintain the condensation incrementally — the index is
-        never rebuilt on write.  Bumps the version (plans gated on the
-        index's availability must be reconsidered); returns True if new.
+        never rebuilt on write.  Bumps the schema epoch (cached plans
+        are re-planned, so traversals the index can serve start probing
+        it) and the data version; returns True if new.
         """
         key = reachability_key(types)
         if key is not None and not all(
@@ -1319,6 +1346,7 @@ class MemoryGraph(PropertyGraph):
         )
         self._reachability_indexes[key] = index
         self._version += 1
+        self._schema_version += 1
         return True
 
     def drop_reachability_index(self, types=None):
@@ -1328,6 +1356,7 @@ class MemoryGraph(PropertyGraph):
             return False
         del self._reachability_indexes[key]
         self._version += 1
+        self._schema_version += 1
         return True
 
     def has_reachability_index(self, types=None):
@@ -2094,6 +2123,17 @@ class MemoryGraph(PropertyGraph):
         """Monotonic mutation counter; statistics caches key on it."""
         return self._version
 
+    @property
+    def schema_version(self):
+        """The schema epoch: moves only when the index set may have changed.
+
+        Bumped by the four index DDL calls and :meth:`restore_from` —
+        never by a data commit.  A cached plan may name an index, so the
+        engine's plan cache evicts on any mismatch; everything else a
+        plan depends on is statistics, which it validates by drift.
+        """
+        return self._schema_version
+
     def restore_from(self, snapshot):
         """Replace this graph's entire contents with ``snapshot``'s.
 
@@ -2134,6 +2174,7 @@ class MemoryGraph(PropertyGraph):
         self._reachability_indexes = donor._reachability_indexes
         self._scan_cache = {}
         self._version += 1
+        self._schema_version += 1
 
     def copy(self):
         """An independent deep copy (used by MERGE rollback and tests)."""
@@ -2164,13 +2205,15 @@ class MemoryGraph(PropertyGraph):
         clone._type_index = {t: set(rs) for t, rs in self._type_index.items()}
         # Rebuild the property indexes from the cloned data: the clone's
         # contents equal the originals' by construction, and the version
-        # bumps create_index applied are undone by restamping below.
+        # and epoch bumps create_index applied are undone by restamping
+        # below.
         for label, keyed in self._indexes_by_label.items():
             for key in keyed:
                 clone.create_index(label, key)
         for key in self._reachability_indexes:
             clone.create_reachability_index(key)
         clone._version = self._version
+        clone._schema_version = self._schema_version
         return clone
 
     def __repr__(self):

@@ -315,7 +315,7 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
     morsel = ctx.morsel_size
     width = len(ctx.slots)
     label = op.label
-    label_ids = ctx.graph.label_scan_ids
+    has_label_nodes = ctx.graph.has_label_nodes
     fill = _compile_batch_cover_fill(op, ctx)
 
     def run(argument):
@@ -323,7 +323,7 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
             bound = _bound_columns(cols)
             row = [MISSING] * width
             for index in range(n):
-                if not label_ids(label):
+                if not has_label_nodes(label):
                     continue
                 for out_slot, col in bound:
                     row[out_slot] = col[index]

@@ -290,7 +290,7 @@ def _source_candidates(source, ctx):
         candidates_of, entry = _index_ordered_probe(ctx, source)
     else:
         candidates_of, entry = _index_range_probe(ctx, source)
-    if not graph.label_scan_ids(source.label):
+    if not graph.has_label_nodes(source.label):
         return [], entry, source.label
     row = [MISSING] * len(ctx.slots)
     return list(candidates_of(row)), entry, source.label

@@ -603,12 +603,12 @@ def _compile_probe_scan(op, ctx, candidates, entry):
     label = op.label
     slot = ctx.slots[op.variable]
     ok = _compile_node_ok(ctx, op.node_pattern, granted_label=label)
-    label_ids = ctx.graph.label_scan_ids
+    has_label_nodes = ctx.graph.has_label_nodes
     fill = _compile_cover_fill(op, ctx)
 
     def run(argument):
         for row in child(argument):
-            if not label_ids(label):
+            if not has_label_nodes(label):
                 continue
             for node in candidates(row):
                 if ok is None or ok(node, row):

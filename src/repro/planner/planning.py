@@ -64,35 +64,70 @@ def plan_depends_on_statistics(plan):
     Plan *choices* — entry label, chain order, endpoint direction — come
     from :class:`~repro.planner.cost.CostModel` statistics.  A plan whose
     MATCH part is a single label-free ``AllNodesScan`` (or that scans
-    nothing at all, e.g. ``RETURN 1``) offered the cost model no choice,
-    so the engine's plan cache can keep it across graph versions; plans
-    embed no graph data, so the stale hit is still correct, just possibly
-    suboptimal for shapes this predicate rejects.
+    nothing at all, e.g. ``RETURN 1``) offered the cost model no choice:
+    its :func:`plan_statistics_footprint` is empty, so no amount of
+    drift makes the engine's plan cache re-plan it.
     """
-    scans = 0
+    return any(plan_statistics_footprint(plan))
+
+
+_SCANS = (
+    lg.AllNodesScan,
+    lg.NodeByLabelScan,
+    lg.IndexScan,
+    lg.IndexRangeScan,
+    lg.IndexOrderedScan,
+)
+
+
+def plan_statistics_footprint(plan):
+    """``(labels, types, whole_graph)``: the counters the plan was costed on.
+
+    The labels and relationship types the plan's scans and expands name
+    (entry label, the other labels of the scanned pattern, each expand's
+    types and target labels), plus ``whole_graph`` when an untyped
+    expand or a label-free ``AllNodesScan`` that had competition took
+    part.  All three are empty/False exactly when
+    :func:`plan_depends_on_statistics` is False.  The engine's plan cache
+    stores :func:`footprint_counts` of this next to the plan and
+    re-reads them when the store's version has moved: the plan stays
+    while every count is within 2x of what the cost model saw.
+    """
+    labels = set()
+    types = set()
+    untyped_expand = False
+    free_scans = 0
     stack = [plan]
     while stack:
         op = stack.pop()
-        if isinstance(
-            op,
-            (
-                lg.NodeByLabelScan,
-                lg.IndexScan,
-                lg.IndexRangeScan,
-                lg.IndexOrderedScan,
-                lg.Expand,
-                lg.VarLengthExpand,
-            ),
-        ):
-            return True
-        if isinstance(op, lg.AllNodesScan):
-            if op.node_pattern.labels:
-                return True  # label present but index skipped: a choice
-            scans += 1
-            if scans > 1:
-                return True  # chain ordering consulted cardinalities
+        if isinstance(op, _SCANS):
+            labels.update(op.node_pattern.labels)
+            if not op.node_pattern.labels:
+                free_scans += 1
+        elif isinstance(op, (lg.Expand, lg.VarLengthExpand)):
+            labels.update(op.node_pattern.labels)
+            if op.rel_pattern.types:
+                types.update(op.rel_pattern.types)
+            else:
+                untyped_expand = True
         stack.extend(op._children())
-    return False
+    # One label-free scan on its own offered the cost model no choice.
+    competing = free_scans > 1 or bool(free_scans and (labels or types))
+    return (
+        tuple(sorted(labels)), tuple(sorted(types)),
+        untyped_expand or competing,
+    )
+
+
+def footprint_counts(footprint, graph):
+    """``count + 1`` per footprint entry, off the store's O(1) counters."""
+    labels, types, whole_graph = footprint
+    counts = [graph.label_count(label) + 1 for label in labels]
+    counts.extend(graph.type_count(rel_type) + 1 for rel_type in types)
+    if whole_graph:
+        counts.append(graph.node_count() + 1)
+        counts.append(graph.relationship_count() + 1)
+    return counts
 
 
 class _PlanBuilder:

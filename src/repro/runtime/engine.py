@@ -124,24 +124,28 @@ class CypherEngine:
         #: Bounded admission: sessions acquire a slot on first use and
         #: queue (up to ``admission_timeout``) when the engine is full.
         self._admission = threading.BoundedSemaphore(max_sessions)
-        #: Bounded LRU of compiled plans: query text ->
-        #: (graph id, version, stats_sensitive, plan, updating).  Plans
-        #: embed no graph data (operators re-read the store at run
-        #: time), so a stale hit would still be correct — the version
-        #: key exists because plan *choices* (entry labels, chain order)
-        #: come from statistics.  Plans the cost model had no real
-        #: choice on (``stats_sensitive`` False) survive store
-        #: mutations, so parameterised re-runs keep their plan across
-        #: graph versions.  Update plans are cached too: a write
-        #: statement bumps the version exactly once (at its store
-        #: transaction's commit), and the engine re-stamps the
-        #: statement's own cache entry afterwards, so a self-inflicted
-        #: bump never evicts the plan that caused it.
+        #: Bounded LRU of compiled plans: query text -> [graph id,
+        #: version, schema epoch, plan, updating, footprint, counts].
+        #: Plans embed no graph data (operators re-read the store at run
+        #: time), so a cached plan is always *correct* on the graph and
+        #: index set it was planned for; what can go stale is its
+        #: *choices*.  An entry is therefore evicted only when the
+        #: store's schema epoch moved (an index the plan names may be
+        #: gone, or a new one may serve it) or when a label/type count
+        #: in its statistics footprint drifted more than 2x from what
+        #: the cost model saw.  Commits, rollbacks and the statement's
+        #: own writes merely move the version: the next lookup re-reads
+        #: the footprint's O(1) counters and re-stamps the entry.
         self._plan_cache = OrderedDict()
-        #: Plan-cache hit/miss counters (observable via explain_info):
-        #: a hit skips parsing, analysis, rewriting and planning.
+        #: Plan-cache counters (observable via plan_cache_info): a hit
+        #: skips parsing, analysis, rewriting and planning.
+        #: ``revalidated`` counts the hits that crossed a version bump;
+        #: the two ``evicted`` counters say why a known text re-planned.
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        self.plan_cache_revalidated = 0
+        self.plan_cache_evicted_schema = 0
+        self.plan_cache_evicted_drift = 0
 
     # ------------------------------------------------------------------
 
@@ -193,16 +197,10 @@ class CypherEngine:
                 plan, updating = cached
                 self._check_read_only(updating, read_only)
                 return self._execute_planned(
-                    query_text, plan, parameters, updating, mode, access_log,
+                    plan, parameters, updating, mode, access_log,
                     cancellation,
                 )
-        query = parse_query(query_text)
-        check_query(query)
-        if self.rewrite:
-            from repro.rewriter import rewrite_query
-
-            query = rewrite_query(query)
-        updating = _is_updating(query)
+        query, updating = self._front_end(query_text)
         self._check_read_only(updating, read_only)
         if mode == "interpreter":
             if cancellation is not None:
@@ -224,9 +222,23 @@ class CypherEngine:
             )
         self._remember_plan(query_text, plan, updating)
         return self._execute_planned(
-            query_text, plan, parameters, updating, mode, access_log,
-            cancellation,
+            plan, parameters, updating, mode, access_log, cancellation,
         )
+
+    def _front_end(self, query_text):
+        """``(query, updating)``: parse → check → rewrite, as every entry does.
+
+        The one front end :meth:`run`, :meth:`explain` and
+        :meth:`explain_info` share, so a statement analysis rejects is
+        rejected identically by all three.
+        """
+        query = parse_query(query_text)
+        check_query(query)
+        if self.rewrite:
+            from repro.rewriter import rewrite_query
+
+            query = rewrite_query(query)
+        return query, _is_updating(query)
 
     @staticmethod
     def _check_read_only(updating, read_only):
@@ -269,9 +281,9 @@ class CypherEngine:
         order is the index's sort order — it decides which ORDER BY
         clauses the index can provide).  Returns True when the index is
         new.  The store builds it once and maintains it incrementally
-        from then on; the version bump it causes makes the next lookup
-        of any statistics-sensitive cached plan re-plan against the new
-        access path.
+        from then on; the schema-epoch bump it causes makes the next
+        lookup of every cached plan re-plan against the new access
+        path.
         """
         return self.graph.create_index(label, *keys)
 
@@ -317,13 +329,9 @@ class CypherEngine:
         """``(plan, updating)`` through :meth:`run`'s exact pipeline."""
         from repro.planner import plan_query
 
-        query = parse_query(query_text)
-        if self.rewrite:
-            from repro.rewriter import rewrite_query
-
-            query = rewrite_query(query)
+        query, updating = self._front_end(query_text)
         plan = plan_query(query, self.graph, morphism=self.morphism)
-        return plan, _is_updating(query)
+        return plan, updating
 
     def explain(self, query_text):
         """The physical plan the planner would run, as indented text.
@@ -341,13 +349,12 @@ class CypherEngine:
         queries included, with their ``Eager`` barriers and write
         operators rendered — or ``"interpreter"`` with the reason the
         planner refused (only the Cypher 10 graph clauses remain).
-        ``cache_info`` carries this engine's plan-cache hit/miss
-        counters and hit rate, which is how the "a write invalidates
-        its own plan once per execution, not once per clause" contract
-        is observable.  ``mode`` is the execution strategy a run would
-        pick — ``"batch"`` (vectorised morsels over slot columns) or
-        ``"row"`` — and None on the interpreter path.  Nothing is
-        executed.
+        ``cache_info`` is :meth:`plan_cache_info` — hits, misses and
+        why known texts re-planned — which is how "a commit costs no
+        statement its plan" is observable.  ``mode`` is the execution
+        strategy a run would pick — ``"batch"`` (vectorised morsels over
+        slot columns) or ``"row"`` — and None on the interpreter path.
+        Nothing is executed.
         """
         cache_info = self.plan_cache_info()
         try:
@@ -374,7 +381,13 @@ class CypherEngine:
         return ("planner", None, plan.describe(), cache_info, mode)
 
     def plan_cache_info(self):
-        """Hit/miss counters of the plan cache, with the derived rate."""
+        """Plan-cache counters, with the derived hit rate.
+
+        ``revalidated`` is the share of ``hits`` that crossed a version
+        bump (footprint re-read, entry re-stamped); ``evicted_schema``
+        and ``evicted_drift`` split the ``misses`` on known texts by
+        cause — the rest are first sightings and LRU victims.
+        """
         hits = self.plan_cache_hits
         misses = self.plan_cache_misses
         total = hits + misses
@@ -383,6 +396,9 @@ class CypherEngine:
             "misses": misses,
             "hit_rate": (hits / total) if total else None,
             "entries": len(self._plan_cache),
+            "revalidated": self.plan_cache_revalidated,
+            "evicted_schema": self.plan_cache_evicted_schema,
+            "evicted_drift": self.plan_cache_evicted_drift,
         }
 
     # ------------------------------------------------------------------
@@ -449,8 +465,7 @@ class CypherEngine:
         return "batch"
 
     def _execute_planned(
-        self, query_text, plan, parameters, updating, mode, access_log=None,
-        cancel=None,
+        self, plan, parameters, updating, mode, access_log=None, cancel=None,
     ):
         execution_mode = self._pick_execution_mode(plan, updating, mode)
         if execution_mode == "parallel":
@@ -512,12 +527,6 @@ class CypherEngine:
                 # memoised property readers (CSE); writes must re-read.
                 read_only=not updating,
             )
-            if updating:
-                # The statement's own version bump must not evict the
-                # plan that caused it: re-stamp the entry to the
-                # post-commit version (once per execution, regardless
-                # of how many clauses mutated).
-                self._restamp_plan(query_text)
         return QueryResult(
             table, plan=plan, executed_by="planner", execution_mode="row",
             access_paths=access_log,
@@ -553,82 +562,61 @@ class CypherEngine:
 
         A hit skips parsing, semantic checks, rewriting and planning
         (update plans carry their ``updating`` flag so the schema
-        snapshot still happens).  A version mismatch only evicts plans
-        whose choices depended on statistics; the rest are simply
-        re-stamped, so parameterised re-runs keep their plan across
-        store mutations.
+        snapshot still happens).  While the store's version stands
+        still that is a dict lookup and one comparison.  When it moved
+        — a foreign commit, the statement's own, index DDL, a restore —
+        the entry is revalidated by the rule stated on ``_plan_cache``:
+        evict on a schema-epoch mismatch or a >2x drift of a footprint
+        counter, otherwise re-stamp to the current version and hit.
         """
         entry = self._plan_cache.get(query_text)
         if entry is None:
             self.plan_cache_misses += 1
             return None
-        graph_key, version, stats_sensitive, plan, updating, counts = entry
-        if graph_key != id(self.graph):
-            del self._plan_cache[query_text]
-            self.plan_cache_misses += 1
-            return None
-        current = getattr(self.graph, "version", None)
+        graph_key, version, epoch, plan, updating, footprint, planned = entry
+        graph = self.graph
+        if graph_key != id(graph):
+            return self._evict(query_text)
+        current = graph.version
         if version != current:
-            if stats_sensitive:
-                del self._plan_cache[query_text]
-                self.plan_cache_misses += 1
-                return None
-            entry = (
-                graph_key, current, stats_sensitive, plan, updating, counts
-            )
-            self._plan_cache[query_text] = entry
+            if epoch != graph.schema_version:
+                self.plan_cache_evicted_schema += 1
+                return self._evict(query_text)
+            from repro.planner.planning import footprint_counts
+
+            for then, now in zip(planned, footprint_counts(footprint, graph)):
+                if now > 2 * then or 2 * now < then:
+                    self.plan_cache_evicted_drift += 1
+                    return self._evict(query_text)
+            entry[1] = current
+            self.plan_cache_revalidated += 1
         self._plan_cache.move_to_end(query_text)
         self.plan_cache_hits += 1
         return plan, updating
 
-    def _graph_size(self):
-        """Coarse statistics fingerprint for the re-plan heuristic."""
-        return self.graph.node_count() + self.graph.relationship_count() + 1
+    def _evict(self, query_text):
+        del self._plan_cache[query_text]
+        self.plan_cache_misses += 1
+        return None
 
     def _remember_plan(self, query_text, plan, updating):
-        version = getattr(self.graph, "version", None)
+        graph = self.graph
+        version = getattr(graph, "version", None)
         if version is None:
             return  # no mutation counter: cannot tell when to invalidate
-        from repro.planner.planning import plan_depends_on_statistics
+        from repro.planner.planning import footprint_counts
+        from repro.planner.planning import plan_statistics_footprint
 
-        self._plan_cache[query_text] = (
-            id(self.graph),
+        footprint = plan_statistics_footprint(plan)
+        self._plan_cache[query_text] = [
+            id(graph),
             version,
-            plan_depends_on_statistics(plan),
+            graph.schema_version,
             plan,
             updating,
-            self._graph_size(),
-        )
+            footprint,
+            footprint_counts(footprint, graph),
+        ]
         self._plan_cache.move_to_end(query_text)
         while len(self._plan_cache) > self._PLAN_CACHE_LIMIT:
             self._plan_cache.popitem(last=False)
-
-    def _restamp_plan(self, query_text):
-        """Pardon a statement's self-inflicted version bump.
-
-        Called once per updating execution, after the store transaction
-        committed: the entry's version moves to the post-commit value,
-        so re-running the same write statement is a cache hit.  Entries
-        for *other* statements are untouched — a write still invalidates
-        every stats-sensitive plan exactly once, via the single commit
-        bump.  A stats-sensitive statement is only pardoned while the
-        graph stays within 2x of the size it was planned against; a
-        write that reshapes the store past that (a bulk load doubling a
-        label, a mass delete) is left stale, so the next lookup evicts
-        and re-plans against the new statistics instead of freezing the
-        original choice forever.
-        """
-        entry = self._plan_cache.get(query_text)
-        if entry is None:
-            return
-        graph_key, _version, stats_sensitive, plan, updating, counts = entry
-        if graph_key != id(self.graph):
-            return
-        if stats_sensitive:
-            size = self._graph_size()
-            if size > 2 * counts or 2 * size < counts:
-                return  # statistics diverged: let the next lookup re-plan
-        current = getattr(self.graph, "version", None)
-        self._plan_cache[query_text] = (
-            graph_key, current, stats_sensitive, plan, updating, counts
-        )

@@ -18,6 +18,9 @@ harnesses, runnable without pytest or the tests/ tree:
   queries afterwards must actually enter through the index (plan
   inspected, not trusted) and agree with a filter-only run on an
   unindexed clone;
+* a **plan-cache smoke set** — the same parameterised write and read
+  around a commit (must be cache hits) and around ``create_index`` (must
+  be misses, and the re-planned read must enter through the new index);
 * a **crash-recovery smoke set** — a transactional session driven into
   injected faults at a first, interior and commit-flush mutation site;
   each crash must leave store and index equal to an untouched clone and
@@ -272,6 +275,48 @@ def _plan_enters_index(plan):
             return True
         stack.extend(op._children())
     return False
+
+
+#: The plan-cache smoke pair: one parameterised write and one
+#: parameterised read over the same label and key.
+PLAN_CACHE_SMOKE_WRITE = "CREATE (:A {v: $v, name: 'cached'})"
+PLAN_CACHE_SMOKE_READ = "MATCH (a:A) WHERE a.v = $v RETURN count(*) AS c"
+
+
+def _check_plan_cache_smoke(failures):
+    """Commits keep plans; index DDL drops them, and the re-plan uses it.
+
+    The same two texts run around a commit (both must be cache hits —
+    a commit costs no statement its plan) and around ``create_index``
+    (both must be misses — the schema epoch moved), after which the
+    read must provably enter through the new index.
+    """
+    engine = CypherEngine(fixture_graph())
+
+    def round_trip(v):
+        engine.run(PLAN_CACHE_SMOKE_WRITE, parameters={"v": v})
+        return engine.run(PLAN_CACHE_SMOKE_READ, parameters={"v": v})
+
+    round_trip(50)
+    before = engine.plan_cache_info()
+    round_trip(51)  # crosses the first round's commit, and its own
+    after = engine.plan_cache_info()
+    if (after["hits"], after["misses"]) != (
+        before["hits"] + 2, before["misses"]
+    ):
+        failures.append("plan cache smoke: a commit evicted a cached plan")
+    engine.create_index("A", "v")
+    result = round_trip(52)
+    final = engine.plan_cache_info()
+    if final["misses"] != after["misses"] + 2 or final["evicted_schema"] != 2:
+        failures.append("plan cache smoke: create_index kept a cached plan")
+    if not _plan_enters_index(result.plan):
+        failures.append(
+            "plan cache smoke: the post-DDL plan did not enter through "
+            "the new index"
+        )
+    if result.value("c") != 1:
+        failures.append("plan cache smoke: the re-planned read is wrong")
 
 
 #: The composite-index smoke sequence: mutate every column of the
@@ -608,6 +653,11 @@ def run_selftest(output=print):
     output(
         "index maintenance:    %2d statements, %d index-proven probes"
         % (len(INDEX_SMOKE_STATEMENTS), len(INDEX_SMOKE_PROBES))
+    )
+    _check_plan_cache_smoke(failures)
+    output(
+        "plan cache:           hits across a commit, re-plan through a "
+        "new index"
     )
     _check_composite_index_smoke(failures)
     output(

@@ -170,14 +170,13 @@ class TestExplainInfo:
         assert cache_info["hit_rate"] == 0.5
         assert cache_info["entries"] == 1
 
-    def test_restamp_after_update_in_batch_mode_session(self):
-        """A batched session's update statement still re-stamps its plan.
+    def test_plans_survive_an_update_in_batch_mode_session(self):
+        """A batch-mode engine keeps plans across an update's commit.
 
-        The update itself runs row-wise, but the engine session is in
-        batch mode: the self-inflicted version bump must pardon the
-        cached update plan exactly as in row mode, and the *read* plan
-        cached before the update must survive if it is
-        statistics-insensitive.
+        The update itself runs row-wise, but the engine is in batch
+        mode: its own commit must leave the cached update plan a hit
+        exactly as in row mode, and the *read* plan cached before the
+        update must survive too.
         """
         graph, _ = (
             GraphBuilder()
@@ -187,10 +186,10 @@ class TestExplainInfo:
         engine = CypherEngine(graph, mode="batch")
         update = "MATCH (p) SET p.seen = true"
         read = "MATCH (p) RETURN count(*) AS c"
-        engine.run(read)    # miss; AllNodesScan: stats-insensitive
-        engine.run(update)  # miss; bumps the version, then re-stamps
+        engine.run(read)    # miss
+        engine.run(update)  # miss; commits, which moves the version
         hits_before = engine.plan_cache_hits
-        second = engine.run(update)  # hit despite the self-bump
+        second = engine.run(update)  # hit: revalidated across its commit
         assert engine.plan_cache_hits == hits_before + 1
         assert second.execution_mode == "row"
         third = engine.run(read)     # hit: survived the store mutation

@@ -272,14 +272,18 @@ class TestPlanCache:
         assert sorted(result.values("v")) == [1, 2]
         assert engine._plan_cache[query][3] is cached_before
 
-    def test_stats_sensitive_plans_replan_after_mutations(self):
+    def test_stats_sensitive_plans_survive_commits_until_they_drift(self):
+        """The full validity rule is pinned in tests/test_plan_cache.py."""
         engine = CypherEngine(MemoryGraph())
         engine.run("CREATE (:X {v: 1})")
         query = "MATCH (n:X) RETURN n.v AS v"
         engine.run(query)
         cached_before = engine._plan_cache[query][3]
         engine.run("CREATE (:X {v: 2})")
-        engine.run(query)
+        assert sorted(engine.run(query).values("v")) == [1, 2]
+        assert engine._plan_cache[query][3] is cached_before
+        engine.run("UNWIND range(3, 9) AS i CREATE (:X {v: i})")  # >2x :X
+        assert len(engine.run(query)) == 9
         assert engine._plan_cache[query][3] is not cached_before
 
     def test_parameterised_reruns_reuse_plans(self):

@@ -605,7 +605,7 @@ class TestEngineObservability:
         assert record["entry"] == "label scan :L"
         assert record["actual_rows"] == 12
 
-    def test_create_index_invalidates_stats_sensitive_plans(self):
+    def test_create_index_invalidates_cached_plans(self):
         graph = small_graph()
         engine = CypherEngine(graph)
         query = "MATCH (n:L) WHERE n.v = 1 RETURN count(*) AS c"
@@ -616,7 +616,7 @@ class TestEngineObservability:
         assert isinstance(entry_operator(after.plan), lg.IndexScan)
         assert engine.drop_index("L", "v") is True
 
-    def test_update_plans_restamp_on_indexed_graphs(self):
+    def test_update_plans_survive_their_commit_on_indexed_graphs(self):
         graph = small_graph()
         graph.create_index("L", "v")
         engine = CypherEngine(graph)

@@ -123,6 +123,44 @@ class TestBruteForceDifferential:
         assert index.reachable(0, size - 1)
         assert not index.reachable(size - 1, 0)
 
+    def test_redundant_edge_removal_runs_no_tarjan(self, monkeypatch):
+        """Only a delete that can split the component pays for Tarjan.
+
+        A ring with one chord, and a self-loop on the ring: dropping the
+        chord or the loop leaves the endpoints connected round the ring,
+        so the early-exit search answers and Tarjan never runs; dropping
+        a ring edge afterwards is a bridge delete and must still split.
+        """
+        index = ReachabilityIndex(None)
+        size = 6
+        edges = {step: (step, (step + 1) % size) for step in range(size)}
+        edges["chord"] = (0, 3)
+        edges["loop"] = (2, 2)
+        for rel, (source, target) in edges.items():
+            index.add_edge(rel, source, target)
+        tarjans = []
+        original = ReachabilityIndex._tarjan
+
+        def counting(self, nodes, local):
+            tarjans.append(len(nodes))
+            return original(self, nodes, local)
+
+        monkeypatch.setattr(ReachabilityIndex, "_tarjan", counting)
+        for rel in ("chord", "loop"):
+            index.remove_edge(rel)
+            del edges[rel]
+            assert index.statistics()["components"] == 1
+        assert tarjans == []
+        monkeypatch.undo()  # the oracle's rebuild may run Tarjan freely
+        assert_matches_brute_force(index, edges)
+        monkeypatch.setattr(ReachabilityIndex, "_tarjan", counting)
+        index.remove_edge(2)  # 2→3 was the only way on: the ring opens
+        del edges[2]
+        assert tarjans == [size]
+        assert index.statistics()["components"] == size
+        monkeypatch.undo()
+        assert_matches_brute_force(index, edges)
+
 
 class TestEdgeCases:
     def test_zero_length_and_untracked_nodes(self):

@@ -358,7 +358,7 @@ class TestStoreTransaction:
 
 
 # ---------------------------------------------------------------------------
-# Engine: plan cache across self-inflicted version bumps
+# Engine: write plans across their own commits
 # ---------------------------------------------------------------------------
 
 class TestWritePlanCache:
@@ -367,11 +367,11 @@ class TestWritePlanCache:
         query = "CREATE (:X)"
         engine.run(query)
         hits_before = engine.plan_cache_hits
-        engine.run(query)  # self-inflicted bump was re-stamped: a hit
+        engine.run(query)  # its own commit only moved the version: a hit
         assert engine.plan_cache_hits == hits_before + 1
         assert engine.graph.node_count() == 2
 
-    def test_stats_sensitive_write_plan_survives_own_bump(self):
+    def test_stats_sensitive_write_plan_survives_own_commit(self):
         engine = CypherEngine(MemoryGraph())
         engine.run("CREATE (:K {v: 0})")
         query = "MERGE (n:K {v: 1}) ON MATCH SET n.seen = 1"
@@ -382,21 +382,24 @@ class TestWritePlanCache:
         assert engine.plan_cache_hits == hits_before + 1
         assert engine._plan_cache[query][3] is cached_before
 
-    def test_reshaping_write_is_not_pardoned(self):
-        """A stats-sensitive statement that blows up the graph re-plans.
+    def test_reshaping_write_replans_itself(self):
+        """A stats-sensitive statement that blows up its own label re-plans.
 
-        The self-bump pardon only holds while the store stays within 2x
-        of the size the plan was costed against; past that the entry is
-        left stale so the next execution re-plans on fresh statistics.
+        A statement's own commit is no different from a foreign one: the
+        plan stays while :A is within 2x of the count it was costed
+        against, and the first lookup past that re-plans on fresh
+        statistics.
         """
         engine = CypherEngine(MemoryGraph())
         engine.run("CREATE (:A {v: 0})")
         query = "MATCH (a:A) CREATE (:A {v: a.v + 1})"  # doubles :A per run
-        engine.run(query)
+        engine.run(query)  # planned against one :A
         cached_before = engine._plan_cache[query][3]
-        engine.run(query)  # grows past 2x the planned size: not pardoned
-        engine.run(query)  # next lookup evicts the stale entry, re-plans
+        engine.run(query)  # two :A: within 2x, a hit
+        assert engine._plan_cache[query][3] is cached_before
+        engine.run(query)  # four :A: drifted, evicted and re-planned
         assert engine._plan_cache[query][3] is not cached_before
+        assert engine.plan_cache_info()["evicted_drift"] == 1
 
     def test_write_invalidates_other_plans_once_per_execution(self):
         """One statement, many mutated clauses — one version step."""
