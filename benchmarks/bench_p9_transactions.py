@@ -6,8 +6,9 @@ pay-as-you-go by design:
 
 * plain reads never see the machinery (no undo list, no pins, no
   cancellation object → one ``is None`` check per operator compile);
-* a *clean* snapshot (nothing mutated since the pin) delegates straight
-  to the parent engine — full index/batch acceleration, zero overlay;
+* a snapshot read runs on the parent engine: against the live store
+  while the pin is clean, against a delta-corrected view of it once the
+  store diverged — same indexes, same cached plan, plus O(|delta|);
 * session writes add one undo-tuple append per mutation.
 
 Acceptance pins, min-over-interleaved-samples vs the direct
@@ -17,12 +18,10 @@ Acceptance pins, min-over-interleaved-samples vs the direct
   "snapshot overhead ≤ 10% on reads";
 * **write via session transaction ≤ 1.10x** — "transaction overhead
   ≤ 10% on writes" (undo recording + begin/commit bookkeeping);
-* **deadline-armed read ≤ 1.10x** — the strided cancellation checks.
-
-The dirty-overlay read (snapshot forced onto the COW overlay by a
-concurrent commit) is *reported* for the trajectory, not pinned: the
-overlay trades speed for isolation deliberately (label scans + residual
-filters instead of indexes).
+* **deadline-armed read ≤ 1.10x** — the strided cancellation checks;
+* **dirty-view indexed read ≤ 2x the clean-snapshot read** — a snapshot
+  whose pin a concurrent commit made dirty still enters through the
+  index and the cached plan; what it pays is the delta correction.
 """
 
 import time
@@ -45,6 +44,15 @@ WRITE_QUERY = "UNWIND range(1, %d) AS i CREATE (:Scratch {v: i})" % WRITE_BATCH
 
 #: (name, floor) — medians must stay within floor x the direct baseline.
 OVERHEAD_BUDGET = 1.10
+#: A dirty-view read against the clean-snapshot read of the same text.
+DIRTY_VIEW_BUDGET = 2.0
+#: What makes the pin dirty: an indexed SET, a CREATE and a DELETE on
+#: the probed label, all landing inside the probed range.
+DIRTYING_WRITES = (
+    "MATCH (n:Item) WHERE n.v = 100 SET n.v = 139",
+    "CREATE (:Item {v: 120})",
+    "MATCH (n:Item) WHERE n.v = 110 WITH n LIMIT 1 DELETE n",
+)
 
 
 def build_engine():
@@ -57,18 +65,6 @@ def build_engine():
     )
     transaction.commit()
     return CypherEngine(graph)
-
-
-def _median_time(callable_, repeats=9):
-    """Median wall time after one warm-up run (plan cache, scan caches)."""
-    callable_()
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        callable_()
-        times.append(time.perf_counter() - started)
-    times.sort()
-    return times[repeats // 2]
 
 
 def _paired_ratio(variant, baseline, repeats=9, inner=1):
@@ -104,27 +100,39 @@ def _paired_ratio(variant, baseline, repeats=9, inner=1):
     )
 
 
-def test_p9_session_overhead_within_budget(table_report):
-    """The ≤10% pins: clean-snapshot read, session write, armed read."""
+def _dirty_snapshot(engine, reader):
+    """A warm snapshot of ``engine`` whose pin a writer then dirtied."""
+    snapshot = reader.snapshot()
+    snapshot.run(READ_QUERY)  # warm while still clean
+    with engine.session() as writer:
+        writer.begin()
+        for statement in DIRTYING_WRITES:
+            writer.run(statement)
+        writer.commit()
+    assert not snapshot.pin.clean
+    return snapshot
+
+
+def test_p9_session_overhead_within_budget(table_report, pipeline_record):
+    """The pins: clean-snapshot read, session write, armed read ≤ 1.10x
+    the direct run; dirty-view read ≤ 2x the clean-snapshot read."""
     rows = []
     failures = []
 
-    def pin(name, variant_seconds, baseline_seconds, pinned=True, ratio=None):
-        if ratio is None:
-            ratio = variant_seconds / max(baseline_seconds, 1e-9)
+    def pin(name, variant_seconds, baseline_seconds, ratio,
+            budget=OVERHEAD_BUDGET):
         rows.append(
             (
                 name,
                 "%.3f ms" % (variant_seconds * 1e3),
                 "%.3f ms" % (baseline_seconds * 1e3),
                 "%.3fx" % ratio,
-                "%.2fx budget" % OVERHEAD_BUDGET if pinned else "report",
+                "%.2fx budget" % budget,
             )
         )
-        if pinned and ratio > OVERHEAD_BUDGET:
+        if ratio > budget:
             failures.append(
-                "%s at %.3fx (budget %.2fx)"
-                % (name, ratio, OVERHEAD_BUDGET)
+                "%s at %.3fx (budget %.2fx)" % (name, ratio, budget)
             )
 
     # -- reads: direct vs clean snapshot vs deadline-armed ---------------
@@ -136,16 +144,13 @@ def test_p9_session_overhead_within_budget(table_report):
             lambda: snapshot.run(READ_QUERY), direct_read_once,
             repeats=11, inner=5,
         )
-    pin(
-        "read via clean snapshot", snapshot_read, direct_read,
-        ratio=snapshot_ratio,
-    )
+    pin("read via clean snapshot", snapshot_read, direct_read, snapshot_ratio)
 
     armed_ratio, armed_read, direct_read = _paired_ratio(
         lambda: engine.run(READ_QUERY, timeout=3600.0), direct_read_once,
         repeats=11, inner=5,
     )
-    pin("read with deadline armed", armed_read, direct_read, ratio=armed_ratio)
+    pin("read with deadline armed", armed_read, direct_read, armed_ratio)
 
     # -- writes: direct autocommit vs session transaction ----------------
     # Interleaved: both graphs grow by WRITE_BATCH per round, so each
@@ -165,27 +170,47 @@ def test_p9_session_overhead_within_budget(table_report):
         repeats=9,
     )
     pin(
-        "write via session transaction",
-        session_write,
-        direct_write,
-        ratio=write_ratio,
+        "write via session transaction", session_write, direct_write,
+        write_ratio,
     )
 
-    # -- reported: the dirty overlay (isolation has a real price) --------
-    overlay_engine = build_engine()
-    with overlay_engine.session() as reader:
-        overlay = reader.snapshot()
-        overlay.run(READ_QUERY)  # warm while still clean
-        with overlay_engine.session() as writer:
-            writer.begin()
-            writer.run("CREATE (:Item {v: 0})")
-            writer.commit()
-        overlay_read = _median_time(lambda: overlay.run(READ_QUERY))
-    pin("read via dirty overlay", overlay_read, direct_read, pinned=False)
+    # -- the dirty view: indexes and the cached plan survive the writer --
+    # Two engines over identical stores, one snapshot each; only one pin
+    # is dirtied, so the pair differs in exactly the delta correction.
+    clean_engine = build_engine()
+    dirty_engine = build_engine()
+    with clean_engine.session() as clean_reader, \
+            dirty_engine.session() as dirty_reader:
+        clean = clean_reader.snapshot()
+        dirty = _dirty_snapshot(dirty_engine, dirty_reader)
+        entries = [
+            path["entry"]
+            for path in dirty.run(READ_QUERY, profile=True).access_paths
+        ]
+        assert entries == ["index range :Item(v)"], entries
+        misses = dirty_engine.plan_cache_misses
+        dirty_ratio, dirty_read, clean_read = _paired_ratio(
+            lambda: dirty.run(READ_QUERY), lambda: clean.run(READ_QUERY),
+            repeats=11, inner=5,
+        )
+        assert dirty_engine.plan_cache_misses == misses
+    pin(
+        "read via dirty view", dirty_read, clean_read, dirty_ratio,
+        budget=DIRTY_VIEW_BUDGET,
+    )
+    pipeline_record(
+        "transactions", "p9_dirty_view_read",
+        {
+            "dirty_view_s": dirty_read,
+            "clean_snapshot_s": clean_read,
+            "ratio": dirty_ratio,
+            "budget": DIRTY_VIEW_BUDGET,
+        },
+    )
 
     table_report(
-        "P9 — session/snapshot/cancellation overhead vs direct run()",
-        ["workload", "variant", "direct", "ratio", "pin"],
+        "P9 — session/snapshot/cancellation overhead (variant vs baseline)",
+        ["workload", "variant", "baseline", "ratio", "pin"],
         rows,
     )
     assert not failures, "; ".join(failures)
@@ -207,14 +232,18 @@ def test_p9_snapshot_reads_are_isolated_and_correct():
     assert live != after_commit
 
 
-@pytest.mark.parametrize("variant", ["direct", "snapshot"])
+@pytest.mark.parametrize("variant", ["direct", "snapshot", "dirty-view"])
 def test_p9_read_benchmark(benchmark, variant):
     engine = build_engine()
     if variant == "direct":
         result = benchmark(engine.run, READ_QUERY)
     else:
         with engine.session() as session:
-            result = benchmark(session.snapshot().run, READ_QUERY)
+            if variant == "snapshot":
+                snapshot = session.snapshot()
+            else:
+                snapshot = _dirty_snapshot(engine, session)
+            result = benchmark(snapshot.run, READ_QUERY)
     assert list(result.table) == [{"c": 40 * (ITEMS // NDV)}]
 
 

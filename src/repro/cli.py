@@ -18,8 +18,10 @@ Inside the REPL, lines ending in ``;`` (or a single complete clause line)
 execute as Cypher; special commands start with ``:``:
 
     :help               this text
-    :schema             labels, relationship types, counts, indexes
-    :explain <query>    show the physical plan (with access-path estimates)
+    :schema             labels, relationship types, counts, indexes,
+                        snapshot counters
+    :explain <query>    show the physical plan (with access-path estimates),
+                        plan-cache and snapshot counters
     :index              list property indexes
     :index :L(k)        create a property index on (label L, key k)
     :index :L(k1,k2)    create a composite index over the key tuple
@@ -67,6 +69,21 @@ def _cache_line(cache_info):
         cache_info["revalidated"],
         cache_info["evicted_schema"],
         cache_info["evicted_drift"],
+    )
+
+
+def _snapshot_line(info):
+    """One-line snapshot report (``engine.snapshot_info()``)."""
+    pins = info["pins"]
+    preimages = pins["preimages"]
+    return (
+        "snapshots: %d pin(s) taken, %d refused, %d live; pre-images: "
+        "%d node, %d relationship, %d adjacency (largest delta %d); "
+        "reads: %d clean, %d dirty"
+    ) % (
+        pins["taken"], pins["refused"], pins["live"],
+        preimages["node"], preimages["relationship"], preimages["adjacency"],
+        pins["largest_delta"], info["clean_reads"], info["dirty_reads"],
     )
 
 
@@ -232,6 +249,7 @@ class Shell:
             if plan_text:
                 self.write(plan_text)
             self.write(_cache_line(cache_info))
+            self.write(_snapshot_line(self.engine.snapshot_info()))
         elif command == ":save":
             if not argument:
                 self.write("usage: :save <path>")
@@ -285,6 +303,7 @@ class Shell:
                 "reachability indexes: "
                 + ", ".join(_reach_display(types) for types in reach)
             )
+        self.write(_snapshot_line(self.engine.snapshot_info()))
 
     def _index(self, argument):
         """``:index`` — list, create or drop property indexes."""
@@ -605,6 +624,7 @@ def explain_main(argv=None):
     if plan_text:
         print(plan_text)
     print(_cache_line(cache_info))
+    print(_snapshot_line(engine.snapshot_info()))
     if arguments.profile and executed_by == "planner":
         result = engine.run(arguments.query, profile=True)
         for line in _access_path_lines(result.access_paths):

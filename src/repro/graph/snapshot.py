@@ -1,42 +1,66 @@
-"""Copy-on-write version pins and the snapshot read overlay.
+"""Copy-on-write version pins and the delta-corrected snapshot view.
 
 A :class:`VersionPin` freezes one store version *without copying the
 store*: :meth:`MemoryGraph.pin_version` registers the pin, and from then
 on every raw mutator preserves the **pre-image** of whatever it is about
 to touch into the pin's delta maps — first write wins, later writes to
 the same entity find the entry already present and pay one dict probe.
+The pin's **delta** is exactly that: the nodes, relationships and
+adjacency lists mutated since the pin was taken.  A writer pays one
+pre-image per touched entity and nothing per label, type or index.
+
 A reader that wants the pinned version layers :class:`SnapshotGraph`
-over the pin: entities with a preserved pre-image read from the delta,
-everything else falls through to the live store's internals, which are
-by construction unchanged since the pin for those entities.
+over the pin.  Everything the view answers is *the live store's answer,
+corrected by the delta*, so a read costs what it costs on the live
+store plus O(|delta|):
 
-The overlay implements the full :class:`~repro.graph.model.PropertyGraph`
-read interface *plus* the bulk column APIs the batch engine needs
-(``all_node_ids`` / ``label_scan_ids`` / ``node_property_column`` /
-``expand_batch``) and the statistics hooks, so both the row and the
-batch executors run against a snapshot through the exact same access
-paths they use on the live store.  What it deliberately does **not**
-expose is the property-index probe surface: index contents track the
-live version, so the overlay reports no indexes and the planner enters
-through label scans with residual filters — same results, index-free
-access paths (the residual predicate always decides; see the
-over-approximation contract in :mod:`repro.graph.store`).
+* entity reads consult the pre-image first and fall through to the live
+  store's internals otherwise;
+* label/type membership and counts are the live inverted index minus
+  the touched entities plus the touched entities that carried the name
+  at pin time (a node whose labels changed, or that was created or
+  deleted, is in ``pin.nodes``; every created or deleted relationship
+  is in ``pin.rels``);
+* the **property-index surface** is the base store's: the same index
+  set, statistics and schema epoch, and every probe is the live probe
+  minus the touched nodes, merged in probe order with the same probe
+  over a private index of the touched nodes' pin-time property maps.
+  Plans therefore carry over unchanged between the live store and a
+  view of it — a dirty pin keeps its index entries and its cached
+  plans;
+* the bulk column APIs take the base store's fast path whenever the
+  batch does not intersect the delta.
 
-Soundness of the fall-through rests on two invariants:
+**Reachability indexes stay unexposed.**  Delta correction needs a
+probe that can be corrected entity by entity; a deleted edge makes the
+live condensation *under*-approximate pin-time reachability, which no
+residual check can repair.  Both engines degrade a ``ReachabilityProbe``
+to the plain walk when ``reachability_index_for`` is absent.
 
-* every mutator preserves *before* it mutates, covering node state,
-  relationship state, both endpoints' adjacency, and label/type
-  membership lists for everything it touches;
-* execution is cooperative and single-threaded — no mutation lands
-  between two reads of one query — so "no delta entry" always means
-  "identical to pin time", never "not preserved yet".
+Soundness rests on two invariants:
+
+* **preserve before mutate** — every raw mutator (in-flight
+  transactions and undo replay included) records the pre-image of each
+  node, relationship and adjacency list it is about to change, so an
+  entity *without* a delta entry is byte-identical to pin time: its
+  labels, properties, endpoints, adjacency and therefore every index
+  entry derived from them.  Conversely every entity whose index entry
+  or label/type membership can differ from pin time *has* a delta
+  entry;
+* **no mutation inside a read** — execution is cooperative and
+  single-threaded, so "no delta entry" always means "identical to pin
+  time", never "not preserved yet".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import groupby
+
 from repro.exceptions import EntityNotFound, TransactionError
 from repro.graph.model import PropertyGraph
 from repro.values.base import NodeId
+from repro.values.ordering import sort_key
 
 
 def _id_value(identifier):
@@ -60,8 +84,6 @@ class VersionPin:
         "nodes",       # NodeId -> (label set, property dict) | ABSENT
         "rels",        # RelId -> (src, tgt, type, property dict) | ABSENT
         "adjacency",   # NodeId -> (out, in, out_by_type, in_by_type)
-        "labels",      # label -> id-sorted node list at pin time
-        "types",       # type -> id-sorted rel list at pin time
     )
 
     def __init__(self, graph):
@@ -73,16 +95,24 @@ class VersionPin:
         self.nodes = {}
         self.rels = {}
         self.adjacency = {}
-        self.labels = {}
-        self.types = {}
 
     @property
     def clean(self):
         """True while nothing has mutated since the pin was taken."""
-        return not (
-            self.nodes or self.rels or self.adjacency
-            or self.labels or self.types
-        )
+        return not (self.nodes or self.rels or self.adjacency)
+
+    def preimages(self):
+        """How many pre-images the pin holds, by kind."""
+        return {
+            "node": len(self.nodes),
+            "relationship": len(self.rels),
+            "adjacency": len(self.adjacency),
+        }
+
+    @property
+    def released(self):
+        """True once the last reference is gone: nothing preserves for it."""
+        return self.refs <= 0
 
     # -- pre-image capture (called by the store *before* each mutation) ----
 
@@ -129,18 +159,6 @@ class VersionPin:
                 },
             )
 
-    def preserve_label(self, graph, label):
-        if label not in self.labels:
-            self.labels[label] = sorted(
-                graph._label_index.get(label, ()), key=_id_value
-            )
-
-    def preserve_type(self, graph, rel_type):
-        if rel_type not in self.types:
-            self.types[rel_type] = sorted(
-                graph._type_index.get(rel_type, ()), key=_id_value
-            )
-
     def __repr__(self):
         return "VersionPin(v%d, refs=%d, %s)" % (
             self.version,
@@ -149,12 +167,56 @@ class VersionPin:
         )
 
 
+class _Descending:
+    """A sort key that orders in reverse (one DESC index column)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
+def _misses(delta, ids):
+    """True when no element of the ``ids`` column is a key of ``delta``."""
+    if not delta:
+        return True
+    try:
+        return delta.keys().isdisjoint(ids)
+    except TypeError:  # an unhashable non-id value in the column
+        return False
+
+
+def _merge_in_order(live, extra, key):
+    """Lazy two-way merge of index-ordered id streams by ``key``."""
+    extra = iter(extra)
+    pending = next(extra, None)
+    pending_key = None if pending is None else key(pending)
+    for node in live:
+        if pending is not None:
+            node_key = key(node)
+            while pending is not None and pending_key < node_key:
+                yield pending
+                pending = next(extra, None)
+                if pending is not None:
+                    pending_key = key(pending)
+        yield node
+    while pending is not None:
+        yield pending
+        pending = next(extra, None)
+
+
 class SnapshotGraph(PropertyGraph):
     """A read-only property graph fixed at one pinned store version.
 
-    Reads consult the pin's pre-image deltas first and fall through to
-    the live store's internals otherwise (sound per the module
-    docstring).  The write surface raises :class:`TransactionError`.
+    Every read is the live store's answer corrected by the pin's delta
+    (sound per the module docstring), index probes included.  The write
+    surface raises :class:`TransactionError`.
     """
 
     #: The bulk column APIs below make batch execution eligible.
@@ -162,14 +224,22 @@ class SnapshotGraph(PropertyGraph):
 
     def __init__(self, pin):
         self._pin = pin
+        # Pin-time label/type membership of the touched entities.  A
+        # pre-image never changes once preserved and the delta maps only
+        # grow, so their sizes stamp everything derived from them.
+        self._then_labels = (0, {})
+        self._then_types = (0, {})
+        self._delta_indexes = {}
 
     @property
     def version(self):
         """The pinned version — stable, so statistics caches stay warm."""
         return self._pin.version
 
-    #: The schema epoch never moves: the overlay advertises no indexes.
-    schema_version = 0
+    @property
+    def schema_version(self):
+        """The base store's schema epoch: the view has its index set."""
+        return self._pin.base.schema_version
 
     # -- node state ---------------------------------------------------------
 
@@ -223,9 +293,9 @@ class SnapshotGraph(PropertyGraph):
 
     def relationships(self):
         pin = self._pin
-        overlay = pin.rels
-        merged = [r for r in pin.base._rel_endpoints if r not in overlay]
-        merged.extend(r for r, s in overlay.items() if s is not ABSENT)
+        touched = pin.rels
+        merged = [r for r in pin.base._rel_endpoints if r not in touched]
+        merged.extend(r for r, s in touched.items() if s is not ABSENT)
         merged.sort(key=_id_value)
         return iter(merged)
 
@@ -320,62 +390,169 @@ class SnapshotGraph(PropertyGraph):
             return n_in
         return n_out + n_in
 
-    # -- scans and bulk columns (batch-engine substrate) --------------------
+    # -- label / type membership: live index ± the delta ---------------------
 
-    def all_node_ids(self):
+    @staticmethod
+    def _group_touched(touched, names_of):
+        """``{name: id-sorted touched entities carrying it at pin time}``."""
+        grouped = {}
+        for entity, state in touched.items():
+            if state is not ABSENT:
+                for name in names_of(state):
+                    grouped.setdefault(name, []).append(entity)
+        for ids in grouped.values():
+            ids.sort(key=_id_value)
+        return grouped
+
+    def _touched_by_label(self):
+        touched = self._pin.nodes
+        stamp, grouped = self._then_labels
+        if stamp != len(touched):
+            grouped = self._group_touched(touched, lambda state: state[0])
+            self._then_labels = (len(touched), grouped)
+            self._delta_indexes.clear()
+        return grouped
+
+    def _touched_by_type(self):
+        touched = self._pin.rels
+        stamp, grouped = self._then_types
+        if stamp != len(touched):
+            grouped = self._group_touched(touched, lambda state: state[2:3])
+            self._then_types = (len(touched), grouped)
+        return grouped
+
+    @staticmethod
+    def _count(live, touched, then):
+        """Pin-time size of one inverted-index entry: O(|delta|)."""
+        return len(live) - len(live.intersection(touched)) + len(then)
+
+    def label_count(self, label):
         pin = self._pin
-        overlay = pin.nodes
-        if not overlay:
-            return pin.base.all_node_ids()
-        merged = [n for n in pin.base._node_labels if n not in overlay]
-        merged.extend(n for n, s in overlay.items() if s is not ABSENT)
-        merged.sort(key=_id_value)
+        return self._count(
+            pin.base._label_index.get(label, _NOTHING),
+            pin.nodes,
+            self._touched_by_label().get(label, ()),
+        )
+
+    def type_count(self, rel_type):
+        pin = self._pin
+        return self._count(
+            pin.base._type_index.get(rel_type, _NOTHING),
+            pin.rels,
+            self._touched_by_type().get(rel_type, ()),
+        )
+
+    def has_label_nodes(self, label):
+        """``bool(label_scan_ids(label))`` without building the scan list."""
+        pin = self._pin
+        live = pin.base._label_index.get(label, _NOTHING)
+        if len(live) > len(pin.nodes):
+            return True  # more carriers than touched nodes: one is untouched
+        return self.label_count(label) > 0
+
+    def _scan(self, kind, name, live_index, touched, then):
+        """The pin-time scan list of one label or type, id-ordered.
+
+        The live cached list itself when no touched entity carries the
+        name now or carried it then; otherwise the live list minus the
+        touched entities, merged with the pin-time carriers.
+        """
+        live = self._pin.base._cached_scan(kind, name)
+        if not then and live_index.get(name, _NOTHING).isdisjoint(touched):
+            return live
+        merged = [entity for entity in live if entity not in touched]
+        if then:
+            merged.extend(then)
+            merged.sort(key=_id_value)
         return merged
 
     def label_scan_ids(self, label):
         pin = self._pin
-        preserved = pin.labels.get(label)
-        if preserved is not None:
-            return preserved
-        # Membership mutations always preserve the label list first, so
-        # no delta entry means the live scan list equals pin time.
-        return pin.base._cached_scan("label", label)
-
-    def has_label_nodes(self, label):
-        """``bool(label_scan_ids(label))`` without building the scan list."""
-        return self.label_count(label) > 0
+        return self._scan(
+            "label", label, pin.base._label_index, pin.nodes,
+            self._touched_by_label().get(label),
+        )
 
     def nodes_with_label(self, label):
         return iter(self.label_scan_ids(label))
 
     def relationships_with_type(self, rel_type):
         pin = self._pin
-        preserved = pin.types.get(rel_type)
-        if preserved is not None:
-            return iter(preserved)
-        return iter(pin.base._cached_scan("type", rel_type))
+        return iter(self._scan(
+            "type", rel_type, pin.base._type_index, pin.rels,
+            self._touched_by_type().get(rel_type),
+        ))
+
+    def all_labels(self):
+        return sorted(self.label_cardinalities())
+
+    def all_types(self):
+        return sorted(self.type_cardinalities())
+
+    @staticmethod
+    def _cardinalities(live_index, touched, live_names_of, then):
+        counts = {name: len(ids) for name, ids in live_index.items()}
+        for entity in touched:
+            for name in live_names_of(entity):
+                counts[name] -= 1
+        for name, ids in then.items():
+            counts[name] = counts.get(name, 0) + len(ids)
+        return {name: n for name, n in counts.items() if n}
+
+    def label_cardinalities(self):
+        base = self._pin.base
+        node_labels = base._node_labels
+        return self._cardinalities(
+            base._label_index, self._pin.nodes,
+            lambda node: node_labels.get(node, ()),
+            self._touched_by_label(),
+        )
+
+    def type_cardinalities(self):
+        base = self._pin.base
+        rel_types = base._rel_types
+        return self._cardinalities(
+            base._type_index, self._pin.rels,
+            lambda rel: (rel_types[rel],) if rel in rel_types else (),
+            self._touched_by_type(),
+        )
+
+    # -- scans and bulk columns (batch-engine substrate) --------------------
+
+    def all_node_ids(self):
+        pin = self._pin
+        touched = pin.nodes
+        if not touched:
+            return pin.base.all_node_ids()
+        merged = [n for n in pin.base._node_labels if n not in touched]
+        merged.extend(n for n, s in touched.items() if s is not ABSENT)
+        merged.sort(key=_id_value)
+        return merged
 
     def node_property_column(self, node_ids, key):
         pin = self._pin
-        overlay = pin.nodes
-        if not overlay:
+        touched = pin.nodes
+        if _misses(touched, node_ids):
             return pin.base.node_property_column(node_ids, key)
-        base_properties = pin.base._node_properties
-        column = []
-        append = column.append
-        for node in node_ids:
-            state = overlay.get(node)
-            if state is None:
-                append(base_properties[node].get(key))  # KeyError contract
-            elif state is ABSENT:
-                raise KeyError(node)
-            else:
-                append(state[1].get(key))
-        return column
+        properties = pin.base._node_properties
+        maps = [
+            touched[node] if node in touched else properties[node]
+            for node in node_ids  # KeyError contract: not a node, ever
+        ]
+        if ABSENT in maps:
+            raise KeyError("a node created after the pin")
+        return [
+            (state[1] if type(state) is tuple else state).get(key)
+            for state in maps
+        ]
 
     def expand_batch(self, sources, direction, types=None):
         pin = self._pin
-        if pin.clean:
+        # An untouched adjacency list holds only relationships that exist
+        # unchanged on the live store (create and delete both preserve
+        # the two endpoints' lists first), so a batch that misses the
+        # delta expands exactly as it would have at pin time.
+        if _misses(pin.adjacency, sources):
             return pin.base.expand_batch(sources, direction, types)
         origins, rels, targets = [], [], []
         end = 1 if direction == "out" else 0
@@ -402,59 +579,215 @@ class SnapshotGraph(PropertyGraph):
                     targets.append(self._require_rel(rel)[end])
         return origins, rels, targets
 
-    # -- statistics hooks ----------------------------------------------------
+    # -- property indexes: the base store's, delta-corrected -----------------
+    #
+    # The index set, its statistics and the schema epoch are the base
+    # store's own (statistics describe the live contents — estimates,
+    # not answers).  Probes are corrected: a node without a delta entry
+    # has its pin-time entry in the live index, so the pin-time answer
+    # is the live answer minus every touched node, plus the answer of
+    # the same probe over an index of the touched nodes' pin-time
+    # property maps.
 
-    def label_count(self, label):
-        pin = self._pin
-        preserved = pin.labels.get(label)
-        if preserved is not None:
-            return len(preserved)
-        return len(pin.base._label_index.get(label, ()))
-
-    def type_count(self, rel_type):
-        pin = self._pin
-        preserved = pin.types.get(rel_type)
-        if preserved is not None:
-            return len(preserved)
-        return len(pin.base._type_index.get(rel_type, ()))
-
-    def all_labels(self):
-        return sorted(self.label_cardinalities())
-
-    def all_types(self):
-        return sorted(self.type_cardinalities())
-
-    def label_cardinalities(self):
-        pin = self._pin
-        counts = {
-            label: len(nodes)
-            for label, nodes in pin.base._label_index.items()
-            if label not in pin.labels
-        }
-        for label, ids in pin.labels.items():
-            counts[label] = len(ids)
-        return {label: n for label, n in counts.items() if n}
-
-    def type_cardinalities(self):
-        pin = self._pin
-        counts = {
-            t: len(rels)
-            for t, rels in pin.base._type_index.items()
-            if t not in pin.types
-        }
-        for t, ids in pin.types.items():
-            counts[t] = len(ids)
-        return {t: n for t, n in counts.items() if n}
-
-    # No index surface: the live indexes track the live version, so the
-    # snapshot advertises none and plans fall back to label scans whose
-    # residual filters preserve the predicate semantics exactly.
-
-    def has_index(self, label, key):
-        return False
+    def has_index(self, label, keys):
+        return self._pin.base.has_index(label, keys)
 
     def indexes(self):
-        return []
+        return self._pin.base.indexes()
+
+    def index_statistics(self):
+        return self._pin.base.index_statistics()
+
+    def index_prefix_ndvs(self, label, keys):
+        return self._pin.base.index_prefix_ndvs(label, keys)
+
+    def index_column_distribution(self, label, keys, column):
+        return self._pin.base.index_column_distribution(label, keys, column)
+
+    def _delta_index(self, label, keys):
+        """An index of the touched nodes' pin-time entries, or None.
+
+        Same class, same probe semantics as the live index it corrects;
+        None when no touched node carried ``label`` at pin time.
+        """
+        then = self._touched_by_label().get(label)
+        if then is None:
+            return None
+        keys = (keys,) if isinstance(keys, str) else tuple(keys)
+        index = self._delta_indexes.get((label, keys))
+        if index is None:
+            from repro.graph.store import _PropertyIndex
+
+            index = _PropertyIndex(label, keys)
+            nodes = self._pin.nodes
+            for node in then:
+                index.update(node, nodes[node][1])
+            self._delta_indexes[(label, keys)] = index
+        return index
+
+    def _entry_values(self, label, keys, delta):
+        """``node -> its pin-time entry's column values`` for candidates:
+        a touched node's from the delta index, any other's from the
+        live index (where it is unchanged)."""
+        live_values = self._pin.base.index_cover_getter(label, keys)
+        delta_values = delta.entry_values
+        touched = self._pin.nodes
+
+        def entry_values(node):
+            return (
+                delta_values(node) if node in touched else live_values(node)
+            )
+
+        return entry_values
+
+    def _entry_key(self, label, keys, delta, columns):
+        """``node -> index-order sort key`` over ``(column, ascending)``s.
+
+        Per-column :func:`sort_key` of the pin-time entry, then the id —
+        the order the index itself enumerates in.
+        """
+        entry_values = self._entry_values(label, keys, delta)
+
+        def key(node):
+            values = entry_values(node)
+            parts = [
+                sort_key(values[column]) if ascending
+                else _Descending(sort_key(values[column]))
+                for column, ascending in columns
+            ]
+            parts.append(node.value)
+            return parts
+
+        return key
+
+    def _corrected(self, label, keys, live, probe, column=None):
+        """One probe's pin-time candidates, in the probe's own order.
+
+        ``probe(index)`` repeats the probe on the delta index;
+        ``column`` is the bound column of a range/prefix probe (value,
+        then id order) and None for the id-ordered equality probes.
+        """
+        touched = self._pin.nodes
+        if not touched:
+            return live
+        kept = [node for node in live if node not in touched]
+        delta = self._delta_index(label, keys)
+        extra = probe(delta) if delta is not None else None
+        if not extra:
+            return live if len(kept) == len(live) else kept
+        if column is None:
+            kept.extend(extra)
+            kept.sort(key=_id_value)
+            return kept
+        # Both lists are in (column value, id) order and hold values of
+        # one comparable segment: splice each run of equal-valued delta
+        # entries into the live run of that value, by id.
+        entry_values = self._entry_values(label, keys, delta)
+
+        def value_of(node):
+            return entry_values(node)[column]
+
+        for value, group in groupby(extra, value_of):
+            low = bisect_left(kept, value, key=value_of)
+            high = bisect_right(kept, value, lo=low, key=value_of)
+            kept[low:high] = sorted(
+                kept[low:high] + list(group), key=_id_value
+            )
+        return kept
+
+    def index_lookup(self, label, key, value):
+        return self._corrected(
+            label, key, self._pin.base.index_lookup(label, key, value),
+            lambda index: index.lookup(value),
+        )
+
+    def index_lookup_many(self, label, key, values):
+        return self._corrected(
+            label, key, self._pin.base.index_lookup_many(label, key, values),
+            lambda index: index.lookup_many(values),
+        )
+
+    def index_probe(self, label, keys, values):
+        values = tuple(values)
+        return self._corrected(
+            label, keys, self._pin.base.index_probe(label, keys, values),
+            lambda index: index.probe(values),
+        )
+
+    def index_range(self, label, key, low, low_inclusive, high, high_inclusive):
+        return self.index_seek_range(
+            label, key, (), low, low_inclusive, high, high_inclusive
+        )
+
+    def index_prefix(self, label, key, prefix):
+        # Not via index_seek_range: a null prefix matches nothing here,
+        # where a seek without bounds reports "unsupported".
+        return self._corrected(
+            label, key, self._pin.base.index_prefix(label, key, prefix),
+            lambda index: index.prefix_ids(prefix), column=0,
+        )
+
+    def index_seek_range(
+        self, label, keys, prefix_values,
+        low, low_inclusive, high, high_inclusive, starts_with=None,
+    ):
+        prefix_values = tuple(prefix_values)
+        live = self._pin.base.index_seek_range(
+            label, keys, prefix_values,
+            low, low_inclusive, high, high_inclusive, starts_with,
+        )
+        if live is None:
+            return None  # bounds unsupported: the caller scans the label
+        if starts_with is not None:
+            def probe(index):
+                return index.prefix_ids(starts_with, prefix_values)
+        else:
+            def probe(index):
+                return index.range_ids(
+                    low, low_inclusive, high, high_inclusive, prefix_values
+                )
+        return self._corrected(
+            label, keys, live, probe, column=len(prefix_values)
+        )
+
+    def index_ordered(
+        self, label, keys, prefix_values, directions,
+        low=None, low_inclusive=True, high=None, high_inclusive=True,
+        starts_with=None,
+    ):
+        """Lazy ORDER BY enumeration: the live walk minus touched ids,
+        merged in index order with the touched nodes' pin-time entries."""
+        prefix_values = tuple(prefix_values)
+        bounds = (low, low_inclusive, high, high_inclusive, starts_with)
+        live = self._pin.base.index_ordered(
+            label, keys, prefix_values, directions, *bounds
+        )
+        touched = self._pin.nodes
+        if not touched:
+            return live
+        live = (node for node in live if node not in touched)
+        delta = self._delta_index(label, keys)
+        if delta is None:
+            return live
+        first = len(prefix_values)
+        key = self._entry_key(label, keys, delta, [
+            (first + offset, ascending)
+            for offset, ascending in enumerate(directions)
+        ])
+        return _merge_in_order(
+            live, delta.ordered_ids(prefix_values, directions, *bounds), key
+        )
+
+    def index_cover_getter(self, label, keys):
+        """Covering reads: a touched node answers None, so the scan
+        falls back to the pin-time property map."""
+        live_values = self._pin.base.index_cover_getter(label, keys)
+        touched = self._pin.nodes
+
+        def entry_values(node):
+            return None if node in touched else live_values(node)
+
+        return entry_values
 
     # -- write surface -------------------------------------------------------
 
@@ -466,3 +799,4 @@ class SnapshotGraph(PropertyGraph):
 
 
 _EMPTY = {}
+_NOTHING = frozenset()

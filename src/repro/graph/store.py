@@ -110,10 +110,13 @@ robustness layer):
   at session commit; writes outside the session are locked out with
   :class:`TransactionError` while that transaction is open;
 * :meth:`pin_version` freezes the current version copy-on-write: every
-  raw mutator first preserves the pre-image of what it touches into
-  each active pin (:class:`~repro.graph.snapshot.VersionPin`), and
-  :class:`~repro.graph.snapshot.SnapshotGraph` layers a full read
-  interface over pin + live store;
+  raw mutator first preserves the pre-image of each node, relationship
+  and adjacency list it touches into each active pin
+  (:class:`~repro.graph.snapshot.VersionPin`) — one pre-image per
+  touched entity, nothing per label, type or index — and
+  :class:`~repro.graph.snapshot.SnapshotGraph` answers the full read
+  interface, index probes included, as the live answer corrected by
+  that delta;
 * a :class:`FaultInjector` installed via :meth:`install_fault_injector`
   gets a :meth:`~FaultInjector.trip` call at every mutation site —
   creates, deletes, property/label changes, index maintenance, commit
@@ -173,7 +176,8 @@ class _PropertyIndex:
     forms.  The **hash half** maps every canonical *prefix* of an entry
     (lengths 1..depth) to its node-id set, so full-tuple equality and
     prefix-equality probes are O(bucket).  The **sorted half** is
-    derived per prefix on demand: the distinct next-column values under
+    derived per prefix on first probe and from then on maintained in
+    place by bisection: the distinct next-column values under
     a prefix, bisectable within each *comparable scalar segment* —
     numbers (NaN excluded: no range predicate is ever true of it),
     strings and booleans — mirroring
@@ -224,10 +228,13 @@ class _PropertyIndex:
         #: returned lists (the batch engine only slices them, like the
         #: label scan lists).
         self._sorted = {}
-        #: Memoised sort_key-ordered child canonicals per prefix.
+        #: Memoised sort_key-ordered children per prefix, as parallel
+        #: lists ``(sort keys, child canonicals)``; once built, kept in
+        #: order by bisection on the stored keys (see _child_added).
         self._ordered = {}
         #: Memoised per-prefix sorted segments: prefix ->
-        #: {"num": [...], "str": [...], "bool": [...]}.
+        #: {"num": [...], "str": [...], "bool": [...]}; maintained in
+        #: place like ``_ordered``.
         self._segments = {}
 
     @property
@@ -264,8 +271,8 @@ class _PropertyIndex:
         state is whatever :attr:`_values` holds, replay from any
         partial state converges on the rebuilt index.  The depth-1
         branch is :meth:`add` inlined — this method runs once per
-        indexed property per write, and the memo pops are guarded so a
-        bulk ingest (memos all empty) pays no hashing for them.
+        indexed property per write, and the memo upkeep is guarded so a
+        bulk ingest (memos all cold) pays no hashing for it.
         """
         if self._single:
             value = properties.get(self._key0)
@@ -285,10 +292,8 @@ class _PropertyIndex:
                 self._ids_by_prefix[canon] = {node_id: None}
                 self._depth_distincts[0] += 1
                 self._children[()][canon[0]] = value
-                if self._ordered:
-                    self._ordered.pop((), None)
-                if self._segments:
-                    self._segments.pop((), None)
+                if self._ordered or self._segments:
+                    self._child_added((), canon[0], value)
             elif self._sorted:
                 ids[node_id] = None
                 self._sorted.pop(canon, None)
@@ -324,13 +329,10 @@ class _PropertyIndex:
         root = self._children[()]
         distincts = self._depth_distincts
         sorted_memo = self._sorted
-        ordered_memo = self._ordered
-        segments_memo = self._segments
         # Memo liveness is monotone within the pass: no reads run here,
         # so an empty memo stays empty and the flags can be hoisted.
         has_sorted = bool(sorted_memo)
-        has_ordered = bool(ordered_memo)
-        has_segments = bool(segments_memo)
+        warm_halves = bool(self._ordered or self._segments)
         # Per-call value caches: ingests recur heavily on distinct
         # values, and for a recurring value the canonical tuple, the
         # entry tuple (immutable, safely shared between nodes) and the
@@ -392,10 +394,8 @@ class _PropertyIndex:
                 ids_by_prefix[canon] = ids
                 distincts[0] += 1
                 root[canon[0]] = value
-                if has_ordered:
-                    ordered_memo.pop((), None)
-                if has_segments:
-                    segments_memo.pop((), None)
+                if warm_halves:
+                    self._child_added((), canon[0], value)
             else:
                 ids[node_id] = None
                 if has_sorted:
@@ -430,10 +430,8 @@ class _PropertyIndex:
                 ids_by_prefix[canon] = {node_id: None}
                 self._depth_distincts[0] += 1
                 children[()][canon[0]] = values[0]
-                if self._ordered:
-                    self._ordered.pop((), None)
-                if self._segments:
-                    self._segments.pop((), None)
+                if self._ordered or self._segments:
+                    self._child_added((), canon[0], values[0])
             else:
                 ids[node_id] = None
                 if self._sorted:
@@ -450,10 +448,8 @@ class _PropertyIndex:
                 if bucket is None:
                     bucket = children[prefix] = {}
                 bucket[canon[depth]] = values[depth]
-                if self._ordered:
-                    self._ordered.pop(prefix, None)
-                if self._segments:
-                    self._segments.pop(prefix, None)
+                if self._ordered or self._segments:
+                    self._child_added(prefix, canon[depth], values[depth])
             else:
                 ids[node_id] = None
                 if self._sorted:
@@ -474,11 +470,9 @@ class _PropertyIndex:
             if not ids:
                 del ids_by_prefix[canon]
                 self._depth_distincts[0] -= 1
-                del self._children[()][canon[0]]
-                if self._ordered:
-                    self._ordered.pop((), None)
-                if self._segments:
-                    self._segments.pop((), None)
+                value = self._children[()].pop(canon[0])
+                if self._ordered or self._segments:
+                    self._child_removed((), canon[0], value)
             return
         for depth in range(len(canon) - 1, -1, -1):
             grown = canon[:depth + 1]
@@ -490,11 +484,55 @@ class _PropertyIndex:
                 self._depth_distincts[depth] -= 1
                 prefix = canon[:depth]
                 bucket = self._children[prefix]
-                del bucket[canon[depth]]
+                value = bucket.pop(canon[depth])
                 if not bucket and prefix:
+                    # The prefix itself is gone; so are its memos.
                     del self._children[prefix]
-                self._ordered.pop(prefix, None)
-                self._segments.pop(prefix, None)
+                    self._ordered.pop(prefix, None)
+                    self._segments.pop(prefix, None)
+                elif self._ordered or self._segments:
+                    self._child_removed(prefix, canon[depth], value)
+
+    def _child_added(self, prefix, canonical, value):
+        """Insert a new distinct child into ``prefix``'s warm memos.
+
+        The sorted-half memos are maintained in place, by bisection on
+        the stored keys: on a near-unique column every write adds or
+        removes a distinct value, and dropping the memo would make the
+        next range or ordered probe re-sort the whole column.  A cold
+        memo (never built) stays cold and costs nothing.
+        """
+        ordered = self._ordered.get(prefix)
+        if ordered is not None:
+            keys, children = ordered
+            key = sort_key(value)
+            position = bisect_left(keys, key)
+            keys.insert(position, key)
+            children.insert(position, canonical)
+        segments = self._segments.get(prefix)
+        if segments is not None:
+            name = self._SEGMENT_OF.get(canonical[0])
+            if name is not None:
+                insort(segments[name], canonical[1])
+
+    def _child_removed(self, prefix, canonical, value):
+        """Delete a vanished child from ``prefix``'s warm memos.
+
+        ``value`` is the representative the child was stored under;
+        equal canonicals have equal sort keys, so it finds the entry.
+        """
+        ordered = self._ordered.get(prefix)
+        if ordered is not None:
+            keys, children = ordered
+            position = bisect_left(keys, sort_key(value))
+            del keys[position]
+            del children[position]
+        segments = self._segments.get(prefix)
+        if segments is not None:
+            name = self._SEGMENT_OF.get(canonical[0])
+            if name is not None:
+                payloads = segments[name]
+                del payloads[bisect_left(payloads, canonical[1])]
 
     # -- statistics --------------------------------------------------------
 
@@ -601,9 +639,12 @@ class _PropertyIndex:
         """Sorted distinct payloads of one segment under ``prefix``."""
         segments = self._segments.get(prefix)
         if segments is None:
+            bucket = self._children.get(prefix)
+            if bucket is None:
+                return []  # dead prefix: never memoised (see _sorted_ids)
             segments = {"num": [], "str": [], "bool": []}
             segment_of = self._SEGMENT_OF
-            for canonical in self._children.get(prefix, _EMPTY_SEGMENTS):
+            for canonical in bucket:
                 name = segment_of.get(canonical[0])
                 if name is not None:
                     segments[name].append(canonical[1])
@@ -701,12 +742,18 @@ class _PropertyIndex:
         """Child canonicals under ``prefix`` in global sort order."""
         ordered = self._ordered.get(prefix)
         if ordered is None:
-            bucket = self._children.get(prefix, _EMPTY_SEGMENTS)
-            ordered = sorted(
-                bucket, key=lambda canonical: sort_key(bucket[canonical])
+            bucket = self._children.get(prefix)
+            if bucket is None:
+                return []  # dead prefix: never memoised (see _sorted_ids)
+            pairs = sorted(
+                (sort_key(value), canonical)
+                for canonical, value in bucket.items()
             )
-            self._ordered[prefix] = ordered
-        return ordered
+            ordered = self._ordered[prefix] = (
+                [key for key, _canonical in pairs],
+                [canonical for _key, canonical in pairs],
+            )
+        return ordered[1]
 
     def ordered_ids(
         self, prefix_values, directions,
@@ -883,6 +930,13 @@ class MemoryGraph(PropertyGraph):
         self._reachability_indexes = {}  # frozenset[str]|None -> ReachabilityIndex
         # Transactional robustness layer (all dormant by default):
         self._pins = []               # active VersionPins (copy-on-write)
+        # Pin counters (see pin_info): plain integers, nothing timed.
+        self._pins_taken = 0
+        self._pins_refused = 0
+        self._released_preimages = {
+            "node": 0, "relationship": 0, "adjacency": 0,
+        }
+        self._largest_released_delta = 0
         self._undo = None             # inverse-op log of the open recording tx
         self._active_transaction = None  # session-spanning StoreTransaction
         self._transaction_owner = None   # the session owning it
@@ -1494,22 +1548,50 @@ class MemoryGraph(PropertyGraph):
         """
         transaction = self._active_transaction
         if transaction is not None and transaction.changed:
+            self._pins_refused += 1
             raise TransactionError(
                 "cannot pin a snapshot while uncommitted session changes "
                 "exist; commit or roll back first"
             )
         pin = VersionPin(self)
         self._pins.append(pin)
+        self._pins_taken += 1
         return pin
 
     def release_pin(self, pin):
         """Drop one reference; the pin unregisters at zero."""
         pin.refs -= 1
-        if pin.refs <= 0:
+        if pin.refs == 0:
             try:
                 self._pins.remove(pin)
             except ValueError:
                 pass  # already rebased onto a frozen copy by restore_from
+            held = pin.preimages()
+            for kind, count in held.items():
+                self._released_preimages[kind] += count
+            self._largest_released_delta = max(
+                self._largest_released_delta, sum(held.values())
+            )
+
+    def pin_info(self):
+        """Pin counters: how often pins were taken or refused, and what
+        copy-on-write preserved for them.
+
+        ``preimages`` counts the pre-images preserved by kind over every
+        pin so far (released and live); ``largest_delta`` is the most
+        pre-images any one pin held when it was released.
+        """
+        preserved = dict(self._released_preimages)
+        for pin in self._pins:
+            for kind, count in pin.preimages().items():
+                preserved[kind] += count
+        return {
+            "taken": self._pins_taken,
+            "refused": self._pins_refused,
+            "live": len(self._pins),
+            "preimages": preserved,
+            "largest_delta": self._largest_released_delta,
+        }
 
     def _preserve_node(self, node_id):
         for pin in self._pins:
@@ -1522,14 +1604,6 @@ class MemoryGraph(PropertyGraph):
     def _preserve_adjacency(self, node_id):
         for pin in self._pins:
             pin.preserve_adjacency(self, node_id)
-
-    def _preserve_label(self, label):
-        for pin in self._pins:
-            pin.preserve_label(self, label)
-
-    def _preserve_type(self, rel_type):
-        for pin in self._pins:
-            pin.preserve_type(self, rel_type)
 
     def _preserve_entity(self, entity_id):
         if isinstance(entity_id, NodeId):
@@ -1647,8 +1721,6 @@ class MemoryGraph(PropertyGraph):
         label_set = set(labels)
         if self._pins:
             self._preserve_node(node_id)
-            for label in label_set:
-                self._preserve_label(label)
         if self._undo is not None:
             self._undo.append(("create_node", node_id))
         self._node_labels[node_id] = label_set
@@ -1680,9 +1752,6 @@ class MemoryGraph(PropertyGraph):
         node_properties = self._node_properties
         append = ids.append
         pins = self._pins
-        if pins:
-            for label in dict.fromkeys(labels):
-                self._preserve_label(label)
         if self._undo is not None:
             # ``ids`` is appended in creation order even when a later row
             # raises, so the one entry covers exactly the created prefix.
@@ -1754,7 +1823,6 @@ class MemoryGraph(PropertyGraph):
             self._preserve_rel(rel_id)
             self._preserve_adjacency(src)
             self._preserve_adjacency(tgt)
-            self._preserve_type(rel_type)
         if self._undo is not None:
             self._undo.append(("create_rel", rel_id))
         self._rel_endpoints[rel_id] = (src, tgt)
@@ -1803,8 +1871,6 @@ class MemoryGraph(PropertyGraph):
         incoming_by_type = self._incoming_by_type
         append = ids.append
         pins = self._pins
-        if pins:
-            self._preserve_type(rel_type)
         if self._undo is not None:
             self._undo.append(("create_rels", ids))
         covering = [
@@ -1873,8 +1939,6 @@ class MemoryGraph(PropertyGraph):
         label_set = set(labels)
         if self._pins:
             self._preserve_node(node_id)
-            for label in label_set:
-                self._preserve_label(label)
         self._node_labels[node_id] = label_set
         self._node_properties[node_id] = validated
         self._outgoing[node_id] = []
@@ -1921,8 +1985,6 @@ class MemoryGraph(PropertyGraph):
         properties = self._node_properties[node_id]
         if self._pins:
             self._preserve_node(node_id)
-            for label in labels:
-                self._preserve_label(label)
         if self._undo is not None:
             # ``properties`` transfers ownership: the map is deleted from
             # the store below, so the entry can hold it un-copied.
@@ -1953,7 +2015,6 @@ class MemoryGraph(PropertyGraph):
             self._preserve_rel(rel_id)
             self._preserve_adjacency(source)
             self._preserve_adjacency(target)
-            self._preserve_type(rel_type)
         if self._undo is not None:
             self._undo.append((
                 "delete_rel",
@@ -2084,7 +2145,6 @@ class MemoryGraph(PropertyGraph):
         fresh = label not in self._node_labels[node_id]
         if self._pins:
             self._preserve_node(node_id)
-            self._preserve_label(label)
         if self._undo is not None:
             self._undo.append(("add_label", node_id, label, fresh))
         self._node_labels[node_id].add(label)
@@ -2104,7 +2164,6 @@ class MemoryGraph(PropertyGraph):
         present = label in self._node_labels[node_id]
         if self._pins:
             self._preserve_node(node_id)
-            self._preserve_label(label)
         if self._undo is not None:
             self._undo.append(("remove_label", node_id, label, present))
         self._node_labels[node_id].discard(label)

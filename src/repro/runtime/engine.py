@@ -146,6 +146,10 @@ class CypherEngine:
         self.plan_cache_revalidated = 0
         self.plan_cache_evicted_schema = 0
         self.plan_cache_evicted_drift = 0
+        #: Snapshot reads by the state of their pin when they ran
+        #: (observable via snapshot_info).
+        self.snapshot_clean_reads = 0
+        self.snapshot_dirty_reads = 0
 
     # ------------------------------------------------------------------
 
@@ -183,7 +187,32 @@ class CypherEngine:
         :class:`TransactionError` — the guard snapshot readers run
         under.
         """
+        return self._run_on(
+            self.graph, self.graph, query_text, parameters, mode, profile,
+            timeout, deadline, cancel, read_only,
+        )
+
+    def _run_on(
+        self, graph, planned_on, query_text, parameters=None, mode=None,
+        profile=False, timeout=None, deadline=None, cancel=None,
+        read_only=False,
+    ):
+        """:meth:`run` with the executing graph made explicit.
+
+        The one entry :meth:`run` and snapshot readers share.  ``graph``
+        is what the operators read: the engine's store, or a
+        :class:`~repro.graph.snapshot.SnapshotGraph` view of one of its
+        versions.  ``planned_on`` is the graph whose index set and
+        statistics decide the plan.  A view of the engine's own store
+        passes the store itself — plans embed no graph data and the
+        view's index set is the store's, so the shared plan cache and
+        its validation against the live store serve it unchanged.  Any
+        other ``planned_on`` (a view rebased onto a frozen copy by
+        ``restore_from``) plans per statement and leaves the cache
+        alone.
+        """
         mode = mode or self.mode
+        shared = planned_on is self.graph
         access_log = [] if profile else None
         cancellation = Cancellation.build(timeout, deadline, cancel)
         if cancellation is not None:
@@ -191,13 +220,13 @@ class CypherEngine:
             # pre-cancelled token refuses before any work — the strided
             # in-flight checks would let a short statement slip through.
             cancellation.poll()
-        if mode in _PLANNER_MODES:
+        if shared and mode in _PLANNER_MODES:
             cached = self._cached_plan(query_text)
             if cached is not None:
                 plan, updating = cached
                 self._check_read_only(updating, read_only)
                 return self._execute_planned(
-                    plan, parameters, updating, mode, access_log,
+                    graph, plan, parameters, updating, mode, access_log,
                     cancellation,
                 )
         query, updating = self._front_end(query_text)
@@ -206,23 +235,24 @@ class CypherEngine:
             if cancellation is not None:
                 cancellation.poll()
             return self._run_interpreted(
-                query, parameters, updating, reason="mode=interpreter"
+                graph, query, parameters, updating, reason="mode=interpreter"
             )
         from repro.planner import plan_query
 
         try:
-            plan = plan_query(query, self.graph, morphism=self.morphism)
+            plan = plan_query(query, planned_on, morphism=self.morphism)
         except UnsupportedFeature as unsupported:
             if mode != "auto":
                 raise
             if cancellation is not None:
                 cancellation.poll()
             return self._run_interpreted(
-                query, parameters, updating, reason=str(unsupported)
+                graph, query, parameters, updating, reason=str(unsupported)
             )
-        self._remember_plan(query_text, plan, updating)
+        if shared:
+            self._remember_plan(query_text, plan, updating)
         return self._execute_planned(
-            plan, parameters, updating, mode, access_log, cancellation,
+            graph, plan, parameters, updating, mode, access_log, cancellation,
         )
 
     def _front_end(self, query_text):
@@ -364,7 +394,9 @@ class CypherEngine:
         # Respect a pinned engine mode: a :mode row session must see the
         # strategy its runs will actually use (an interpreter-pinned
         # engine still reports the hypothetical planner strategy).
-        mode = self._pick_execution_mode(plan, updating, self.mode)
+        mode = self._pick_execution_mode(
+            self.graph, plan, updating, self.mode
+        )
         if mode == "parallel":
             from repro.planner.parallel import describe_parallel
             from repro.runtime.scheduler import get_scheduler
@@ -401,15 +433,34 @@ class CypherEngine:
             "evicted_drift": self.plan_cache_evicted_drift,
         }
 
+    def snapshot_info(self):
+        """Snapshot counters: the store's pin counters plus read counts.
+
+        ``pins`` is :meth:`MemoryGraph.pin_info` — taken, refused, live,
+        pre-images preserved by kind, largest delta at release;
+        ``clean_reads`` / ``dirty_reads`` split the snapshot reads this
+        engine ran by whether anything had mutated since their pin.
+        Plain counters, nothing timed.
+        """
+        return {
+            "pins": self.graph.pin_info(),
+            "clean_reads": self.snapshot_clean_reads,
+            "dirty_reads": self.snapshot_dirty_reads,
+        }
+
     # ------------------------------------------------------------------
 
-    def _run_interpreted(self, query, parameters, updating, reason=None):
+    def _run_interpreted(
+        self, graph, query, parameters, updating, reason=None,
+    ):
         state = QueryState(
-            self.graph,
+            graph,
             parameters=parameters,
             functions=self.functions,
             morphism=self.morphism,
-            catalog=self.catalog,
+            catalog=(
+                self.catalog if graph is self.graph else GraphCatalog(graph)
+            ),
         )
         with self._schema_guard(updating):
             table = run_query(query, state)
@@ -420,7 +471,7 @@ class CypherEngine:
             fallback_reason=reason,
         )
 
-    def _pick_execution_mode(self, plan, updating, mode="auto"):
+    def _pick_execution_mode(self, graph, plan, updating, mode="auto"):
         """``"parallel"``, ``"batch"`` or ``"row"`` for one execution.
 
         Batch execution is the default wherever the batch engine claims
@@ -446,7 +497,7 @@ class CypherEngine:
         from repro.planner.batch import graph_supports_batch
         from repro.planner.batch import plan_supports_batch
 
-        if not (plan_supports_batch(plan) and graph_supports_batch(self.graph)):
+        if not (plan_supports_batch(plan) and graph_supports_batch(graph)):
             return "row"
         from repro.planner.parallel import plan_supports_parallel
 
@@ -459,22 +510,25 @@ class CypherEngine:
             threshold = self.parallel_threshold
             if threshold is None:
                 threshold = DEFAULT_PARALLEL_THRESHOLD
-            estimate = estimated_source_rows(plan, self.graph)
+            estimate = estimated_source_rows(plan, graph)
             if estimate is not None and estimate >= threshold:
                 return "parallel"
         return "batch"
 
     def _execute_planned(
-        self, plan, parameters, updating, mode, access_log=None, cancel=None,
+        self, graph, plan, parameters, updating, mode, access_log=None,
+        cancel=None,
     ):
-        execution_mode = self._pick_execution_mode(plan, updating, mode)
+        execution_mode = self._pick_execution_mode(
+            graph, plan, updating, mode
+        )
         if execution_mode == "parallel":
             from repro.planner.parallel import execute_plan_parallel
             from repro.runtime.scheduler import get_scheduler
 
             table, parallelism = execute_plan_parallel(
                 plan,
-                self.graph,
+                graph,
                 parameters=parameters,
                 functions=self.functions,
                 morphism=self.morphism,
@@ -497,7 +551,7 @@ class CypherEngine:
 
             table = execute_plan_batched(
                 plan,
-                self.graph,
+                graph,
                 parameters=parameters,
                 functions=self.functions,
                 morphism=self.morphism,
@@ -517,7 +571,7 @@ class CypherEngine:
         with self._schema_guard(updating):
             table = execute_plan(
                 plan,
-                self.graph,
+                graph,
                 parameters=parameters,
                 functions=self.functions,
                 morphism=self.morphism,

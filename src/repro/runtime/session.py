@@ -197,13 +197,22 @@ class Session:
 
 
 class Snapshot:
-    """A read-only engine view over one pinned store version.
+    """A read-only view of one pinned store version.
 
-    While the pin is clean (nothing mutated since it was taken) queries
-    run on the parent engine directly — full index and batch
-    acceleration, zero overlay cost.  The first time the live store
-    diverges, queries transparently switch to an overlay engine reading
-    through :class:`~repro.graph.snapshot.SnapshotGraph`.
+    Reads run on the parent engine — its modes, knobs and shared plan
+    cache — against :attr:`graph`: the live store itself while the pin
+    is clean, and a :class:`~repro.graph.snapshot.SnapshotGraph` once
+    the store has diverged.  The view answers with the live store's
+    indexes, delta-corrected, so a dirty pin costs a live read plus
+    O(|entities mutated since the pin|) and never re-plans a cached
+    text.  A pin rebased by ``restore_from`` (its base is a frozen copy,
+    no longer the engine's store) plans each statement against its own
+    view instead.
+
+    Once the pin is released — the session closed, or the transaction
+    a transactional snapshot belonged to ended — mutations are no
+    longer preserved for it, so reads raise :class:`TransactionError`
+    rather than answer from the wrong version.
     """
 
     def __init__(self, session, pin, transactional=False):
@@ -212,7 +221,7 @@ class Snapshot:
         #: Taken inside a transaction: released when that transaction
         #: ends (commit or rollback), not at session close.
         self.transactional = transactional
-        self._overlay_engine = None
+        self._view = None
 
     @property
     def version(self):
@@ -221,32 +230,31 @@ class Snapshot:
     @property
     def graph(self):
         """The graph this snapshot currently reads from."""
-        if self.pin.clean and self.pin.base is self.session.graph:
+        pin = self.pin
+        if pin.released:
+            raise TransactionError("snapshot released")
+        if pin.clean and pin.base is self.session.graph:
             return self.session.graph
-        return self._overlay().graph
+        if self._view is None:
+            from repro.graph.snapshot import SnapshotGraph
+
+            self._view = SnapshotGraph(pin)
+        return self._view
 
     def run(self, query_text, parameters=None, **options):
         """Run a read-only statement against the pinned version."""
+        graph = self.graph
+        engine = self.session.engine
+        live = engine.graph
+        if graph is live:
+            engine.snapshot_clean_reads += 1
+        else:
+            engine.snapshot_dirty_reads += 1
         options["read_only"] = True
-        parent = self.session.engine
-        if self.pin.clean and self.pin.base is self.session.graph:
-            return parent.run(query_text, parameters, **options)
-        return self._overlay().run(query_text, parameters, **options)
-
-    def _overlay(self):
-        if self._overlay_engine is None:
-            from repro.graph.snapshot import SnapshotGraph
-            from repro.runtime.engine import CypherEngine
-
-            parent = self.session.engine
-            self._overlay_engine = CypherEngine(
-                SnapshotGraph(self.pin),
-                mode=parent.mode,
-                morphism=parent.morphism,
-                functions=parent.functions,
-                morsel_size=parent.morsel_size,
-                workers=parent.workers,
-                scheduler=parent.scheduler,
-                parallel_threshold=parent.parallel_threshold,
-            )
-        return self._overlay_engine
+        return engine._run_on(
+            graph,
+            live if self.pin.base is live else graph,
+            query_text,
+            parameters,
+            **options,
+        )

@@ -319,6 +319,74 @@ def _check_plan_cache_smoke(failures):
         failures.append("plan cache smoke: the re-planned read is wrong")
 
 
+#: The snapshot-under-writes smoke: committed writes on the indexed key
+#: (SET, CREATE, DETACH DELETE) plus one statement left uncommitted …
+SNAPSHOT_SMOKE_COMMITTED = INDEX_SMOKE_STATEMENTS[1:] + (
+    "CREATE (:A {v: 10, name: 'late'})",
+)
+SNAPSHOT_SMOKE_UNCOMMITTED = "MATCH (a:A) WHERE a.v = 14 SET a.v = 10"
+
+#: … and the indexed point, range and ordered reads that must still
+#: return the pin-time answers, through the index.
+SNAPSHOT_SMOKE_READS = (
+    "MATCH (a:A) WHERE a.v = 11 RETURN a.name AS n",
+    "MATCH (a:A) WHERE a.v >= 10 AND a.v < 14 RETURN count(*) AS c",
+    "MATCH (a:A) WHERE a.v IS NOT NULL "
+    "RETURN a.v AS v, a.name AS n ORDER BY v DESC LIMIT 3",
+)
+
+
+def _check_snapshot_smoke(failures):
+    """Pin → writes → indexed reads on the dirty view; then release.
+
+    The reads must equal a copy taken at pin time, must *prove* the
+    index path on the view (profiled access paths, so a silent label
+    scan fails here), and once the session is closed the retained
+    snapshot must refuse to answer rather than read the live version.
+    """
+    from repro.exceptions import TransactionError
+
+    graph = fixture_graph()
+    graph.create_index("A", "v")
+    engine = CypherEngine(graph)
+    engine.run(INDEX_SMOKE_STATEMENTS[0])
+    pinned = CypherEngine(graph.copy())
+    reader = engine.session()
+    snapshot = reader.snapshot()
+    with engine.session() as writer:
+        for statement in SNAPSHOT_SMOKE_COMMITTED:
+            writer.run(statement)
+        writer.begin()
+        writer.run(SNAPSHOT_SMOKE_UNCOMMITTED)
+        for query in SNAPSHOT_SMOKE_READS:
+            for mode in ("row", "batch"):
+                result = snapshot.run(query, mode=mode, profile=True)
+                if result.records != pinned.run(query, mode=mode).records:
+                    failures.append(
+                        "snapshot smoke: %s (%s) left the pinned version"
+                        % (query, mode)
+                    )
+                if not all(
+                    path["entry"].startswith("index")
+                    for path in result.access_paths
+                ):
+                    failures.append(
+                        "snapshot smoke: %s (%s) did not read the view "
+                        "through the index" % (query, mode)
+                    )
+        if engine.run(SNAPSHOT_SMOKE_READS[0]).records == (
+            pinned.run(SNAPSHOT_SMOKE_READS[0]).records
+        ):
+            failures.append("snapshot smoke: the writes never diverged")
+    reader.close()
+    try:
+        snapshot.run(SNAPSHOT_SMOKE_READS[0])
+    except TransactionError:
+        pass
+    else:
+        failures.append("snapshot smoke: a released snapshot still answered")
+
+
 #: The composite-index smoke sequence: mutate every column of the
 #: declared :A(v, name) index — entry growth, recompute, column removal
 #: (which must *drop* the whole entry), node deletion.
@@ -658,6 +726,12 @@ def run_selftest(output=print):
     output(
         "plan cache:           hits across a commit, re-plan through a "
         "new index"
+    )
+    _check_snapshot_smoke(failures)
+    output(
+        "snapshot views:       %d writes + 1 uncommitted, %d index-proven "
+        "reads, released pin refuses"
+        % (len(SNAPSHOT_SMOKE_COMMITTED), len(SNAPSHOT_SMOKE_READS))
     )
     _check_composite_index_smoke(failures)
     output(

@@ -29,6 +29,8 @@ from repro.datasets.paper import figure1_graph, figure4_graph, self_loop_graph
 # ---------------------------------------------------------------------------
 
 COVERAGE_FLOOR = 85.0
+#: Targets held to more than the common floor, at their measured value.
+COVERAGE_FLOORS = {"src/repro/graph/snapshot.py": 95.0}
 #: Enforce only when at least this many tests were collected (a full run).
 COVERAGE_MIN_ITEMS = 800
 
@@ -58,10 +60,15 @@ def _covered_packages():
     and access-path matching decides every index-vs-scan choice — the
     per-file floor is sharper than the planner package aggregate it
     also sits under.
+    ``graph/snapshot.py`` joined with the delta-corrected snapshot view
+    (PR 13): every read of a dirty pin — index probes included — goes
+    through it, and an untested correction branch is a silent isolation
+    bug; it is held to its measured coverage (``COVERAGE_FLOORS``).
     """
     import repro.datasets
     import repro.graph.ingest
     import repro.graph.reachability
+    import repro.graph.snapshot
     import repro.graph.statistics
     import repro.graph.store
     import repro.planner
@@ -90,6 +97,9 @@ def _covered_packages():
         ),
         "src/repro/graph/ingest.py": os.path.abspath(
             repro.graph.ingest.__file__
+        ),
+        "src/repro/graph/snapshot.py": os.path.abspath(
+            repro.graph.snapshot.__file__
         ),
         "src/repro/graph/statistics.py": os.path.abspath(
             repro.graph.statistics.__file__
@@ -251,12 +261,13 @@ def pytest_sessionfinish(session, exitstatus):
         if detail:
             report.extend(detail)
             detail.clear()
-        verdict = "ok" if percent >= COVERAGE_FLOOR else "BELOW FLOOR"
-        if percent < COVERAGE_FLOOR:
+        floor = COVERAGE_FLOORS.get(label, COVERAGE_FLOOR)
+        verdict = "ok" if percent >= floor else "BELOW FLOOR"
+        if percent < floor:
             failed = True
         report.append(
             "coverage %-22s %6.2f%% (%d/%d lines, floor %.0f%%) %s"
-            % (label, percent, covered, total, COVERAGE_FLOOR, verdict)
+            % (label, percent, covered, total, floor, verdict)
         )
     session.config._repro_coverage_report = report
     if failed:

@@ -18,13 +18,16 @@ Four layers, mirroring the subsystem's vertical slice:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CypherEngine
 from repro.graph.statistics import GraphStatistics
-from repro.graph.store import MemoryGraph
+from repro.graph.store import MemoryGraph, _PropertyIndex
 from repro.planner import logical as lg
 from repro.planner.cost import CostModel, PROPERTY_SELECTIVITY
 from repro.planner.planning import plan_depends_on_statistics
+from repro.values.base import NodeId
 
 
 def entry_operator(plan):
@@ -60,6 +63,50 @@ def small_graph():
 # ---------------------------------------------------------------------------
 # Store maintenance
 # ---------------------------------------------------------------------------
+
+#: Column values for the warm-memo differential: all three sorted
+#: segments, int/float bucket sharing, NaN, an unsegmented list, null.
+_memo_values = st.sampled_from(
+    [0, 1, 1.0, 2, -3, 2.5, "a", "ab", "b", "", True, False,
+     float("nan"), [1], None]
+)
+_memo_steps = st.tuples(
+    st.sampled_from(["update", "bulk", "discard"]),
+    st.builds(NodeId, st.integers(min_value=1, max_value=8)),
+    st.fixed_dictionaries({"a": _memo_values, "b": _memo_values}),
+)
+
+
+def _assert_probes_match_rebuild(index, state):
+    """Every sorted-half probe of ``index`` equals a fresh build's."""
+    rebuilt = _PropertyIndex(index.label, index.keys)
+    for node, properties in sorted(
+        state.items(), key=lambda item: item[0].value
+    ):
+        rebuilt.update(node, properties)
+    assert index.snapshot() == rebuilt.snapshot()
+    prefixes = [()]
+    if index.depth > 1:
+        prefixes += [(1,), ("a",), (True,), (float("nan"),), ([1],), (9,)]
+    for prefix in prefixes:
+        for bounds in ((0, True, None, True), (None, True, 2, False),
+                       ("a", False, None, True), (False, True, True, True)):
+            assert index.range_ids(*bounds, prefix) == rebuilt.range_ids(
+                *bounds, prefix
+            )
+        assert index.prefix_ids("a", prefix) == rebuilt.prefix_ids(
+            "a", prefix
+        )
+        remaining = index.depth - len(prefix)
+        for directions in ((True,), (False,), (True, False), (False, True)):
+            if len(directions) <= remaining:
+                assert list(index.ordered_ids(prefix, directions)) == list(
+                    rebuilt.ordered_ids(prefix, directions)
+                )
+        assert list(
+            index.ordered_ids(prefix, (False,), low=0, high=2)
+        ) == list(rebuilt.ordered_ids(prefix, (False,), low=0, high=2))
+
 
 
 class TestStoreMaintenance:
@@ -168,6 +215,36 @@ class TestStoreMaintenance:
         assert graph.index_lookup("L", "v", 1) == [first, second]
         graph.delete_node(first)
         assert graph.index_lookup("L", "v", 1) == [second]
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=st.lists(_memo_steps, min_size=1, max_size=30))
+    def test_warm_memos_track_every_write_like_a_rebuild(self, script):
+        """Maintenance ≡ rebuild with the sorted-half memos *warm*.
+
+        The range/prefix/ordered memos are kept in order in place, so
+        after every write each probe kind must answer exactly as an
+        index built from scratch over the same entries does.
+        """
+        single = _PropertyIndex("L", ("a",))
+        composite = _PropertyIndex("L", ("a", "b"))
+        state = {}
+        for index in (single, composite):
+            _assert_probes_match_rebuild(index, state)  # warms the memos
+        for kind, node, properties in script:
+            if kind == "discard":
+                state.pop(node, None)
+                single.discard(node)
+                composite.discard(node)
+            elif kind == "bulk":
+                state[node] = properties
+                single.update_bulk([(node, properties)])
+                composite.update_bulk([(node, properties)])
+            else:
+                state[node] = properties
+                single.update(node, properties)
+                composite.update(node, properties)
+            for index in (single, composite):
+                _assert_probes_match_rebuild(index, state)
 
     def test_label_changes_move_entries(self):
         graph = MemoryGraph()

@@ -314,11 +314,18 @@ class TestObservability:
 
 
 class TestSessionIntegration:
-    def test_snapshot_overlay_inherits_parallel_knobs(self):
+    def test_snapshot_reads_run_on_the_engine_with_its_parallel_knobs(self):
+        """True by construction: a snapshot has no engine of its own."""
         engine = build_engine(n=40, workers=4, morsel_size=4, mode="parallel")
+        query = "MATCH (n:P) RETURN count(*) AS c"
         with engine.session() as session:
             snapshot = session.snapshot()
-            result = snapshot.run("MATCH (n:P) RETURN count(*) AS c")
-            assert result.execution_mode == "parallel"
-            assert result.parallelism["partitions"] > 1
-            assert result.value() == 40
+            for dirty in (False, True):
+                if dirty:
+                    engine.run("CREATE (:P {v: 99})")
+                assert snapshot.pin.clean is not dirty
+                result = snapshot.run(query)
+                assert result.execution_mode == "parallel"
+                assert result.parallelism["partitions"] > 1
+                assert result.value() == 40
+            assert engine.run(query).value() == 41

@@ -272,15 +272,23 @@ class TestFootprint:
         with engine.session() as session:
             snapshot = session.snapshot()
             engine.run("MATCH (a:A) WHERE a.v > 30 DETACH DELETE a")
-            overlay = snapshot.graph
-            assert isinstance(overlay, SnapshotGraph)
+            view = snapshot.graph
+            assert isinstance(view, SnapshotGraph)
             assert graph.label_count("A") == 30
             assert graph.type_count("R") == 30
-            assert overlay.label_count("A") == 40  # preserved pin lists
-            assert overlay.type_count("R") == 40
-            assert overlay.label_count("Pad") == 200  # fall-through
-            assert overlay.type_count("Nope") == 0
-            assert overlay.schema_version == 0
+            assert view.label_count("A") == 40  # live count ± the delta
+            assert view.type_count("R") == 40
+            assert view.label_count("Pad") == 200  # untouched: live count
+            assert view.type_count("Nope") == 0
+            # Pin-time counts on the view; drift is validated against the
+            # live store, whose schema epoch the view shares.
+            assert footprint_counts(footprint, view) == [
+                41, 1, 41, view.node_count() + 1,
+                view.relationship_count() + 1,
+            ]
+            assert view.schema_version == graph.schema_version
+            engine.create_index("A", "v")
+            assert view.schema_version == graph.schema_version
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +382,20 @@ class TestHasLabelNodes:
         assert not graph.has_label_nodes("A")
         self.agree(graph)
 
-    def test_snapshot_overlay_uses_preserved_pin_lists(self):
+    def test_snapshot_view_derives_membership_from_the_entity_delta(self):
         engine = CypherEngine(MemoryGraph())
         engine.run("CREATE (:A), (:Gone)")
         with engine.session() as session:
             snapshot = session.snapshot()
             engine.run("MATCH (g:Gone) DELETE g")
             engine.run("CREATE (:B)")
-            overlay = snapshot.graph
-            assert overlay.has_label_nodes("Gone")   # deleted after the pin
-            assert not overlay.has_label_nodes("B")  # created after the pin
-            assert overlay.has_label_nodes("A")      # untouched: live index
-            self.agree(overlay)
+            view = snapshot.graph
+            assert view.has_label_nodes("Gone")   # deleted after the pin
+            assert not view.has_label_nodes("B")  # created after the pin
+            assert view.has_label_nodes("A")      # untouched: live index
+            # The untouched label hands out the live cached scan itself.
+            assert view.label_scan_ids("A") is engine.graph.label_scan_ids("A")
+            self.agree(view)
             self.agree(engine.graph)
 
 
