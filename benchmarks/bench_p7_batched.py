@@ -147,6 +147,69 @@ def test_p7_batch_beats_row_engine(table_report):
         )
 
 
+POINT_READ = "MATCH (n:Item) WHERE n.v = $v RETURN n.bucket AS b"
+
+
+def test_p7_parked_pipeline_against_the_setup_floor(
+    table_report, pipeline_record
+):
+    """Warm indexed point read, with and without a parked pipeline.
+
+    One plan runs against the store its pipeline is parked for (take →
+    bind → run → park); its twin alternates between two copies of that
+    store, so every take finds a pipeline compiled for another graph
+    object and compiles afresh — the executor set-up every execution
+    paid before pipelines were kept.  The difference is the set-up
+    floor; it is recorded so that it stays a number.
+    """
+    from repro.parser import parse_query
+    from repro.planner import execute_plan_batched, plan_query
+
+    graph = build_graph(items=2000, hubs=1, leaves=1)
+    graph.create_index("Item", "v")
+    copies = (graph.copy(), graph.copy())
+    warm_plan = plan_query(parse_query(POINT_READ), graph)
+    fresh_plan = plan_query(parse_query(POINT_READ), graph)
+    parameters = {"v": 1234}
+    calls = [0]
+
+    def warm():
+        return execute_plan_batched(warm_plan, graph, parameters)
+
+    def fresh():
+        calls[0] += 1
+        return execute_plan_batched(
+            fresh_plan, copies[calls[0] % 2], parameters
+        )
+
+    assert warm().rows == fresh().rows == [{"b": 1234 % 16}]
+    samples = {warm: [], fresh: []}
+    for _ in range(15):
+        for call, times in samples.items():
+            started = time.perf_counter()
+            for _ in range(50):
+                call()
+            times.append((time.perf_counter() - started) / 50)
+    warm_seconds, fresh_seconds = min(samples[warm]), min(samples[fresh])
+    table_report(
+        "P7 — indexed point read, parked pipeline vs compile per run",
+        ["execution", "min of 15 x 50 runs"],
+        [
+            ("take, bind, run, park", "%.1f µs" % (warm_seconds * 1e6)),
+            ("compile, run", "%.1f µs" % (fresh_seconds * 1e6)),
+            ("set-up floor", "%.1f µs" % (
+                (fresh_seconds - warm_seconds) * 1e6
+            )),
+        ],
+    )
+    pipeline_record("pipelines", "p7_parked_point_read", {
+        "parked_us": round(warm_seconds * 1e6, 1),
+        "compiled_us": round(fresh_seconds * 1e6, 1),
+        "setup_floor_us": round((fresh_seconds - warm_seconds) * 1e6, 1),
+    })
+    assert warm_seconds < fresh_seconds
+
+
 @pytest.mark.parametrize("mode", ["batch", "row"])
 def test_p7_scan_filter_benchmark(benchmark, mode):
     engine = CypherEngine(build_graph())

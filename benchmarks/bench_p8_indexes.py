@@ -347,6 +347,57 @@ def test_p8_composite_beats_best_single_key(table_report):
     assert not failures, "; ".join(failures)
 
 
+#: Batch may cost at most this much of the row engine on the ordered
+#: top-k.  Until the probe scan's first morsels were ramped, batch pulled
+#: a full 256-entry morsel off the index walk for a ``LIMIT 10`` and
+#: lost this shape 5.8x (row 81 µs, batch 469 µs) — the one read where
+#: the row engine still won, and so a precondition for deleting it.
+ORDER_TOP_BATCH_OVER_ROW = 1.25
+
+
+def test_p8_ordered_top_k_batch_keeps_up_with_row(
+    table_report, pipeline_record
+):
+    """min-over-samples ratio from interleaved runs (see bench_p9)."""
+    engine = CypherEngine(build_ordered_graph(composite=True))
+    samples = {"row": [], "batch": []}
+    for mode in samples:
+        assert engine.run(ORDER_TOP, mode=mode).execution_mode == mode
+    for _ in range(15):
+        for mode, times in samples.items():
+            started = time.perf_counter()
+            for _ in range(20):
+                engine.run(ORDER_TOP, mode=mode)
+            times.append((time.perf_counter() - started) / 20)
+    row_seconds, batch_seconds = min(samples["row"]), min(samples["batch"])
+    ratio = batch_seconds / max(row_seconds, 1e-9)
+    walked = engine.run(
+        ORDER_TOP, mode="batch", profile=True
+    ).access_paths[0]["actual_rows"]
+    table_report(
+        "P8 — index-ordered top-k, batch against row",
+        ["engine", "min of 15 x 20 runs"],
+        [
+            ("row", "%.1f µs" % (row_seconds * 1e6)),
+            ("batch", "%.1f µs" % (batch_seconds * 1e6)),
+            ("batch/row", "%.2fx (pin <= %.2fx)" % (
+                ratio, ORDER_TOP_BATCH_OVER_ROW,
+            )),
+            ("index entries walked by batch", "%d" % walked),
+        ],
+    )
+    pipeline_record("indexes", "p8_ordered_top_k_batch_over_row", {
+        "row_us": round(row_seconds * 1e6, 1),
+        "batch_us": round(batch_seconds * 1e6, 1),
+        "ratio": round(ratio, 3),
+        "entries_walked": walked,
+    })
+    assert walked <= 16, walked
+    assert ratio <= ORDER_TOP_BATCH_OVER_ROW, (
+        "batch ordered top-k at %.2fx the row engine" % ratio
+    )
+
+
 #: Skewed :Skew(x) distribution: 90% of rows dense in [0, 100), a 10%
 #: tail spread over [100, 1000) — the shape that makes a flat range
 #: constant wrong by an order of magnitude.

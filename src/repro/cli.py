@@ -19,9 +19,10 @@ execute as Cypher; special commands start with ``:``:
 
     :help               this text
     :schema             labels, relationship types, counts, indexes,
-                        snapshot counters
+                        plan-cache/pipeline and snapshot counters
     :explain <query>    show the physical plan (with access-path estimates),
-                        plan-cache and snapshot counters
+                        plan-cache (with pipelines compiled / reused /
+                        contended) and snapshot counters
     :index              list property indexes
     :index :L(k)        create a property index on (label L, key k)
     :index :L(k1,k2)    create a composite index over the key tuple
@@ -56,12 +57,17 @@ from repro.graph.store import MemoryGraph
 from repro.runtime.engine import CypherEngine
 
 
-def _cache_line(cache_info):
-    """One-line plan-cache report for the explain outputs."""
+def _cache_line(cache_info, pipelines):
+    """One-line plan-cache report for the explain outputs.
+
+    ``pipelines`` is ``engine.pipeline_info()``: what the hits skipped
+    below the plan.
+    """
     rate = cache_info["hit_rate"]
     return (
         "plan cache: %d hit(s), %d miss(es)%s; %d revalidated, "
-        "evicted: %d schema, %d drift"
+        "evicted: %d schema, %d drift; pipelines: %d compiled, "
+        "%d reused, %d contended"
     ) % (
         cache_info["hits"],
         cache_info["misses"],
@@ -69,6 +75,9 @@ def _cache_line(cache_info):
         cache_info["revalidated"],
         cache_info["evicted_schema"],
         cache_info["evicted_drift"],
+        pipelines["compiled"],
+        pipelines["reused"],
+        pipelines["contended"],
     )
 
 
@@ -248,7 +257,7 @@ class Shell:
                 self.write("fallback reason: %s" % reason)
             if plan_text:
                 self.write(plan_text)
-            self.write(_cache_line(cache_info))
+            self.write(_cache_line(cache_info, self.engine.pipeline_info()))
             self.write(_snapshot_line(self.engine.snapshot_info()))
         elif command == ":save":
             if not argument:
@@ -303,6 +312,11 @@ class Shell:
                 "reachability indexes: "
                 + ", ".join(_reach_display(types) for types in reach)
             )
+        self.write(
+            _cache_line(
+                self.engine.plan_cache_info(), self.engine.pipeline_info()
+            )
+        )
         self.write(_snapshot_line(self.engine.snapshot_info()))
 
     def _index(self, argument):
@@ -623,7 +637,7 @@ def explain_main(argv=None):
         print("fallback reason: %s" % reason)
     if plan_text:
         print(plan_text)
-    print(_cache_line(cache_info))
+    print(_cache_line(cache_info, engine.pipeline_info()))
     print(_snapshot_line(engine.snapshot_info()))
     if arguments.profile and executed_by == "planner":
         result = engine.run(arguments.query, profile=True)

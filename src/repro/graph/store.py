@@ -909,6 +909,13 @@ class MemoryGraph(PropertyGraph):
     #: expand_batch).  Graph views lacking them keep row-wise execution.
     supports_bulk_scans = True
 
+    #: The executors park a plan's compiled pipeline only on a graph that
+    #: declares itself long-lived: an object that keeps its identity
+    #: across statements and moves :attr:`schema_version` whenever it
+    #: replaces an index object (closures hold those).  Per-pin
+    #: ``SnapshotGraph`` views do not declare it.
+    long_lived = True
+
     def __init__(self):
         self._version = 0  # bumped on every mutation; invalidates cached statistics
         self._schema_version = 0  # bumped when the set of indexes may have changed
@@ -2190,6 +2197,10 @@ class MemoryGraph(PropertyGraph):
         never by a data commit.  A cached plan may name an index, so the
         engine's plan cache evicts on any mismatch; everything else a
         plan depends on is statistics, which it validates by drift.
+        The same counter guards a plan's parked pipeline, whose closures
+        hold index *objects*: every path that replaces one (DDL, a
+        deferred ingest's drop and re-create, ``restore_from``) moves
+        it; undo replays mutate the existing objects in place.
         """
         return self._schema_version
 

@@ -1,10 +1,16 @@
 """Vectorised batch execution: morsels of rows as slot columns.
 
-The row engine (:mod:`repro.planner.physical`) already compiles operator
-dispatch and expressions once per plan, but it still pays Python's
-per-row toll: a generator resumption per operator per row, a ``row[:]``
-copy per binding, a closure call per expression per row.  This module
-executes the same logical plans *columnar*: operators exchange
+Both engines compile operator dispatch and expressions **once per
+plan**: the first execution builds the pipeline — slot map, context,
+closure tree — and parks it on the plan object; later executions take
+it, bind their parameters, run and park it again
+(:func:`~repro.planner.physical.acquire_pipeline` has the validity
+tuple; :meth:`~repro.planner.physical.ExecutionContext.release` has the
+memo-reset rule that makes a re-run see writes made in between).  What
+the row engine (:mod:`repro.planner.physical`) still pays on every run
+is Python's per-row toll: a generator resumption per operator per row, a
+``row[:]`` copy per binding, a closure call per expression per row.
+This module executes the same logical plans *columnar*: operators exchange
 **morsels** — batches of up to :data:`DEFAULT_MORSEL_SIZE` rows stored
 as one flat Python list per slot — so each per-row cost becomes a
 per-morsel cost amortised over N rows:
@@ -14,7 +20,8 @@ per-morsel cost amortised over N rows:
   the outer bindings, instead of copying a row per node — index scans
   (equality/``IN``/range/prefix probes per driving row) chunk their
   id-ordered candidate lists the same way, so indexed plans stay inside
-  the batch claim;
+  the batch claim — lazily, in morsels that start small and double, so
+  a ``LIMIT`` above an index walk reads about k entries, not a morsel;
 * Expand walks the adjacency of an entire source column in one store
   call (:meth:`~repro.graph.store.MemoryGraph.expand_batch`) and gathers
   the surviving origins with list selections;
@@ -57,6 +64,8 @@ from repro.planner import logical as lg
 from repro.planner.physical import (
     ExecutionContext,
     TOPK_STATS,
+    acquire_pipeline,
+    park_pipeline,
     _bound_value,
     _compile_conflicts,
     _compile_node_conflicts,
@@ -77,6 +86,11 @@ from repro.values.ordering import canonical_key, sort_key
 #: overhead, small enough to keep columns cache-resident; engines expose
 #: it as the ``morsel_size`` knob.
 DEFAULT_MORSEL_SIZE = 256
+
+#: Rows in the first morsel of a lazily chunked index scan; the size
+#: doubles per emitted morsel up to the morsel size (see
+#: :func:`_compile_probe_scan`).
+FIRST_MORSEL_SIZE = 16
 
 
 def graph_supports_batch(graph):
@@ -135,20 +149,30 @@ def execute_plan_batched(
 
     Semantically identical to :func:`~repro.planner.physical.execute_plan`
     on every plan :func:`plan_supports_batch` accepts — same rows, same
-    order, same errors.  ``access_log`` enables the same access-path
-    profiling as the row engine (counted per morsel, not per row).
+    order, same errors — and the same take → bind → run → park life
+    cycle, over the plan's own batch slot (the two engines never see
+    each other's closures); the morsel size is part of what a parked
+    batch pipeline is valid for.  ``access_log`` enables the same
+    access-path profiling as the row engine (counted per morsel, not per
+    row).
     """
-    slots = SlotMap.from_plan(plan)
-    context = BatchContext(
-        graph, parameters, functions, morphism, slots, morsel_size,
-        access_log, cancel,
+    def compile_plan(slots):
+        context = BatchContext(
+            graph, parameters, functions, morphism, slots, morsel_size,
+            access_log, cancel,
+        )
+        return context, _compile(plan, context)
+
+    pipeline = acquire_pipeline(
+        plan, "_batch_pipeline", graph, (functions, morphism, morsel_size),
+        parameters, access_log is not None or cancel is not None,
+        compile_plan,
     )
-    source = _compile(plan, context)
     fields = plan.fields
-    field_slots = [slots[field] for field in fields]
+    field_slots = pipeline.field_slots
     rows = []
     append = rows.append
-    for n, cols in source(None):
+    for n, cols in pipeline.source(None):
         field_cols = [cols[slot] for slot in field_slots]
         for index in range(n):
             record = {}
@@ -156,6 +180,7 @@ def execute_plan_batched(
                 value = col[index] if col is not None else None
                 record[field] = None if value is MISSING else value
             append(record)
+    park_pipeline(plan, "_batch_pipeline", pipeline)
     return Table(fields, rows)
 
 
@@ -307,18 +332,27 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
     same store calls, same lists.  Chunking is lazy (``islice`` over the
     candidate iterator, never a full materialisation), so an ordered
     scan's generator only advances as far as downstream operators pull —
-    a Limit's budget cuts the index walk off mid-morsel.
+    a Limit's budget cuts the index walk off at a morsel boundary.
+
+    The first morsels are **ramped**: the chunk starts at
+    :data:`FIRST_MORSEL_SIZE` and doubles per emitted morsel up to the
+    morsel size, carried across driving rows within one invocation.  An
+    early-terminating consumer (Limit, the index-ordered top-k) thus
+    stops the walk after about k entries instead of a full morsel; a
+    nested probe reaches full width after a handful of morsels and never
+    restarts, and a full scan pays a few small morsels once.
     """
     child = _compile(op.child, ctx)
     slot = ctx.slots[op.variable]
     ok = _compile_node_ok(ctx, op.node_pattern, granted_label=op.label)
-    morsel = ctx.morsel_size
+    morsel_size = ctx.morsel_size
     width = len(ctx.slots)
     label = op.label
     has_label_nodes = ctx.graph.has_label_nodes
     fill = _compile_batch_cover_fill(op, ctx)
 
     def run(argument):
+        morsel = min(FIRST_MORSEL_SIZE, morsel_size)
         for n, cols in child(argument):
             bound = _bound_columns(cols)
             row = [MISSING] * width
@@ -334,6 +368,8 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
                     chunk = list(islice(nodes, morsel))
                     if not chunk:
                         break
+                    if morsel < morsel_size:
+                        morsel = min(2 * morsel, morsel_size)
                     out = [None] * width
                     for out_slot, col in bound:
                         out[out_slot] = [col[index]] * len(chunk)

@@ -20,6 +20,10 @@ flows:
   no index indirection — matching the paper's description of why Expand
   is cheap.
 
+The compiled pipeline is kept with the plan object: a cached plan
+compiles on its first execution and every later one is take → bind →
+run → park (:func:`execute_plan`, :func:`acquire_pipeline`).
+
 Rows convert to dict records only at the Table boundary.  The physical
 semantics of every operator matches the reference interpreter; the
 cross-check tests assert bag equality between the two paths for every
@@ -51,8 +55,30 @@ from repro.values.ordering import canonical_key, sort_key
 from repro.values.path import Path
 
 
+#: Observable pipeline counters (plain integer adds at take/park, nothing
+#: per row), over the executions that may keep their pipeline — views,
+#: updates, profiled and cancellable runs always compile and count
+#: nowhere: ``compiled`` counts executions that built their closure tree
+#: (first runs, invalidated and contended takes), ``reused`` the ones
+#: that took the plan's parked pipeline, and ``contended`` the takes
+#: that found the slot of a plan that has one empty — another thread, or
+#: a re-entrant run of the same text, was using it.  ``contended`` is
+#: the number that says whether one slot per plan is enough under real
+#: threads.  The adds are unsynchronised: under threads a count can be
+#: lost, a pipeline never.
+PIPELINE_STATS = {"compiled": 0, "reused": 0, "contended": 0}
+
+
 class ExecutionContext:
-    """Runtime services shared by all operators of one execution."""
+    """Runtime services shared by all operators of one execution.
+
+    A read-only context outlives its execution when the pipeline
+    compiled against it is parked with the plan
+    (:func:`acquire_pipeline`): closures read parameters and aggregate
+    overrides *through* the context at run time, so :meth:`rebind` is
+    all a later execution needs, and :meth:`release` drops what the last
+    one left behind.
+    """
 
     def __init__(
         self, graph, parameters=None, functions=None, morphism=None,
@@ -103,12 +129,136 @@ class ExecutionContext:
             )
         return self._transaction
 
+    def rebind(self, parameters):
+        """Bind a released context to its next execution.
+
+        The evaluator's own parameter dict is updated in place — the
+        compiled closures hold that dict and read it at run time; it was
+        cleared at :meth:`release`, so a ``$p`` this execution leaves
+        unbound raises ``ParameterNotBound`` instead of seeing the
+        previous run's value.
+        """
+        if parameters:
+            self.evaluator.parameters.update(parameters)
+
+    def release(self):
+        """Drop everything the finished execution left in the context.
+
+        Parameters, aggregate overrides and every value memo the
+        compilers registered.  The memo reset is the one rule that is
+        about correctness, not memory: the row engine's property memo
+        compares ``NodeId`` identity, the store's scan lists hand out
+        the same objects run after run, and a write may land between two
+        runs.  After this the context references no row, morsel, column
+        or result of the execution.
+        """
+        self.evaluator.parameters.clear()
+        self.evaluator.aggregate_values.clear()
+        for reset in self.compiler.memo_resets:
+            reset()
+
+
+class Pipeline:
+    """One plan compiled for one store: context, closure tree, outputs.
+
+    ``key`` is what the pipeline is valid for beyond ``graph`` — None on
+    a pipeline that is never parked.
+    """
+
+    __slots__ = ("graph", "key", "context", "source", "field_slots")
+
+    def __init__(self, graph, key, context, source, field_slots):
+        self.graph = graph
+        self.key = key
+        self.context = context
+        self.source = source
+        self.field_slots = field_slots
+
+
+def acquire_pipeline(
+    plan, attribute, graph, key, parameters, specialised, compile_plan,
+):
+    """Take → bind the plan's parked pipeline, or compile a fresh one.
+
+    The plan object owns one slot per engine (``attribute`` names it; a
+    one-element list beside the ``_batch_supported`` and slot-name
+    memos), so whatever drops the plan — LRU, schema-epoch or drift
+    eviction — drops the closures with it, and no other cache or
+    invalidation rule exists.
+
+    A parked pipeline is valid for exactly the store object it was
+    compiled against at the schema epoch it was compiled in (closures
+    hold index objects; every path that replaces one moves
+    ``schema_version``) plus ``key`` — the engine's functions, morphism
+    and whatever else its compile specialises on.  The check runs on
+    every take; a mismatch drops the pipeline and compiles as a first
+    execution would.  Only a graph that declares itself ``long_lived``
+    parks at all: a per-pin ``SnapshotGraph`` view neither takes nor
+    parks, so it never disturbs the pipeline parked for its live store.
+    ``specialised`` executions do not either: profiling and cancellation
+    compile counters and checks *into* the closures, and an update's
+    write operators capture the statement's transaction.
+
+    Take is ``list.pop()`` and park is a slice assignment on the same
+    list, both atomic under the GIL: a concurrent or re-entrant run of
+    the same plan finds the slot empty, compiles its own pipeline and
+    offers it back.  No lock, and no execution ever waits for another.
+    """
+    if specialised or not getattr(graph, "long_lived", False):
+        key = None
+    else:
+        key = (graph.schema_version,) + key
+        slot = getattr(plan, attribute, None)
+        if slot is not None:
+            try:
+                pipeline = slot.pop()
+            except IndexError:
+                PIPELINE_STATS["contended"] += 1
+            else:
+                if pipeline.graph is graph and pipeline.key == key:
+                    PIPELINE_STATS["reused"] += 1
+                    pipeline.context.rebind(parameters)
+                    return pipeline
+        PIPELINE_STATS["compiled"] += 1
+    slots = SlotMap.from_plan(plan)
+    context, source = compile_plan(slots)
+    field_slots = [slots[field] for field in plan.fields]
+    return Pipeline(graph, key, context, source, field_slots)
+
+
+def park_pipeline(plan, attribute, pipeline):
+    """Release a pipeline whose execution completed and keep it.
+
+    Called only after a clean finish: a run that raised keeps nothing,
+    so the next one compiles from scratch exactly as before.  A pipeline
+    acquired for an execution that may not park is simply dropped.
+    """
+    if pipeline.key is None:
+        return
+    pipeline.context.release()
+    slot = getattr(plan, attribute, None)
+    if slot is None:
+        slot = []
+        object.__setattr__(plan, attribute, slot)
+    slot[:] = (pipeline,)
+
 
 def execute_plan(
     plan, graph, parameters=None, functions=None, morphism=None,
     access_log=None, cancel=None, read_only=False,
 ):
     """Run a logical plan to completion; returns a Table over its fields.
+
+    A warm ``read_only`` execution is **take → bind → run → park**: the
+    plan's parked pipeline (slot map, context, closure tree — see
+    :func:`acquire_pipeline` for when one is valid) is bound to this
+    call's parameters, drained, released and parked again.  Without one
+    the plan is compiled first, exactly once, by the same
+    :func:`_compile` and drained by the same loop; the two differ only
+    in whether the result is kept.  ``read_only`` is the caller's
+    statement that no operator mutates the store (the engine passes it
+    for every non-updating statement); anything else compiles per
+    execution, as every execution used to.
 
     If the plan contains write operators, their shared store transaction
     commits after the last row (single version bump); an error mid-way
@@ -119,17 +269,24 @@ def execute_plan(
     profiling: every scan operator records its entry choice, estimated
     and actual row counts.
     """
-    slots = SlotMap.from_plan(plan)
-    context = ExecutionContext(
-        graph, parameters, functions, morphism, slots, access_log, cancel,
-        read_only,
+    def compile_plan(slots):
+        context = ExecutionContext(
+            graph, parameters, functions, morphism, slots, access_log,
+            cancel, read_only,
+        )
+        return context, _compile(plan, context)
+
+    pipeline = acquire_pipeline(
+        plan, "_row_pipeline", graph, (functions, morphism), parameters,
+        access_log is not None or cancel is not None or not read_only,
+        compile_plan,
     )
-    source = _compile(plan, context)
+    context = pipeline.context
     fields = plan.fields
-    field_slots = [slots[field] for field in fields]
+    field_slots = pipeline.field_slots
     rows = []
     try:
-        for row in source(None):
+        for row in pipeline.source(None):
             record = {}
             for field, slot in zip(fields, field_slots):
                 value = row[slot]
@@ -148,6 +305,7 @@ def execute_plan(
         raise
     if context._transaction is not None:
         context._transaction.commit()
+    park_pipeline(plan, "_row_pipeline", pipeline)
     return Table(fields, rows)
 
 
@@ -332,6 +490,10 @@ def _compile_node_conflicts(ctx, unique_nodes, unique_segments):
             )
         return node in cache["visited"]
 
+    def reset():
+        cache["row"] = cache["visited"] = None
+
+    ctx.compiler.memo_resets.append(reset)
     return clashes
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 
+from repro.ast import clauses as cl
+from repro.ast import queries as qu
 from repro.exceptions import (
     ConstraintViolation,
     EngineOverloadedError,
@@ -14,6 +17,16 @@ from repro.exceptions import (
 from repro.graph.catalog import GraphCatalog
 from repro.graph.store import MemoryGraph
 from repro.parser import parse_query
+from repro.planner import (
+    execute_plan,
+    execute_plan_batched,
+    plan_query,
+    plan_supports_batch,
+)
+from repro.planner.batch import graph_supports_batch
+from repro.planner.physical import PIPELINE_STATS
+from repro.planner.planning import footprint_counts, plan_statistics_footprint
+from repro.rewriter import rewrite_query
 from repro.runtime.cancel import Cancellation
 from repro.runtime.result import QueryResult
 from repro.semantics.analysis import check_query
@@ -28,9 +41,6 @@ _PLANNER_MODES = ("auto", "planner", "row", "batch", "parallel")
 
 def _is_updating(query):
     """True if any clause of the query mutates the graph."""
-    from repro.ast import clauses as cl
-    from repro.ast import queries as qu
-
     if isinstance(query, qu.UnionQuery):
         return _is_updating(query.left) or _is_updating(query.right)
     updating = (cl.Create, cl.Delete, cl.SetClause, cl.RemoveClause, cl.Merge)
@@ -126,10 +136,16 @@ class CypherEngine:
         self._admission = threading.BoundedSemaphore(max_sessions)
         #: Bounded LRU of compiled plans: query text -> [graph id,
         #: version, schema epoch, plan, updating, footprint, counts].
-        #: Plans embed no graph data (operators re-read the store at run
-        #: time), so a cached plan is always *correct* on the graph and
-        #: index set it was planned for; what can go stale is its
-        #: *choices*.  An entry is therefore evicted only when the
+        #: The *logical* plan embeds no graph data (operators re-read
+        #: the store at run time), so a cached plan is always *correct*
+        #: on the graph and index set it was planned for; what can go
+        #: stale is its *choices*.  The plan object also carries its
+        #: parked pipelines — the closure tree the last execution
+        #: compiled — and those *are* bound to one store object and one
+        #: schema epoch: the executors re-check that on every take (see
+        #: ``planner.physical.acquire_pipeline``), and whatever drops an
+        #: entry here drops the closures with it, so this cache stays
+        #: the only one.  An entry is therefore evicted only when the
         #: store's schema epoch moved (an index the plan names may be
         #: gone, or a new one may serve it) or when a label/type count
         #: in its statistics footprint drifted more than 2x from what
@@ -237,8 +253,6 @@ class CypherEngine:
             return self._run_interpreted(
                 graph, query, parameters, updating, reason="mode=interpreter"
             )
-        from repro.planner import plan_query
-
         try:
             plan = plan_query(query, planned_on, morphism=self.morphism)
         except UnsupportedFeature as unsupported:
@@ -265,8 +279,6 @@ class CypherEngine:
         query = parse_query(query_text)
         check_query(query)
         if self.rewrite:
-            from repro.rewriter import rewrite_query
-
             query = rewrite_query(query)
         return query, _is_updating(query)
 
@@ -357,8 +369,6 @@ class CypherEngine:
 
     def _plan_for_explain(self, query_text):
         """``(plan, updating)`` through :meth:`run`'s exact pipeline."""
-        from repro.planner import plan_query
-
         query, updating = self._front_end(query_text)
         plan = plan_query(query, self.graph, morphism=self.morphism)
         return plan, updating
@@ -433,6 +443,20 @@ class CypherEngine:
             "evicted_drift": self.plan_cache_evicted_drift,
         }
 
+    @staticmethod
+    def pipeline_info():
+        """What a plan-cache hit skips *below* the plan, as counters.
+
+        A copy of the executors'
+        :data:`~repro.planner.physical.PIPELINE_STATS`: read executions
+        that ``compiled`` their closure tree, that ``reused`` the plan's
+        parked one, and takes that found it in use (``contended``).
+        The counters belong to the executors, not to an engine: they
+        cover every engine in the process, which is why they are not
+        part of :meth:`plan_cache_info`.
+        """
+        return dict(PIPELINE_STATS)
+
     def snapshot_info(self):
         """Snapshot counters: the store's pin counters plus read counts.
 
@@ -494,25 +518,28 @@ class CypherEngine:
         """
         if mode == "row" or updating:
             return "row"
-        from repro.planner.batch import graph_supports_batch
-        from repro.planner.batch import plan_supports_batch
-
         if not (plan_supports_batch(plan) and graph_supports_batch(graph)):
             return "row"
+        if mode != "parallel" and (mode != "auto" or self.workers == 1):
+            return "batch"
+        # repro.planner.parallel imports repro.runtime (cancellation), so
+        # it cannot be bound at module level here; only executions that
+        # can actually fan out reach these imports.
         from repro.planner.parallel import plan_supports_parallel
 
+        if not plan_supports_parallel(plan):
+            return "batch"
         if mode == "parallel":
-            return "parallel" if plan_supports_parallel(plan) else "batch"
-        if mode == "auto" and self.workers > 1 and plan_supports_parallel(plan):
-            from repro.planner.cost import estimated_source_rows
-            from repro.planner.parallel import DEFAULT_PARALLEL_THRESHOLD
+            return "parallel"
+        from repro.planner.cost import estimated_source_rows
+        from repro.planner.parallel import DEFAULT_PARALLEL_THRESHOLD
 
-            threshold = self.parallel_threshold
-            if threshold is None:
-                threshold = DEFAULT_PARALLEL_THRESHOLD
-            estimate = estimated_source_rows(plan, graph)
-            if estimate is not None and estimate >= threshold:
-                return "parallel"
+        threshold = self.parallel_threshold
+        if threshold is None:
+            threshold = DEFAULT_PARALLEL_THRESHOLD
+        estimate = estimated_source_rows(plan, graph)
+        if estimate is not None and estimate >= threshold:
+            return "parallel"
         return "batch"
 
     def _execute_planned(
@@ -547,8 +574,6 @@ class CypherEngine:
                 parallelism=parallelism,
             )
         if execution_mode == "batch":
-            from repro.planner.batch import execute_plan_batched
-
             table = execute_plan_batched(
                 plan,
                 graph,
@@ -566,8 +591,6 @@ class CypherEngine:
                 execution_mode="batch",
                 access_paths=access_log,
             )
-        from repro.planner import execute_plan
-
         with self._schema_guard(updating):
             table = execute_plan(
                 plan,
@@ -588,8 +611,6 @@ class CypherEngine:
 
     def _schema_guard(self, updating):
         """Snapshot/validate/rollback around an updating execution."""
-        import contextlib
-
         if self.schema is None or not updating:
             return contextlib.nullcontext()
 
@@ -636,8 +657,6 @@ class CypherEngine:
             if epoch != graph.schema_version:
                 self.plan_cache_evicted_schema += 1
                 return self._evict(query_text)
-            from repro.planner.planning import footprint_counts
-
             for then, now in zip(planned, footprint_counts(footprint, graph)):
                 if now > 2 * then or 2 * now < then:
                     self.plan_cache_evicted_drift += 1
@@ -658,9 +677,6 @@ class CypherEngine:
         version = getattr(graph, "version", None)
         if version is None:
             return  # no mutation counter: cannot tell when to invalidate
-        from repro.planner.planning import footprint_counts
-        from repro.planner.planning import plan_statistics_footprint
-
         footprint = plan_statistics_footprint(plan)
         self._plan_cache[query_text] = [
             id(graph),

@@ -319,6 +319,81 @@ def _check_plan_cache_smoke(failures):
         failures.append("plan cache smoke: the re-planned read is wrong")
 
 
+#: The prepared-pipeline smoke: one parameterised read per engine, run,
+#: written under, and run again on the pipeline the first run parked.
+PIPELINE_SMOKE_READ = "MATCH (a:A) WHERE a.v >= $low RETURN a.name AS name"
+PIPELINE_SMOKE_WRITE = (
+    "MATCH (a:A) WHERE a.v >= $low SET a.name = a.name + '!'"
+)
+PIPELINE_SMOKE_ERROR = "UNWIND $xs AS x RETURN x * 2 AS y"
+
+
+def _check_pipeline_smoke(failures):
+    """A parked pipeline answers like a fresh compile, on both engines.
+
+    Run → write → run must see the write (the property memos are reset
+    between executions — the read matches a single node, so the row
+    engine's identity-compared memo would otherwise hit), a parameter
+    left unbound after a bound run must raise, and a run that failed
+    mid-stream must leave nothing behind.  The re-run is checked to
+    have *taken* the parked pipeline, so the smoke cannot pass by
+    silently compiling each time.
+    """
+    from repro.exceptions import CypherTypeError, ParameterNotBound
+    from repro.planner.physical import PIPELINE_STATS
+
+    for mode in ("row", "batch"):
+        engine = CypherEngine(fixture_graph())
+        oracle = CypherEngine(engine.graph.copy(), mode="interpreter")
+
+        def read(parameters):
+            return engine.run(PIPELINE_SMOKE_READ, parameters, mode=mode)
+
+        first = read({"low": 3})
+        if first.execution_mode != mode:
+            failures.append("pipeline smoke [%s]: ran %s" % (
+                mode, first.execution_mode,
+            ))
+        for target in (engine, oracle):
+            target.run(PIPELINE_SMOKE_WRITE, {"low": 3})
+        reused = PIPELINE_STATS["reused"]
+        again = read({"low": 3})
+        want = oracle.run(PIPELINE_SMOKE_READ, {"low": 3})
+        if PIPELINE_STATS["reused"] != reused + 1:
+            failures.append(
+                "pipeline smoke [%s]: the re-run compiled again" % mode
+            )
+        if not again.table.same_bag(want.table) or again.table.same_bag(
+            first.table
+        ):
+            failures.append(
+                "pipeline smoke [%s]: the re-run missed the write" % mode
+            )
+        try:
+            read({})
+        except ParameterNotBound:
+            pass
+        else:
+            failures.append(
+                "pipeline smoke [%s]: an unbound parameter kept the "
+                "previous run's value" % mode
+            )
+        good = {"xs": [1, 2, 3]}
+        clean = engine.run(PIPELINE_SMOKE_ERROR, good, mode=mode).records
+        try:
+            engine.run(PIPELINE_SMOKE_ERROR, {"xs": [1, "two", 3]}, mode=mode)
+        except CypherTypeError:
+            pass
+        else:
+            failures.append("pipeline smoke [%s]: no type error" % mode)
+        rerun = engine.run(PIPELINE_SMOKE_ERROR, good, mode=mode).records
+        if rerun != clean or clean != [{"y": 2}, {"y": 4}, {"y": 6}]:
+            failures.append(
+                "pipeline smoke [%s]: a failed run leaked into the next"
+                % mode
+            )
+
+
 #: The snapshot-under-writes smoke: committed writes on the indexed key
 #: (SET, CREATE, DETACH DELETE) plus one statement left uncommitted …
 SNAPSHOT_SMOKE_COMMITTED = INDEX_SMOKE_STATEMENTS[1:] + (
@@ -726,6 +801,11 @@ def run_selftest(output=print):
     output(
         "plan cache:           hits across a commit, re-plan through a "
         "new index"
+    )
+    _check_pipeline_smoke(failures)
+    output(
+        "prepared pipelines:   run, write, re-run on the parked pipeline "
+        "x 2 engines; unbound-after-bound; error-then-rerun"
     )
     _check_snapshot_smoke(failures)
     output(

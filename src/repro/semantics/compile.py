@@ -120,6 +120,14 @@ class ExpressionCompiler:
     ``n.age`` hit the store once per row, not once per occurrence.  The
     memo is only sound when nothing mutates properties mid-statement,
     hence the flag: write plans keep the uncached closure.
+
+    Compiled closures may outlive one execution (the planner parks them
+    with the plan), so every memo a compilation creates registers a
+    zero-argument reset in :attr:`memo_resets`; whoever keeps the
+    closures calls them between executions.  The row memo compares
+    ``NodeId`` *identity* and the store's scan lists hand out the same
+    objects run after run, so an unreset memo would answer a later run
+    with a value read before an intervening write.
     """
 
     def __init__(self, evaluator, slots, read_only=False):
@@ -131,6 +139,9 @@ class ExpressionCompiler:
         #: Shared property-read closures, keyed ``(variable, key)``;
         #: only populated under ``read_only``.
         self._property_readers = {}
+        #: One reset callable per value memo compiled so far (the column
+        #: compiler layered on this one registers its memos here too).
+        self.memo_resets = []
 
     # ------------------------------------------------------------------
 
@@ -282,6 +293,11 @@ class ExpressionCompiler:
             memo[1] = result
             return result
 
+        def reset():
+            memo[0] = MISSING
+            memo[1] = None
+
+        self.memo_resets.append(reset)
         return memoised
 
     def _map_literal(self, node):
@@ -1140,7 +1156,9 @@ class ColumnCompiler:
       the store once per morsel instead of once per occurrence (the
       ROADMAP's first cut of common-subexpression elimination).  Sound
       because column arrays are never mutated in place and the graph
-      cannot change during a read execution;
+      cannot change during a read execution (between executions the
+      memo is reset, which also lets go of the last morsel — see
+      :attr:`ExpressionCompiler.memo_resets`);
     * arithmetic and comparisons run int fast-path loops, specialised
       when one operand is a constant (``n.v > 5`` is one list pass);
     * AND/OR short-circuit *by column*: the right operand is evaluated
@@ -1319,6 +1337,11 @@ class ColumnCompiler:
             memo[2] = column
             return column
 
+        def reset():
+            memo[0] = memo[2] = None
+            memo[1] = -1
+
+        self.rows.memo_resets.append(reset)
         return memoised_column
 
     # -- arithmetic and comparisons -----------------------------------------

@@ -8,6 +8,12 @@ included, on the row *and* batch engines) and the bound itself via the
 observable ``TOPK_STATS`` counters: on a large shuffled input the heap
 never exceeds k rows and only a small tail of candidates is ever
 materialised — far below the input size, and within k + one morsel.
+
+The last class pins the batch engine's *ramped* index walks: a lazily
+chunked index scan emits morsels of 16, 32, … rows up to the morsel
+size, so a ``LIMIT k`` above an ordered index reads about k entries —
+counted through ``access_paths`` — and results at every ramp boundary
+equal the row engine's.
 """
 
 import random
@@ -17,7 +23,7 @@ import pytest
 from repro import CypherEngine
 from repro.exceptions import CypherRuntimeError
 from repro.graph.store import MemoryGraph
-from repro.planner.batch import DEFAULT_MORSEL_SIZE
+from repro.planner.batch import DEFAULT_MORSEL_SIZE, FIRST_MORSEL_SIZE
 from repro.planner.physical import TOPK_STATS
 
 N_ROWS = 5000
@@ -140,3 +146,115 @@ class TestTopKSemantics:
         )
         assert len(result) == 0
         assert TOPK_STATS["pushed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Ramped first morsels of lazily chunked index scans
+# ---------------------------------------------------------------------------
+
+def ramp_boundaries(morsel=DEFAULT_MORSEL_SIZE):
+    """Chunk sizes 16, 32, … and the cumulative rows where a morsel ends."""
+    sizes, size = [], min(FIRST_MORSEL_SIZE, morsel)
+    while size < morsel:
+        sizes.append(size)
+        size = min(2 * size, morsel)
+    sizes += [morsel, morsel]
+    cumulative = [sum(sizes[:end]) for end in range(1, len(sizes) + 1)]
+    return sorted(set(sizes) | set(cumulative))
+
+
+def stamped_graph(count):
+    graph = MemoryGraph()
+    graph.create_index("Post", "created")
+    graph.create_index("Owner", "id")
+    owners = [
+        graph.create_node(("Owner",), {"id": owner, "low": owner * 100})
+        for owner in range(3)
+    ]
+    stamps = list(range(count))
+    random.Random(count).shuffle(stamps)
+    for stamp in stamps:
+        post = graph.create_node(
+            ("Post",), {"created": stamp, "owner": stamp % 3}
+        )
+        graph.create_relationship(owners[stamp % 3], post, "WROTE")
+    return graph
+
+
+class TestRampedIndexWalk:
+    TOP = (
+        "MATCH (p:Post) WHERE p.created IS NOT NULL "
+        "RETURN p.created AS c ORDER BY c DESC LIMIT $k"
+    )
+
+    def test_boundaries_are_the_doubling_sizes_and_their_sums(self):
+        assert ramp_boundaries() == [
+            16, 32, 48, 64, 112, 128, 240, 256, 496, 752,
+        ]
+        assert ramp_boundaries(4) == [4, 8]
+        assert ramp_boundaries(24) == [16, 24, 40, 64]
+
+    def test_limit_over_an_ordered_index_reads_k_entries_not_a_morsel(self):
+        engine = CypherEngine(stamped_graph(1000))
+        walked = {}
+        for mode in ("row", "batch"):
+            result = engine.run(self.TOP, {"k": 5}, mode=mode, profile=True)
+            assert result.execution_mode == mode
+            assert result.values("c") == [999, 998, 997, 996, 995]
+            (path,) = result.access_paths
+            assert path["entry"] == "index ordered :Post(created) DESC"
+            walked[mode] = path["actual_rows"]
+        assert walked["row"] == 5
+        assert walked["batch"] <= FIRST_MORSEL_SIZE < DEFAULT_MORSEL_SIZE
+        # A larger k climbs the ramp: 16 + 32 entries serve LIMIT 20.
+        result = engine.run(self.TOP, {"k": 20}, mode="batch", profile=True)
+        assert result.access_paths[0]["actual_rows"] == 48
+        assert result.values("c") == list(range(999, 979, -1))
+
+    @pytest.mark.parametrize("boundary", ramp_boundaries())
+    def test_scans_and_limits_agree_at_every_ramp_boundary(self, boundary):
+        range_scan = "MATCH (p:Post) WHERE p.created >= 0 RETURN p.created AS c"
+        limited = (
+            "MATCH (p:Post) WHERE p.created >= 0 "
+            "RETURN p.created AS c LIMIT $k"
+        )
+        for count in (boundary - 1, boundary, boundary + 1):
+            engine = CypherEngine(stamped_graph(count))
+            assert "IndexRangeScan" in engine.explain(range_scan)
+            row = engine.run(range_scan, mode="row")
+            batch = engine.run(range_scan, mode="batch")
+            assert batch.execution_mode == "batch"
+            assert batch.records == row.records
+            assert len(batch.records) == count
+            for k in (boundary - 1, boundary, boundary + 1):
+                assert (
+                    engine.run(limited, {"k": k}, mode="batch").records
+                    == engine.run(limited, {"k": k}, mode="row").records
+                )
+            assert (
+                engine.run(self.TOP, {"k": boundary}, mode="batch").records
+                == engine.run(self.TOP, {"k": boundary}, mode="row").records
+            )
+
+    @pytest.mark.parametrize("morsel_size", [1, 4, 16, 20, 1000])
+    def test_nested_probes_carry_the_ramp_across_driving_rows(
+        self, morsel_size
+    ):
+        """One probe per driving row; the chunk size never restarts."""
+        graph = stamped_graph(300)
+        nested = (
+            "MATCH (o:Owner), (p:Post) WHERE p.created >= o.low "
+            "RETURN o.id AS owner, p.created AS c"
+        )
+        row = CypherEngine(graph).run(nested, mode="row")
+        batch = CypherEngine(graph, morsel_size=morsel_size).run(
+            nested, mode="batch", profile=True
+        )
+        assert batch.execution_mode == "batch"
+        assert batch.records == row.records
+        assert len(row.records) == 300 + 200 + 100
+        probed = [
+            path for path in batch.access_paths
+            if path["entry"].startswith("index range :Post(created)")
+        ]
+        assert [path["actual_rows"] for path in probed] == [600]
