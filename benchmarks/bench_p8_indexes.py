@@ -398,6 +398,84 @@ def test_p8_ordered_top_k_batch_keeps_up_with_row(
     )
 
 
+#: ``latest_posts`` as the end-to-end benchmark's ad hoc workload issues
+#: it — the bound inlined, a different literal every time — against the
+#: form that passes the bound as a parameter.
+LATEST_ADHOC = (
+    "MATCH (n:Stamp) WHERE n.at <= %d "
+    "RETURN n.id AS id, n.at AS at ORDER BY at DESC LIMIT 10"
+)
+LATEST_PARAMETERISED = (
+    "MATCH (n:Stamp) WHERE n.at IS NOT NULL "
+    "RETURN n.id AS id, n.at AS at ORDER BY at DESC LIMIT $k"
+)
+
+#: An ad hoc text may cost at most this much of a parameterised one with
+#: the same plan: lexing and normalising apart, the two now run the same
+#: cached plan and parked pipeline.  Before literals were lifted every
+#: distinct text paid the whole front end — about 19x.
+LATEST_ADHOC_OVER_PARAMETERISED = 3.0
+
+
+def test_p8_adhoc_latest_posts_costs_a_lex_not_a_plan(
+    table_report, pipeline_record
+):
+    """min-over-samples ratio from interleaved runs, like the pin above."""
+    graph = MemoryGraph()
+    graph.create_index("Stamp", "at")
+    transaction = graph.write_transaction()
+    transaction.create_nodes(
+        ("Stamp",),
+        [{"id": i, "at": (i * 7919) % (10 * ITEMS)} for i in range(ITEMS)],
+    )
+    transaction.commit()
+    engine = CypherEngine(graph)
+    bounds = iter(range(ITEMS, 10 * ITEMS, 7))  # never the same text twice
+
+    def adhoc():
+        return engine.run(LATEST_ADHOC % next(bounds))
+
+    def parameterised():
+        return engine.run(LATEST_PARAMETERISED, {"k": 10})
+
+    for run in (adhoc, parameterised):
+        assert "IndexOrderedScan" in run().plan.describe()
+        assert len(run()) == 10
+    before = engine.plan_cache_info()
+    samples = {"adhoc": [], "parameterised": []}
+    for _ in range(15):
+        for name, run in (("adhoc", adhoc), ("parameterised", parameterised)):
+            started = time.perf_counter()
+            for _ in range(20):
+                run()
+            samples[name].append((time.perf_counter() - started) / 20)
+    after = engine.plan_cache_info()
+    assert after["misses"] == before["misses"]
+    assert after["lifted_hits"] - before["lifted_hits"] == 300
+    adhoc_seconds = min(samples["adhoc"])
+    parameterised_seconds = min(samples["parameterised"])
+    ratio = adhoc_seconds / max(parameterised_seconds, 1e-9)
+    table_report(
+        "P8 — latest_posts, ad hoc text against parameterised",
+        ["form", "min of 15 x 20 runs"],
+        [
+            ("parameterised", "%.1f µs" % (parameterised_seconds * 1e6)),
+            ("ad hoc (300 distinct texts)", "%.1f µs" % (adhoc_seconds * 1e6)),
+            ("ad hoc/parameterised", "%.2fx (pin <= %.1fx)" % (
+                ratio, LATEST_ADHOC_OVER_PARAMETERISED,
+            )),
+        ],
+    )
+    pipeline_record("indexes", "p8_adhoc_over_parameterised_latest_posts", {
+        "parameterised_us": round(parameterised_seconds * 1e6, 1),
+        "adhoc_us": round(adhoc_seconds * 1e6, 1),
+        "ratio": round(ratio, 3),
+    })
+    assert ratio <= LATEST_ADHOC_OVER_PARAMETERISED, (
+        "ad hoc latest_posts at %.2fx the parameterised form" % ratio
+    )
+
+
 #: Skewed :Skew(x) distribution: 90% of rows dense in [0, 100), a 10%
 #: tail spread over [100, 1000) — the shape that makes a flat range
 #: constant wrong by an order of magnitude.
@@ -433,12 +511,15 @@ def test_p8_histogram_range_estimates(table_report, pipeline_record):
     constant would miss the skewed tail by >10x."""
     from repro.planner.cost import RANGE_SELECTIVITY
 
-    engine = CypherEngine(build_skew_graph())
+    graph = build_skew_graph()
     rows = []
     recorded = {}
     failures = []
     for name, query, bounds in HISTOGRAM_RANGES:
-        result = engine.run(query)
+        # An engine per range: two of the ranges share a shape, and one
+        # engine would answer the second from the plan (and the
+        # estimate) it made for the first.
+        result = CypherEngine(graph).run(query)
         actual = result.value("c")
         estimate = _scan_estimate(result.plan)
         assert estimate is not None, (name, result.plan.describe())

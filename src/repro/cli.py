@@ -61,17 +61,23 @@ def _cache_line(cache_info, pipelines):
     """One-line plan-cache report for the explain outputs.
 
     ``pipelines`` is ``engine.pipeline_info()``: what the hits skipped
-    below the plan.
+    below the plan.  "via shape" counts the hits of ad hoc texts whose
+    literals were lifted into parameters; with "shape(s) known" beside
+    the misses it shows a stream of distinct texts costing one plan per
+    shape.
     """
     rate = cache_info["hit_rate"]
     return (
-        "plan cache: %d hit(s), %d miss(es)%s; %d revalidated, "
+        "plan cache: %d hit(s), %d miss(es)%s; %d via shape, "
+        "%d shape(s) known; %d revalidated, "
         "evicted: %d schema, %d drift; pipelines: %d compiled, "
         "%d reused, %d contended"
     ) % (
         cache_info["hits"],
         cache_info["misses"],
         "" if rate is None else " (hit rate %.0f%%)" % (rate * 100),
+        cache_info["lifted_hits"],
+        cache_info["shapes"],
         cache_info["revalidated"],
         cache_info["evicted_schema"],
         cache_info["evicted_drift"],
@@ -79,6 +85,11 @@ def _cache_line(cache_info, pipelines):
         pipelines["reused"],
         pipelines["contended"],
     )
+
+
+def _lift_line(cache_info):
+    """Whether a run of the explained text would be keyed by its shape."""
+    return "auto-parameterised: %s" % ("yes" if cache_info["lifts"] else "no")
 
 
 def _snapshot_line(info):
@@ -257,6 +268,7 @@ class Shell:
                 self.write("fallback reason: %s" % reason)
             if plan_text:
                 self.write(plan_text)
+            self.write(_lift_line(cache_info))
             self.write(_cache_line(cache_info, self.engine.pipeline_info()))
             self.write(_snapshot_line(self.engine.snapshot_info()))
         elif command == ":save":
@@ -637,6 +649,7 @@ def explain_main(argv=None):
         print("fallback reason: %s" % reason)
     if plan_text:
         print(plan_text)
+    print(_lift_line(cache_info))
     print(_cache_line(cache_info, engine.pipeline_info()))
     print(_snapshot_line(engine.snapshot_info()))
     if arguments.profile and executed_by == "planner":

@@ -6,18 +6,23 @@ label predicates, collect/count aggregates, update clauses, FROM GRAPH /
 RETURN GRAPH).  ``parse_query`` is the main entry point.
 """
 
-from repro.parser.lexer import Lexer, tokenize
+from repro.parser.lexer import tokenize
 from repro.parser.parser import (
+    LIFTED_PREFIX,
     Parser,
+    literal_value,
     parse_expression,
     parse_pattern,
     parse_query,
+    skeleton_of,
 )
 
 __all__ = [
-    "Lexer",
     "tokenize",
     "Parser",
+    "LIFTED_PREFIX",
+    "literal_value",
+    "skeleton_of",
     "parse_query",
     "parse_expression",
     "parse_pattern",

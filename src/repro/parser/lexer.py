@@ -1,17 +1,31 @@
-"""The Cypher lexer.
+"""The Cypher lexer: one master regular expression over a terminal table.
 
-Hand-written scanner producing :class:`repro.parser.tokens.Token` values.
-Notable Cypher quirks handled here:
+:data:`repro.parser.tokens.TERMINALS` holds the lexical grammar as data
+— one ``(name, pattern)`` row per terminal, in matching order — and this
+module compiles the rows into a single alternation, prefixed by the
+trivia (whitespace, ``//`` and ``/* */`` comments) that may precede a
+token.  :func:`tokenize` is then one ``finditer`` pass: each match is
+"skip trivia, take one terminal", and the name of the group that matched
+says which row it was.  The Cypher quirks live in the table as rows and
+their order (see the comment on ``TERMINALS``):
 
 * ``1..3`` in a range must lex as INTEGER, ``..``, INTEGER — a digit
   followed by ``..`` never starts a float;
 * identifiers may be backtick-quoted (```weird name```), with doubled
   backticks as escapes;
 * strings accept single or double quotes with C-style escapes;
-* both ``//`` line comments and ``/* */`` block comments are whitespace.
+* both ``//`` line comments and ``/* */`` block comments are whitespace;
+* digits are ASCII, and a hex literal needs at least one digit.
+
+The only per-character work left is decoding a string that contains a
+backslash, and finding the first error in one that never closes.  Every
+input either lexes or raises :class:`CypherSyntaxError` with the line
+and column of the offending character.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.exceptions import CypherSyntaxError
 from repro.parser.tokens import (
@@ -19,219 +33,125 @@ from repro.parser.tokens import (
     FLOAT,
     IDENT,
     INTEGER,
-    MULTI_CHAR_OPERATORS,
     OPERATOR,
-    SINGLE_CHAR_OPERATORS,
     STRING,
+    STRING_ESCAPES,
+    TERMINALS,
+    TRIVIA,
     Token,
 )
 
-_ESCAPES = {
-    "n": "\n",
-    "t": "\t",
-    "r": "\r",
-    "b": "\b",
-    "f": "\f",
-    "'": "'",
-    '"': '"',
-    "\\": "\\",
-    "/": "/",
-}
+_MASTER = re.compile(
+    TRIVIA + "(?:" + "|".join(
+        "(?P<%s>%s)" % (name, pattern) for name, pattern in TERMINALS
+    ) + ")"
+)
 
 
-class Lexer:
-    """Streams tokens from a query string."""
+def _position(text, offset):
+    """1-based ``(line, column)`` of ``offset``; only ``\\n`` ends a line."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
-    def __init__(self, text):
-        self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
 
-    # -- helpers -------------------------------------------------------------
+def _error(text, offset, message):
+    raise CypherSyntaxError(message, *_position(text, offset))
 
-    def _peek(self, offset=0):
-        index = self.position + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
 
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.position < len(self.text):
-                if self.text[self.position] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.position += 1
+def _decode_string(text, start, end):
+    """The value of the string body ``text[start:end]``, escapes resolved.
 
-    def _error(self, message):
-        raise CypherSyntaxError(message, self.line, self.column)
-
-    def _make(self, kind, text, line, column):
-        return Token(kind, text, line, column)
-
-    # -- whitespace and comments ----------------------------------------------
-
-    def _skip_trivia(self):
-        while True:
-            char = self._peek()
-            if char and char.isspace():
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while True:
-                    if not self._peek():
-                        self._error("unterminated block comment")
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------------
-
-    def _scan_string(self):
-        line, column = self.line, self.column
-        quote = self._peek()
-        self._advance()
-        chunks = []
-        while True:
-            char = self._peek()
-            if not char:
-                self._error("unterminated string literal")
-            if char == quote:
-                self._advance()
-                return self._make(STRING, "".join(chunks), line, column)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape in _ESCAPES:
-                    chunks.append(_ESCAPES[escape])
-                    self._advance()
-                elif escape in ("u", "U"):
-                    width = 4 if escape == "u" else 8
-                    self._advance()
-                    digits = self.text[self.position:self.position + width]
-                    if len(digits) < width:
-                        self._error("bad unicode escape")
-                    try:
-                        chunks.append(chr(int(digits, 16)))
-                    except ValueError:
-                        self._error("bad unicode escape")
-                    self._advance(width)
-                else:
-                    self._error("unknown escape \\%s" % escape)
-            else:
-                chunks.append(char)
-                self._advance()
-
-    def _scan_backtick_identifier(self):
-        line, column = self.line, self.column
-        self._advance()  # opening backtick
-        chunks = []
-        while True:
-            char = self._peek()
-            if not char:
-                self._error("unterminated backtick identifier")
-            if char == "`":
-                if self._peek(1) == "`":  # escaped backtick
-                    chunks.append("`")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return self._make(IDENT, "".join(chunks), line, column)
-            else:
-                chunks.append(char)
-                self._advance()
-
-    def _scan_number(self):
-        line, column = self.line, self.column
-        start = self.position
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.text[start:self.position]
-            return self._make(INTEGER, str(int(text, 16)), line, column)
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        # A '.' starts a fraction only if followed by a digit (so `1..3`
-        # and `n.prop` keep their meaning).
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.text[start:self.position]
-        return self._make(FLOAT if is_float else INTEGER, text, line, column)
-
-    def _scan_identifier(self):
-        line, column = self.line, self.column
-        start = self.position
-        while True:
-            char = self._peek()
-            if char and (char.isalnum() or char == "_"):
-                self._advance()
-            else:
-                break
-        return self._make(IDENT, self.text[start:self.position], line, column)
-
-    def _scan_operator(self):
-        line, column = self.line, self.column
-        for operator in MULTI_CHAR_OPERATORS:
-            if self.text.startswith(operator, self.position):
-                self._advance(len(operator))
-                return self._make(OPERATOR, operator, line, column)
-        char = self._peek()
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return self._make(OPERATOR, char, line, column)
-        self._error("unexpected character %r" % char)
-
-    # -- driver ------------------------------------------------------------------
-
-    def next_token(self):
-        self._skip_trivia()
-        char = self._peek()
-        if not char:
-            return self._make(END, "", self.line, self.column)
-        if char in ("'", '"'):
-            return self._scan_string()
-        if char == "`":
-            return self._scan_backtick_identifier()
-        if char.isdigit():
-            return self._scan_number()
-        if char.isalpha() or char == "_":
-            return self._scan_identifier()
-        return self._scan_operator()
-
-    def tokens(self):
-        """Scan the whole input eagerly; the END sentinel is included."""
-        result = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind == END:
-                return result
+    ``end`` is the closing quote, or ``len(text)`` when the caller is
+    looking for the first error of a string that never closes.
+    """
+    chunks = []
+    position = start
+    while True:
+        backslash = text.find("\\", position, end)
+        if backslash < 0:
+            chunks.append(text[position:end])
+            return "".join(chunks)
+        chunks.append(text[position:backslash])
+        escape = text[backslash + 1:backslash + 2]
+        position = backslash + 2
+        if escape in STRING_ESCAPES:
+            chunks.append(STRING_ESCAPES[escape])
+        elif escape in ("u", "U"):
+            width = 4 if escape == "u" else 8
+            digits = text[position:position + width]
+            try:
+                if len(digits) < width:
+                    raise ValueError(digits)
+                chunks.append(chr(int(digits, 16)))
+            except (ValueError, OverflowError):
+                _error(text, position, "bad unicode escape")
+            position += width
+        else:
+            _error(text, backslash + 1, "unknown escape \\%s" % escape)
 
 
 def tokenize(text):
     """Tokenize ``text`` fully, returning the token list (with END last)."""
-    return Lexer(text).tokens()
+    tokens = []
+    append = tokens.append
+    # Single-line input (the common case) needs no line bookkeeping.
+    multiline = "\n" in text
+    line = 1
+    line_start = 0
+    scanned = 0
+    for match in _MASTER.finditer(text):
+        name = match.lastgroup
+        start, end = match.span(name)
+        if multiline:
+            newlines = text.count("\n", scanned, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", scanned, start) + 1
+            scanned = start
+        column = start - line_start + 1
+        if name == "IDENT":
+            word = text[start:end]
+            append(Token(IDENT, word, line, column, word.upper()))
+        elif name == "OPERATOR":
+            operator = text[start:end]
+            append(Token(OPERATOR, operator, line, column, operator))
+        elif name == "INTEGER":
+            digits = text[start:end]
+            append(Token(INTEGER, digits, line, column, digits))
+        elif name == "STRING":
+            if text.find("\\", start, end) < 0:
+                value = text[start + 1:end - 1]
+            else:
+                value = _decode_string(text, start + 1, end - 1)
+            append(Token(STRING, value, line, column, value))
+        elif name == "FLOAT":
+            digits = text[start:end]
+            append(Token(FLOAT, digits, line, column, digits))
+        elif name == "END":
+            append(Token(END, "", line, column, ""))
+            return tokens
+        elif name == "BACKTICK":
+            word = text[start + 1:end - 1].replace("``", "`")
+            append(Token(IDENT, word, line, column, word.upper()))
+        elif name == "HEX":
+            if end - start == 2:
+                _error(
+                    text, start,
+                    "malformed hexadecimal literal %r" % text[start:end],
+                )
+            digits = str(int(text[start:end], 16))
+            append(Token(INTEGER, digits, line, column, digits))
+        elif name == "WORD" and text[start].isalpha():
+            word = text[start:end]
+            append(Token(IDENT, word, line, column, word.upper()))
+        elif name == "BAD_STRING":
+            # A bad escape comes first if there is one; else it never ends.
+            _decode_string(text, start + 1, len(text))
+            _error(text, len(text), "unterminated string literal")
+        elif name == "BAD_BACKTICK":
+            _error(text, len(text), "unterminated backtick identifier")
+        elif name == "BAD_COMMENT":
+            _error(text, len(text), "unterminated block comment")
+        else:
+            _error(text, start, "unexpected character %r" % text[start])
+    raise AssertionError("unreachable: END matches at end of input")

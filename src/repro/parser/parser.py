@@ -11,6 +11,42 @@ backtracking (save/restore of the token index) in the few genuinely
 ambiguous spots: ``(`` opening either a parenthesized expression or a
 pattern predicate, and ``[`` opening a list literal, a list
 comprehension or a pattern comprehension.
+
+Lifting (auto-parameterisation)
+-------------------------------
+``Parser(tokens, lift=True)`` parses some literal atoms to
+``ex.Parameter("#<ordinal>")`` instead of ``ex.Literal(value)`` and
+reports which in :attr:`Parser.lift_mask`, so that the engine can plan a
+statement once per *shape* and bind the values per run.  The rule is
+the parser's alone.  An INTEGER/FLOAT/STRING token is lifted only where
+it is
+
+* the whole value of a property-map entry of a node or relationship
+  pattern, or
+* a direct operand of ``= <> < <= > >=`` that has at least one operand
+  no rewrite can fold to a constant (a variable, property access,
+  parameter or function call — otherwise ``WHERE 1 = 1`` would stop
+  folding to ``true``),
+
+and only inside a ``MATCH`` / ``OPTIONAL MATCH`` pattern or the
+``WHERE`` of ``MATCH`` / ``OPTIONAL MATCH`` / ``WITH``.  Everything else
+keeps its literal because something downstream reads its *value* or its
+*text*: projection items (an un-aliased ``RETURN n.x = 5`` names its
+column after the text), ``ORDER BY``, ``SKIP`` / ``LIMIT`` (top-k
+sizing), ``SET`` and the patterns of ``CREATE`` / ``MERGE``, list and
+map literals (the planner reads an ``IN`` list's length), variable-length
+bounds, ``$1``-style parameter names, and ``TRUE`` / ``FALSE`` / ``NULL``
+(not literal tokens at all).
+
+The set of lifted ordinals is a function of the statement's *skeleton*
+— its token texts with every literal token replaced by its kind
+(:func:`skeleton_of`).  The parser branches on a token's kind and, for
+identifiers and operators, its text; it never looks at the text of an
+INTEGER, FLOAT or STRING token to decide where to go next.  Two texts
+with equal skeletons therefore walk the same path, backtracking
+included, and lift the same ordinals: the engine may learn the mask
+from the first text of a shape and apply it to every later one without
+parsing it.
 """
 
 from __future__ import annotations
@@ -21,7 +57,15 @@ from repro.ast import patterns as pt
 from repro.ast import queries as qu
 from repro.exceptions import CypherSyntaxError
 from repro.parser.lexer import tokenize
-from repro.parser.tokens import END, FLOAT, IDENT, INTEGER, OPERATOR, STRING
+from repro.parser.tokens import (
+    END,
+    FLOAT,
+    IDENT,
+    INTEGER,
+    LITERAL_KINDS,
+    OPERATOR,
+    STRING,
+)
 
 _CLAUSE_STARTERS = frozenset(
     {
@@ -63,13 +107,93 @@ _EXPRESSION_STOPPERS = frozenset(
 ) | _CLAUSE_STARTERS
 
 
-class Parser:
-    """Parses one query (or expression / pattern) from a token list."""
+#: Operand types no rewrite folds to a constant: a comparison holding
+#: one is still a comparison after rewriting, whatever its literals are.
+_UNFOLDABLE = (ex.Variable, ex.PropertyAccess, ex.Parameter, ex.FunctionCall)
 
-    def __init__(self, text):
-        self.text = text
-        self.tokens = tokenize(text)
+#: What a literal token stands for in a skeleton; ``#`` starts neither
+#: an identifier nor an operator, so a mark never equals a token text.
+_LITERAL_MARKS = {INTEGER: "#i", FLOAT: "#f", STRING: "#s"}
+
+#: Prefix of the parameter names lifting invents.  Query text can only
+#: spell such a name with a backtick identifier (``$`#0```).
+LIFTED_PREFIX = "#"
+
+
+def _lifted_name(ordinal):
+    return "%s%d" % (LIFTED_PREFIX, ordinal)
+
+
+def literal_value(token):
+    """The value an INTEGER, FLOAT or STRING token denotes."""
+    kind = token.kind
+    if kind == INTEGER:
+        return int(token.text)
+    if kind == FLOAT:
+        return float(token.text)
+    return token.text
+
+
+def skeleton_of(tokens):
+    """``(skeleton, literal tokens)`` of a lexed statement.
+
+    The skeleton is the tuple of token texts with each literal token
+    replaced by a mark of its kind; the literal tokens come back in
+    order, so "literal ordinal *i*" means the same to the parser and to
+    whoever applies a lift mask.  Only meaningful for source text
+    without backticks: a quoted identifier may spell an operator.
+    """
+    marks = _LITERAL_MARKS
+    parts = []
+    literals = []
+    for token in tokens:
+        mark = marks.get(token.kind)
+        if mark is None:
+            parts.append(token.text)
+        else:
+            parts.append(mark)
+            literals.append(token)
+    return tuple(parts), literals
+
+
+class Parser:
+    """Parses one query (or expression / pattern).
+
+    ``source`` is query text or the token list :func:`tokenize` made of
+    it.  With ``lift`` the parser auto-parameterises (see the module
+    docstring) and :attr:`lift_mask` says which literals it replaced.
+    """
+
+    def __init__(self, source, lift=False):
+        self.tokens = tokenize(source) if isinstance(source, str) else source
         self.position = 0
+        #: True while parsing a region whose literals may be lifted.
+        self._lifting = False
+        self._lift = lift
+        #: token position -> literal ordinal, for every literal token.
+        self._ordinals = {}
+        #: Token positions parsed to a Parameter (see :meth:`_restore`).
+        self._lifted_positions = []
+        if lift:
+            ordinal = 0
+            for position, token in enumerate(self.tokens):
+                if token.kind in LITERAL_KINDS:
+                    self._ordinals[position] = ordinal
+                    ordinal += 1
+
+    @property
+    def lift_mask(self):
+        """Per literal ordinal: the parameter name it became, or None."""
+        names = [None] * len(self._ordinals)
+        for position in self._lifted_positions:
+            ordinal = self._ordinals[position]
+            names[ordinal] = _lifted_name(ordinal)
+        return tuple(names)
+
+    def _lift_at(self, position):
+        """The Parameter standing in for the literal token at ``position``."""
+        self._lifted_positions.append(position)
+        return ex.Parameter(_lifted_name(self._ordinals[position]))
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -124,10 +248,17 @@ class Parser:
         return self._advance().text
 
     def _save(self):
-        return self.position
+        return self.position, self._lifting
 
     def _restore(self, mark):
-        self.position = mark
+        self.position, self._lifting = mark
+        if self._lifted_positions:
+            # A backtracked region is parsed again, perhaps as something
+            # that does not lift: forget what the failed attempt lifted.
+            self._lifted_positions = [
+                position for position in self._lifted_positions
+                if position < self.position
+            ]
 
     def _at_clause_start(self):
         token = self._peek()
@@ -228,17 +359,21 @@ class Parser:
         self._error("expected a clause, found %r" % self._peek().text)
 
     def _parse_match(self, optional):
+        self._lifting = self._lift
         pattern = self._parse_pattern_tuple()
         where = None
         if self._accept_keyword("WHERE"):
             where = self.parse_expression()
+        self._lifting = False
         return cl.Match(pattern, optional=optional, where=where)
 
     def _parse_with(self):
         projection = self._parse_projection()
         where = None
         if self._accept_keyword("WHERE"):
+            self._lifting = self._lift
             where = self.parse_expression()
+            self._lifting = False
         return cl.With(projection, where=where)
 
     def _parse_projection(self):
@@ -418,7 +553,7 @@ class Parser:
             labels = self._parse_label_sequence()
         properties = ()
         if self._at_operator("{"):
-            properties = self._parse_property_map()
+            properties = self._parse_property_map(pattern=True)
         self._expect_operator(")")
         return pt.NodePattern(name=name, labels=labels, properties=properties)
 
@@ -428,17 +563,37 @@ class Parser:
             labels.append(self._expect_identifier("label"))
         return tuple(labels)
 
-    def _parse_property_map(self):
+    def _parse_property_map(self, pattern=False):
+        """``{k: e, …}``: a pattern's property map, or a map expression.
+
+        Only a pattern's map lifts, and only an entry whose whole value
+        is one literal token; inside a map *expression* nothing does.
+        (A syntax error inside leaves ``_lifting`` as it is: whoever
+        catches it backtracks through :meth:`_restore`, which resets it.)
+        """
+        outside = self._lifting
+        self._lifting = lifting = outside and pattern
         self._expect_operator("{")
         items = []
         if not self._at_operator("}"):
             while True:
                 key = self._expect_identifier("property key")
                 self._expect_operator(":")
-                items.append((key, self.parse_expression()))
+                if (
+                    lifting
+                    and self._peek().kind in LITERAL_KINDS
+                    and (self._at_operator(",", 1)
+                         or self._at_operator("}", 1))
+                ):
+                    value = self._lift_at(self.position)
+                    self._advance()
+                else:
+                    value = self.parse_expression()
+                items.append((key, value))
                 if not self._accept_operator(","):
                     break
         self._expect_operator("}")
+        self._lifting = outside
         return tuple(items)
 
     def _parse_relationship_pattern(self):
@@ -459,7 +614,7 @@ class Parser:
             if self._accept_operator("*"):
                 length = self._parse_length_range()
             if self._at_operator("{"):
-                properties = self._parse_property_map()
+                properties = self._parse_property_map(pattern=True)
             self._expect_operator("]")
         self._expect_operator("-")
         if self._accept_operator(">"):
@@ -535,6 +690,7 @@ class Parser:
     _COMPARISON_OPERATORS = ("=", "<>", "<=", ">=", "<", ">")
 
     def _parse_comparison(self):
+        starts = [self.position]
         first = self._parse_predicated()
         operators = []
         operands = [first]
@@ -548,9 +704,21 @@ class Parser:
                 break
             self._advance()
             operators.append(operator)
+            starts.append(self.position)
             operands.append(self._parse_predicated())
         if not operators:
             return first
+        if self._lifting and any(
+            isinstance(operand, _UNFOLDABLE) for operand in operands
+        ):
+            # A Literal that starts at a literal token *is* that token:
+            # any postfix would have made it something else.
+            for index, start in enumerate(starts):
+                if (
+                    isinstance(operands[index], ex.Literal)
+                    and start in self._ordinals
+                ):
+                    operands[index] = self._lift_at(start)
         return ex.Comparison(tuple(operators), tuple(operands))
 
     def _parse_predicated(self):
@@ -653,15 +821,9 @@ class Parser:
 
     def _parse_atom(self):
         token = self._peek()
-        if token.kind == INTEGER:
+        if token.kind in LITERAL_KINDS:
             self._advance()
-            return ex.Literal(int(token.text))
-        if token.kind == FLOAT:
-            self._advance()
-            return ex.Literal(float(token.text))
-        if token.kind == STRING:
-            self._advance()
-            return ex.Literal(token.text)
+            return ex.Literal(literal_value(token))
         if self._at_operator("$"):
             self._advance()
             name = self._peek()
@@ -874,12 +1036,15 @@ class Parser:
 
     def _parse_list_literal(self):
         self._expect_operator("[")
+        outside = self._lifting
+        self._lifting = False  # nothing inside a list literal lifts
         items = []
         if not self._at_operator("]"):
             items.append(self.parse_expression())
             while self._accept_operator(","):
                 items.append(self.parse_expression())
         self._expect_operator("]")
+        self._lifting = outside
         return ex.ListLiteral(tuple(items))
 
 
@@ -887,9 +1052,9 @@ class Parser:
 # Public helpers
 # ---------------------------------------------------------------------------
 
-def parse_query(text):
-    """Parse a complete Cypher query; returns a Query AST node."""
-    return Parser(text).parse_query()
+def parse_query(source):
+    """Parse a complete Cypher query (text or tokens); returns a Query."""
+    return Parser(source).parse_query()
 
 
 def parse_expression(text):

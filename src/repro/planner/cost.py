@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 
+from repro.ast import expressions as ex
 from repro.graph.statistics import GraphStatistics
 
 #: *Fallback* selectivity of one property-equality predicate, used only
@@ -94,23 +95,39 @@ def estimated_source_rows(plan, graph):
     return None
 
 
-def _literal_value(expression):
-    """The plan-time value of a literal bound expression, or ``_MISSING``."""
-    from repro.ast import expressions as ex
-
-    if isinstance(expression, ex.Literal):
-        return expression.value
-    return _MISSING
-
-
-_MISSING = object()
+#: "No plan-time value": what :meth:`CostModel.plan_time_value` answers
+#: for a bound only the run knows (``None`` is a value — a literal null).
+MISSING = object()
 
 
 class CostModel:
-    """Cardinality estimates over a statistics snapshot."""
+    """Cardinality estimates over a statistics snapshot.
 
-    def __init__(self, graph):
+    ``peeked`` maps parameter names to values the planner may read at
+    plan time.  The engine passes the values it *lifted* out of the
+    statement's literals and nothing else: their kinds are part of the
+    plan's cache key, so every later bind of the plan is a value of the
+    same kind.  User parameters are never peeked.
+    """
+
+    def __init__(self, graph, peeked=None):
         self.statistics = statistics_for(graph)
+        self.peeked = peeked or {}
+
+    def plan_time_value(self, expression):
+        """The plan-time value of a bound expression, or :data:`MISSING`.
+
+        A literal's value, or the peeked value of a lifted literal: the
+        one question the planner asks of a bound's *value* — here to
+        price a range off the histogram, in
+        :mod:`repro.planner.planning` to decide whether an ordered scan
+        may keep the bound.
+        """
+        if isinstance(expression, ex.Literal):
+            return expression.value
+        if isinstance(expression, ex.Parameter):
+            return self.peeked.get(expression.name, MISSING)
+        return MISSING
 
     # -- entry points -------------------------------------------------------
 
@@ -200,16 +217,18 @@ class CostModel:
     def bound_selectivity(self, label, keys, column, sargable):
         """Selectivity of one range/prefix sargable on an indexed column.
 
-        Histogram-backed when every present bound is a plan-time
-        literal (an equi-depth histogram over the live distribution
-        replaces the flat :data:`RANGE_SELECTIVITY` guess); the textbook
-        constant otherwise — parameters and row-dependent bounds have no
+        Histogram-backed when every present bound is known at plan time
+        — a literal, or a literal the engine lifted and let the planner
+        peek at (:meth:`plan_time_value`): an equi-depth histogram over
+        the live distribution replaces the flat
+        :data:`RANGE_SELECTIVITY` guess.  The textbook constant
+        otherwise — user parameters and row-dependent bounds have no
         value to consult the histogram with.  Floored at a small epsilon
         so an empty-looking range still prices strictly positive.
         """
         stats = self.statistics
         if sargable.kind == "prefix":
-            value = _literal_value(sargable.value)
+            value = self.plan_time_value(sargable.value)
             if isinstance(value, str):
                 fraction = stats.starts_with_fraction(
                     label, keys, column, value
@@ -218,14 +237,14 @@ class CostModel:
                     return max(fraction, 1e-6)
             return RANGE_SELECTIVITY
         low = (
-            _literal_value(sargable.low)
+            self.plan_time_value(sargable.low)
             if sargable.low is not None else None
         )
         high = (
-            _literal_value(sargable.high)
+            self.plan_time_value(sargable.high)
             if sargable.high is not None else None
         )
-        if low is not _MISSING and high is not _MISSING:
+        if low is not MISSING and high is not MISSING:
             fraction = stats.range_fraction(
                 label, keys, column,
                 low, sargable.low_inclusive, high, sargable.high_inclusive,

@@ -218,6 +218,15 @@ class IndexRangeScan(Operator):
         return (self.child,)
 
 
+def _bound_text(bound):
+    """A plan-time-known bound as ``describe`` shows it."""
+    from repro.ast.printer import print_expression
+
+    if hasattr(bound, "value"):  # an ex.Literal
+        return repr(bound.value)
+    return print_expression(bound)
+
+
 @dataclass(frozen=True)
 class IndexOrderedScan(Operator):
     """Enumerate an index in ORDER BY order: the Sort-deleting scan.
@@ -228,11 +237,14 @@ class IndexOrderedScan(Operator):
     ties come out id-ascending) — so the planner substitutes this scan
     and deletes the Sort.  ``directions`` holds one ascending flag per
     ordered column; optional bounds restrict the first ordered column
-    and are **plan-time literal values** (never expressions): a runtime
-    bound could degrade to an unordered label scan inside the operator,
-    which would be unsound once the Sort is gone.  Enumeration is lazy,
-    so a downstream Limit stops the index walk early (the fused
-    Top-replacement).
+    and are **plan-time-known**: a literal, or a lifted literal — the
+    parameter the engine put in a literal's place, whose kind is part
+    of the plan's cache key, so every bind is an orderable scalar like
+    the one the planner peeked at.  Never any other expression: a
+    runtime bound could degrade to an unordered label scan inside the
+    operator, which would be unsound once the Sort is gone.
+    Enumeration is lazy, so a downstream Limit stops the index walk
+    early (the fused Top-replacement).
     """
 
     child: Operator
@@ -242,11 +254,11 @@ class IndexOrderedScan(Operator):
     prefix_probes: Tuple[object, ...]  # Expressions (equality prefix)
     directions: Tuple[bool, ...]       # ascending flag per ordered column
     node_pattern: object
-    low_value: Optional[object] = None   # literal VALUE, not expression
+    low: Optional[object] = None      # Literal or lifted Parameter
     low_inclusive: bool = True
-    high_value: Optional[object] = None  # literal VALUE
+    high: Optional[object] = None     # Literal or lifted Parameter
     high_inclusive: bool = True
-    prefix_value: Optional[str] = None   # literal STARTS WITH value
+    prefix: Optional[object] = None   # STARTS WITH bound, likewise
     covered: Tuple[Tuple[str, str], ...] = ()
     fields: Tuple[str, ...] = ()
     estimated_rows: Optional[float] = None
@@ -265,19 +277,19 @@ class IndexOrderedScan(Operator):
         extras = []
         if consumed:
             extras.append("eq(%d)" % consumed)
-        if self.low_value is not None or self.high_value is not None:
+        if self.low is not None or self.high is not None:
             bounds = []
-            if self.low_value is not None:
-                bounds.append(">%s %r" % (
-                    "=" if self.low_inclusive else "", self.low_value,
+            if self.low is not None:
+                bounds.append(">%s %s" % (
+                    "=" if self.low_inclusive else "", _bound_text(self.low),
                 ))
-            if self.high_value is not None:
-                bounds.append("<%s %r" % (
-                    "=" if self.high_inclusive else "", self.high_value,
+            if self.high is not None:
+                bounds.append("<%s %s" % (
+                    "=" if self.high_inclusive else "", _bound_text(self.high),
                 ))
             extras.append(" AND ".join(bounds))
-        if self.prefix_value is not None:
-            extras.append("STARTS WITH %r" % (self.prefix_value,))
+        if self.prefix is not None:
+            extras.append("STARTS WITH %s" % _bound_text(self.prefix))
         if self.covered:
             extras.append("covering")
         return "IndexOrderedScan({}:{}({}) order by {}{}{})".format(

@@ -720,27 +720,38 @@ def _index_ordered_probe(ctx, op):
     """``(row -> ordered candidate ids, entry label)`` for ordered scans.
 
     Enumeration is lazy (a generator per driving row): a downstream
-    Limit's budget cuts the index walk off early.  Bounds are plan-time
-    literal values by construction — the order rewrite only fires for
-    bounds that cannot degrade at runtime — so no fallback path exists
-    here.
+    Limit's budget cuts the index walk off early.  A bound is a literal
+    or a lifted literal (see :class:`~repro.planner.logical.
+    IndexOrderedScan`), read from the execution's bound parameters per
+    driving row; it cannot degrade at runtime — its token kind is part
+    of the plan's cache key, and no INTEGER, FLOAT or STRING token
+    spells null or NaN — so no fallback path exists here.
     """
     graph = ctx.graph
     label, keys = op.label, op.index_keys
     probes = tuple(ctx.compile(probe) for probe in op.prefix_probes)
     directions = op.directions
     index_ordered = graph.index_ordered
-    low_value = op.low_value
-    high_value = op.high_value
+    low, high, prefix = (
+        None if bound is None else ctx.compile(bound)
+        for bound in (op.low, op.high, op.prefix)
+    )
     low_inclusive = op.low_inclusive
     high_inclusive = op.high_inclusive
-    prefix_value = op.prefix_value
+
+    def bound_value(bound, row):
+        if bound is None:
+            return None
+        value = bound(row)
+        assert value is not None and value == value, "unordered scan bound"
+        return value
 
     def candidates(row):
         return index_ordered(
             label, keys, tuple(probe(row) for probe in probes), directions,
-            low_value, low_inclusive, high_value, high_inclusive,
-            prefix_value,
+            bound_value(low, row), low_inclusive,
+            bound_value(high, row), high_inclusive,
+            bound_value(prefix, row),
         )
 
     order = ",".join(

@@ -52,9 +52,18 @@ from repro.semantics.morphism import EDGE_ISOMORPHISM
 _NO_SARGABLES = {}
 
 
-def plan_query(query, graph, morphism=EDGE_ISOMORPHISM):
-    """Plan a parsed query against a graph; returns the root Operator."""
-    builder = _PlanBuilder(graph, morphism)
+def plan_query(query, graph, morphism=EDGE_ISOMORPHISM, parameters=None):
+    """Plan a parsed query against a graph; returns the root Operator.
+
+    ``parameters`` are values the planner may *peek* at: where it would
+    read a literal's value (pricing a range off the histogram, keeping a
+    bound on an index-ordered scan) it reads a named parameter's value
+    the same way, and emits the same operators with the parameter as
+    the bound.  The engine passes the literals it lifted out of the
+    statement text and nothing else (see
+    :class:`~repro.planner.cost.CostModel`).
+    """
+    builder = _PlanBuilder(graph, morphism, parameters)
     return builder.plan(query)
 
 
@@ -131,8 +140,8 @@ def footprint_counts(footprint, graph):
 
 
 class _PlanBuilder:
-    def __init__(self, graph, morphism):
-        self.cost = CostModel(graph)
+    def __init__(self, graph, morphism, peeked=None):
+        self.cost = CostModel(graph, peeked)
         self.morphism = morphism
         self._hidden_counter = 0
 
@@ -767,7 +776,8 @@ class _PlanBuilder:
         * every sort item must resolve — through the projection alias
           maps — to a property of the scan variable itself;
         * a range/STARTS WITH scan may keep its bound only when the
-          bound is a plan-time literal: a row-dependent bound can
+          bound's value is known at plan time (a literal, or a lifted
+          literal the planner may peek at): a row-dependent bound can
           degrade to an unordered label scan *inside* the operator at
           runtime, which is unsound once the Sort is gone;
         * replacing a plain label scan requires every index column to
@@ -817,7 +827,7 @@ class _PlanBuilder:
             )
         else:
             replacement = _ordered_index_replacement(
-                scan, ordered_keys, directions
+                scan, ordered_keys, directions, self.cost.plan_time_value
             )
         if replacement is None:
             return plan
@@ -933,63 +943,51 @@ def _resolve_sort_column(expression, chain):
     return None
 
 
-def _order_safe_literal(expression):
-    """The literal bound value an ordered scan may carry, or None.
+def _order_safe(value):
+    """True for a bound value an ordered scan may carry.
 
-    Only plan-time literals of orderable scalar types qualify — any
-    other bound is evaluated per row at runtime, where a null (or a
-    value outside the index's sorted segments) degrades the scan to an
-    unordered fallback, unsound once the Sort is deleted.  NaN is
-    excluded for the same reason range probes exclude it: no value
-    compares with it.
+    Orderable scalars only — a null (or a value outside the index's
+    sorted segments) degrades the scan to an unordered fallback, unsound
+    once the Sort is deleted.  NaN is excluded for the same reason range
+    probes exclude it: no value compares with it.
     """
-    import math
-
-    if not isinstance(expression, ex.Literal):
-        return None
-    value = expression.value
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and math.isnan(value):
-            return None
-        return value
-    if isinstance(value, str):
-        return value
-    return None
+    if isinstance(value, float):
+        return value == value
+    return isinstance(value, (bool, int, str))
 
 
-def _ordered_index_replacement(scan, ordered_keys, directions):
+def _ordered_index_replacement(scan, ordered_keys, directions,
+                               plan_time_value):
     """The IndexOrderedScan equivalent of an index scan, or None.
 
     The ORDER BY columns must continue the index key tuple exactly where
     the scan's consumed columns stop: an equality prefix fixes its
     columns to single values, so enumeration order over the *next*
-    columns is total order over the emitted rows.
+    columns is total order over the emitted rows.  A bound survives as
+    the expression it is — a literal, or the parameter a lifted literal
+    became — once ``plan_time_value`` shows its value is order-safe;
+    any other bound is evaluated per row at runtime and bails.
     """
     keys = scan.all_keys
+    low = high = prefix = None
+    low_inclusive = high_inclusive = True
     if isinstance(scan, lg.IndexScan):
         probes = scan.all_probes
         consumed = len(probes)
-        low_value = high_value = prefix_value = None
-        low_inclusive = high_inclusive = True
     else:
         probes = scan.prefix_probes
         consumed = len(probes)
-        low_value = high_value = prefix_value = None
         low_inclusive, high_inclusive = scan.low_inclusive, scan.high_inclusive
         if scan.prefix is not None:
-            prefix_value = _order_safe_literal(scan.prefix)
-            if not isinstance(prefix_value, str):
+            prefix = scan.prefix
+            if not isinstance(plan_time_value(prefix), str):
                 return None
         else:
-            if scan.low is not None:
-                low_value = _order_safe_literal(scan.low)
-                if low_value is None:
-                    return None
-            if scan.high is not None:
-                high_value = _order_safe_literal(scan.high)
-                if high_value is None:
+            low, high = scan.low, scan.high
+            for bound in (low, high):
+                if bound is not None and not _order_safe(
+                    plan_time_value(bound)
+                ):
                     return None
         # The bound restricts the *first ordered* column, so that very
         # column must lead the ORDER BY for the bound to survive.
@@ -1000,9 +998,9 @@ def _ordered_index_replacement(scan, ordered_keys, directions):
     return lg.IndexOrderedScan(
         scan.child, scan.variable, scan.label, keys, probes, directions,
         scan.node_pattern,
-        low_value=low_value, low_inclusive=low_inclusive,
-        high_value=high_value, high_inclusive=high_inclusive,
-        prefix_value=prefix_value,
+        low=low, low_inclusive=low_inclusive,
+        high=high, high_inclusive=high_inclusive,
+        prefix=prefix,
         fields=scan.fields, estimated_rows=scan.estimated_rows,
     )
 

@@ -180,6 +180,9 @@ def collect_plan_names(plan):
         elif isinstance(op, lg.IndexOrderedScan):
             add(op.variable)
             add_pattern_properties(op.node_pattern)
+            add_expression(op.low)
+            add_expression(op.high)
+            add_expression(op.prefix)
             for probe in op.prefix_probes:
                 add_expression(probe)
         elif isinstance(op, (lg.Expand, lg.VarLengthExpand)):

@@ -10,13 +10,22 @@ from repro.ast import clauses as cl
 from repro.ast import queries as qu
 from repro.exceptions import (
     ConstraintViolation,
+    CypherError,
+    CypherSyntaxError,
     EngineOverloadedError,
     TransactionError,
     UnsupportedFeature,
 )
 from repro.graph.catalog import GraphCatalog
 from repro.graph.store import MemoryGraph
-from repro.parser import parse_query
+from repro.parser import (
+    LIFTED_PREFIX,
+    Parser,
+    literal_value,
+    parse_query,
+    skeleton_of,
+    tokenize,
+)
 from repro.planner import (
     execute_plan,
     execute_plan_batched,
@@ -37,6 +46,15 @@ _MODES = ("auto", "interpreter", "planner", "row", "batch", "parallel")
 
 #: Modes that run (or may run) the slotted planner.
 _PLANNER_MODES = ("auto", "planner", "row", "batch", "parallel")
+
+
+def _merged(parameters, lifted):
+    """The user's parameters plus the values lifted out of the text."""
+    if not parameters:
+        return lifted
+    merged = dict(parameters)
+    merged.update(lifted)
+    return merged
 
 
 def _is_updating(query):
@@ -134,8 +152,21 @@ class CypherEngine:
         #: Bounded admission: sessions acquire a slot on first use and
         #: queue (up to ``admission_timeout``) when the engine is full.
         self._admission = threading.BoundedSemaphore(max_sessions)
-        #: Bounded LRU of compiled plans: query text -> [graph id,
-        #: version, schema epoch, plan, updating, footprint, counts].
+        #: Bounded LRU of compiled plans: key -> [graph id, version,
+        #: schema epoch, plan, updating, footprint, counts].  A key has
+        #: one of two forms, and one rule says which.  A statement none
+        #: of whose literals lift (every parameterised text; ``RETURN
+        #: 5``; anything with a backtick) is keyed by its exact **text**
+        #: and found before anything is lexed.  A statement that lifts
+        #: is keyed by its **shape**: ``(skeleton, texts of the literals
+        #: that stayed)`` — the token texts with each literal replaced
+        #: by its kind — and its plan reads the lifted values as
+        #: parameters, so every text of the shape shares the entry.
+        #: Which literals lift is the parser's decision (see
+        #: :mod:`repro.parser.parser`) and a function of the skeleton;
+        #: ``_shapes`` remembers it per skeleton under the same bound.
+        #: Both forms live under the one LRU limit and the one validity
+        #: rule that follows.
         #: The *logical* plan embeds no graph data (operators re-read
         #: the store at run time), so a cached plan is always *correct*
         #: on the graph and index set it was planned for; what can go
@@ -153,11 +184,18 @@ class CypherEngine:
         #: own writes merely move the version: the next lookup re-reads
         #: the footprint's O(1) counters and re-stamps the entry.
         self._plan_cache = OrderedDict()
+        #: skeleton -> lift mask (per literal ordinal: the parameter
+        #: name it becomes, or None), learnt from the first parse of
+        #: the shape; LRU under ``_PLAN_CACHE_LIMIT`` like the plans.
+        self._shapes = OrderedDict()
         #: Plan-cache counters (observable via plan_cache_info): a hit
-        #: skips parsing, analysis, rewriting and planning.
-        #: ``revalidated`` counts the hits that crossed a version bump;
-        #: the two ``evicted`` counters say why a known text re-planned.
+        #: skips parsing, analysis, rewriting and planning — and, when
+        #: the exact text was the key, lexing too.  ``lifted_hits``
+        #: counts the hits that arrived through a shape key;
+        #: ``revalidated`` those that crossed a version bump; the two
+        #: ``evicted`` counters say why a known key re-planned.
         self.plan_cache_hits = 0
+        self.plan_cache_lifted_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_revalidated = 0
         self.plan_cache_evicted_schema = 0
@@ -236,8 +274,22 @@ class CypherEngine:
             # pre-cancelled token refuses before any work — the strided
             # in-flight checks would let a short statement slip through.
             cancellation.poll()
+        key, lifted, tokens, query = query_text, None, None, None
         if shared and mode in _PLANNER_MODES:
             cached = self._cached_plan(query_text)
+            if cached is None:
+                # Only now is the text lexed: a miss either finds its
+                # shape's plan or parses the tokens it already has.
+                key, lifted, tokens, query = self._lift(
+                    query_text, parameters
+                )
+                if lifted is not None:
+                    cached = self._cached_plan(key)
+                    if cached is not None:
+                        self.plan_cache_lifted_hits += 1
+                        parameters = _merged(parameters, lifted)
+                if cached is None:
+                    self.plan_cache_misses += 1
             if cached is not None:
                 plan, updating = cached
                 self._check_read_only(updating, read_only)
@@ -245,7 +297,28 @@ class CypherEngine:
                     graph, plan, parameters, updating, mode, access_log,
                     cancellation,
                 )
-        query, updating = self._front_end(query_text)
+        plan = None
+        if lifted is not None:
+            # Plan the shape: literals parsed to parameters, their
+            # values in the planner's hand.  Whatever goes wrong here is
+            # reported by the literal front end below, so an error reads
+            # the same whether or not the statement would have lifted.
+            try:
+                if query is None:
+                    query = Parser(tokens, lift=True).parse_query()
+                query, updating = self._analyse(query)
+                plan = plan_query(
+                    query, planned_on, morphism=self.morphism,
+                    parameters=lifted,
+                )
+            except CypherError:
+                key, lifted, tokens, query = query_text, None, None, None
+        if lifted is None:
+            if query is None:
+                query = parse_query(
+                    query_text if tokens is None else tokens
+                )
+            query, updating = self._analyse(query)
         self._check_read_only(updating, read_only)
         if mode == "interpreter":
             if cancellation is not None:
@@ -253,30 +326,112 @@ class CypherEngine:
             return self._run_interpreted(
                 graph, query, parameters, updating, reason="mode=interpreter"
             )
-        try:
-            plan = plan_query(query, planned_on, morphism=self.morphism)
-        except UnsupportedFeature as unsupported:
-            if mode != "auto":
-                raise
-            if cancellation is not None:
-                cancellation.poll()
-            return self._run_interpreted(
-                graph, query, parameters, updating, reason=str(unsupported)
-            )
+        if plan is None:
+            try:
+                plan = plan_query(query, planned_on, morphism=self.morphism)
+            except UnsupportedFeature as unsupported:
+                if mode != "auto":
+                    raise
+                if cancellation is not None:
+                    cancellation.poll()
+                return self._run_interpreted(
+                    graph, query, parameters, updating,
+                    reason=str(unsupported),
+                )
+        else:
+            parameters = _merged(parameters, lifted)
         if shared:
-            self._remember_plan(query_text, plan, updating)
+            self._remember_plan(key, plan, updating)
         return self._execute_planned(
             graph, plan, parameters, updating, mode, access_log, cancellation,
         )
 
-    def _front_end(self, query_text):
-        """``(query, updating)``: parse → check → rewrite, as every entry does.
+    def _lift(self, query_text, parameters, remember=True):
+        """``(key, lifted, tokens, query)`` for a text the lookup missed.
 
-        The one front end :meth:`run`, :meth:`explain` and
-        :meth:`explain_info` share, so a statement analysis rejects is
+        ``lifted`` maps the reserved parameter names to the values of
+        the literals that lift, and ``key`` is then the shape key the
+        plan is cached under; ``lifted`` is None, and ``key`` the text,
+        when nothing lifts.  ``tokens`` is the text lexed — here, once —
+        or None when it is not lifted before lexing (the front end then
+        starts from the text, and reports why if it does not lex).
+        ``query`` is the statement parsed the way ``lifted`` says, when
+        learning the shape's mask took a parse; else None.
+
+        Two texts are never lifted, whatever their literals: one with a
+        backtick (a quoted identifier may spell an operator or a
+        reserved name, so its token texts do not determine its parse)
+        and one run with a user parameter that has a reserved name.
+        ``remember=False`` (``explain_info`` asking whether a run would
+        lift) leaves the shape table as it is.
+        """
+        if "`" in query_text or (parameters and any(
+            name.startswith(LIFTED_PREFIX) for name in parameters
+        )):
+            return query_text, None, None, None
+        try:
+            tokens = tokenize(query_text)
+        except CypherSyntaxError:
+            return query_text, None, None, None
+        skeleton, literals = skeleton_of(tokens)
+        if not literals:
+            return query_text, None, tokens, None
+        mask, query = self._lift_mask(skeleton, tokens, remember)
+        lifted = {}
+        kept = []
+        for token, name in zip(literals, mask):
+            if name is None:
+                kept.append(token.text)
+            else:
+                lifted[name] = literal_value(token)
+        if not lifted:
+            return query_text, None, tokens, query
+        return (skeleton, tuple(kept)), lifted, tokens, query
+
+    def _lift_mask(self, skeleton, tokens, remember):
+        """``(mask, query)``: the shape's lift mask, remembered or learnt.
+
+        Learning it is one lifting parse of ``tokens``, whose result
+        comes back as ``query`` (None when the mask was remembered).  A
+        statement that does not parse has the empty mask: it runs
+        unlifted, and the literal front end raises its syntax error.
+        """
+        shapes = self._shapes
+        mask = shapes.get(skeleton)
+        if mask is not None:
+            if remember:
+                try:
+                    shapes.move_to_end(skeleton)
+                except KeyError:
+                    pass  # another thread's insert just evicted it
+            return mask, None
+        parser = Parser(tokens, lift=True)
+        try:
+            query = parser.parse_query()
+        except CypherSyntaxError:
+            return (), None
+        mask = parser.lift_mask
+        if remember:
+            shapes[skeleton] = mask
+            while len(shapes) > self._PLAN_CACHE_LIMIT:
+                shapes.popitem(last=False)
+        return mask, query
+
+    def _front_end(self, query_text):
+        """``(query, updating)``: parse → check → rewrite, literally.
+
+        What :meth:`explain` and :meth:`explain_info` show and what
+        :meth:`run` falls back to: no literal is lifted here.
+        """
+        return self._analyse(parse_query(query_text))
+
+    def _analyse(self, query):
+        """``(query, updating)``: check → rewrite, as every entry does.
+
+        The one analysis :meth:`run`, :meth:`explain` and
+        :meth:`explain_info` share, so a statement it rejects is
         rejected identically by all three.
         """
-        query = parse_query(query_text)
         check_query(query)
         if self.rewrite:
             query = rewrite_query(query)
@@ -391,12 +546,18 @@ class CypherEngine:
         planner refused (only the Cypher 10 graph clauses remain).
         ``cache_info`` is :meth:`plan_cache_info` — hits, misses and
         why known texts re-planned — which is how "a commit costs no
-        statement its plan" is observable.  ``mode`` is the execution
+        statement its plan" is observable, plus ``lifts``: whether a
+        run of this text would be keyed by its shape, its literals
+        lifted into parameters (the plan shown is the literal one
+        either way — same operators).  ``mode`` is the execution
         strategy a run would pick — ``"batch"`` (vectorised morsels over
         slot columns) or ``"row"`` — and None on the interpreter path.
         Nothing is executed.
         """
         cache_info = self.plan_cache_info()
+        cache_info["lifts"] = (
+            self._lift(query_text, None, remember=False)[1] is not None
+        )
         try:
             plan, updating = self._plan_for_explain(query_text)
         except UnsupportedFeature as unsupported:
@@ -427,8 +588,13 @@ class CypherEngine:
 
         ``revalidated`` is the share of ``hits`` that crossed a version
         bump (footprint re-read, entry re-stamped); ``evicted_schema``
-        and ``evicted_drift`` split the ``misses`` on known texts by
+        and ``evicted_drift`` split the ``misses`` on known keys by
         cause — the rest are first sightings and LRU victims.
+        ``lifted_hits`` is the share of ``hits`` that arrived through a
+        shape key — an ad hoc text whose literals were lifted into
+        parameters — and ``shapes`` the number of skeletons whose lift
+        mask is known: on a stream of ad hoc texts, ``misses`` tracks
+        the number of shapes, not the number of texts.
         """
         hits = self.plan_cache_hits
         misses = self.plan_cache_misses
@@ -438,6 +604,8 @@ class CypherEngine:
             "misses": misses,
             "hit_rate": (hits / total) if total else None,
             "entries": len(self._plan_cache),
+            "shapes": len(self._shapes),
+            "lifted_hits": self.plan_cache_lifted_hits,
             "revalidated": self.plan_cache_revalidated,
             "evicted_schema": self.plan_cache_evicted_schema,
             "evicted_drift": self.plan_cache_evicted_drift,
@@ -632,53 +800,53 @@ class CypherEngine:
 
     _PLAN_CACHE_LIMIT = 256
 
-    def _cached_plan(self, query_text):
-        """``(plan, updating)`` for this exact text, or None.
+    def _cached_plan(self, key):
+        """``(plan, updating)`` cached under ``key``, or None.
 
-        A hit skips parsing, semantic checks, rewriting and planning
-        (update plans carry their ``updating`` flag so the schema
-        snapshot still happens).  While the store's version stands
+        ``key`` is an exact text or a shape key (see ``_plan_cache``);
+        the caller counts the statement's one miss.  A hit skips
+        parsing, semantic checks, rewriting and planning (update plans
+        carry their ``updating`` flag so the schema snapshot still
+        happens).  While the store's version stands
         still that is a dict lookup and one comparison.  When it moved
         — a foreign commit, the statement's own, index DDL, a restore —
         the entry is revalidated by the rule stated on ``_plan_cache``:
         evict on a schema-epoch mismatch or a >2x drift of a footprint
         counter, otherwise re-stamp to the current version and hit.
         """
-        entry = self._plan_cache.get(query_text)
+        entry = self._plan_cache.get(key)
         if entry is None:
-            self.plan_cache_misses += 1
             return None
         graph_key, version, epoch, plan, updating, footprint, planned = entry
         graph = self.graph
         if graph_key != id(graph):
-            return self._evict(query_text)
+            return self._evict(key)
         current = graph.version
         if version != current:
             if epoch != graph.schema_version:
                 self.plan_cache_evicted_schema += 1
-                return self._evict(query_text)
+                return self._evict(key)
             for then, now in zip(planned, footprint_counts(footprint, graph)):
                 if now > 2 * then or 2 * now < then:
                     self.plan_cache_evicted_drift += 1
-                    return self._evict(query_text)
+                    return self._evict(key)
             entry[1] = current
             self.plan_cache_revalidated += 1
-        self._plan_cache.move_to_end(query_text)
+        self._plan_cache.move_to_end(key)
         self.plan_cache_hits += 1
         return plan, updating
 
-    def _evict(self, query_text):
-        del self._plan_cache[query_text]
-        self.plan_cache_misses += 1
+    def _evict(self, key):
+        del self._plan_cache[key]
         return None
 
-    def _remember_plan(self, query_text, plan, updating):
+    def _remember_plan(self, key, plan, updating):
         graph = self.graph
         version = getattr(graph, "version", None)
         if version is None:
             return  # no mutation counter: cannot tell when to invalidate
         footprint = plan_statistics_footprint(plan)
-        self._plan_cache[query_text] = [
+        self._plan_cache[key] = [
             id(graph),
             version,
             graph.schema_version,
@@ -687,6 +855,6 @@ class CypherEngine:
             footprint,
             footprint_counts(footprint, graph),
         ]
-        self._plan_cache.move_to_end(query_text)
+        self._plan_cache.move_to_end(key)
         while len(self._plan_cache) > self._PLAN_CACHE_LIMIT:
             self._plan_cache.popitem(last=False)

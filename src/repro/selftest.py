@@ -21,6 +21,10 @@ harnesses, runnable without pytest or the tests/ tree:
 * a **plan-cache smoke set** — the same parameterised write and read
   around a commit (must be cache hits) and around ``create_index`` (must
   be misses, and the re-planned read must enter through the new index);
+* an **auto-parameterisation smoke set** — fifty ad hoc texts of one
+  shape must cost one plan (one miss, forty-nine hits through the shape
+  key), answer like the interpreter, and see a write that lands between
+  two of them;
 * a **crash-recovery smoke set** — a transactional session driven into
   injected faults at a first, interior and commit-flush mutation site;
   each crash must leave store and index equal to an untouched clone and
@@ -317,6 +321,48 @@ def _check_plan_cache_smoke(failures):
         )
     if result.value("c") != 1:
         failures.append("plan cache smoke: the re-planned read is wrong")
+
+
+#: The auto-parameterisation smoke: one shape, the literal varied.
+LIFT_SMOKE_READ = "MATCH (a:A) WHERE a.v >= %d RETURN count(*) AS c"
+LIFT_SMOKE_WRITE = "CREATE (:A {v: 1000, name: 'lifted'})"
+LIFT_SMOKE_TEXTS = 50
+
+
+def _check_lift_smoke(failures):
+    """Fifty ad hoc texts of one shape: one plan, the right answers.
+
+    The texts differ in a literal only, so the first plans the shape and
+    every later one must arrive through the shape key; each answer is
+    compared with the interpreter's, and a write between two of the
+    texts must be visible to the next (the plan is shared, the data is
+    not).
+    """
+    engine = CypherEngine(fixture_graph())
+    oracle = CypherEngine(engine.graph, mode="interpreter")
+    before = engine.plan_cache_info()
+    for value in range(LIFT_SMOKE_TEXTS):
+        text = LIFT_SMOKE_READ % value
+        if engine.run(text).value("c") != oracle.run(text).value("c"):
+            failures.append("lift smoke: wrong answer for %s" % text)
+    after = engine.plan_cache_info()
+    if (
+        after["misses"] - before["misses"],
+        after["lifted_hits"] - before["lifted_hits"],
+    ) != (1, LIFT_SMOKE_TEXTS - 1):
+        failures.append(
+            "lift smoke: %d texts of one shape cost %d misses, %d shape hits"
+            % (
+                LIFT_SMOKE_TEXTS,
+                after["misses"] - before["misses"],
+                after["lifted_hits"] - before["lifted_hits"],
+            )
+        )
+    probe = LIFT_SMOKE_READ % 999
+    seen = engine.run(probe).value("c")
+    engine.run(LIFT_SMOKE_WRITE)
+    if engine.run(LIFT_SMOKE_READ % 998).value("c") != seen + 1:
+        failures.append("lift smoke: a shape hit missed a committed write")
 
 
 #: The prepared-pipeline smoke: one parameterised read per engine, run,
@@ -801,6 +847,11 @@ def run_selftest(output=print):
     output(
         "plan cache:           hits across a commit, re-plan through a "
         "new index"
+    )
+    _check_lift_smoke(failures)
+    output(
+        "auto-parameterise:    %d ad hoc texts of one shape, 1 plan, "
+        "interpreter-checked, write seen" % LIFT_SMOKE_TEXTS
     )
     _check_pipeline_smoke(failures)
     output(

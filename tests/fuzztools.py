@@ -41,8 +41,16 @@ The module exposes:
   shared update strategies, :func:`apply_script` replays one through a
   session, and :func:`committed_statements` flattens it to the
   auto-commit baseline its final store must equal.
+* the corpus as a list (PR 16): :func:`sample_corpus` draws a fixed
+  number of texts from each strategy of a registry, deterministically,
+  and :func:`literal_sibling` rewrites a text into another of the same
+  shape — what the golden lexer file and the auto-parameterisation
+  tests sweep.
 """
 
+import re
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
@@ -848,3 +856,35 @@ UPDATE_STRATEGIES = {
     "delete": delete_queries,
     "merge": merge_queries,
 }
+
+
+def sample_corpus(strategies, per_strategy):
+    """``per_strategy`` texts from each strategy, the same on every run."""
+    texts = []
+    for name in sorted(strategies):
+        @settings(
+            max_examples=per_strategy, derandomize=True, database=None,
+            deadline=None, suppress_health_check=list(HealthCheck),
+        )
+        @given(strategies[name]())
+        def collect(text):
+            texts.append(text)
+
+        collect()
+    return list(dict.fromkeys(texts))
+
+
+_SIBLING_INTEGER = re.compile(r"(?<=[=<>:] )\d+\b")
+
+
+def literal_sibling(text):
+    """``text`` with every compared or mapped integer one larger.
+
+    Integers after ``= < > :`` move (comparison operands and property
+    map values: what auto-parameterisation may lift, and a few it may
+    not); list elements, ``LIMIT`` and hop bounds stay, so the sibling
+    is a valid query of the same shape.
+    """
+    return _SIBLING_INTEGER.sub(
+        lambda match: str(int(match.group()) + 1), text
+    )

@@ -22,6 +22,7 @@ the take.
 
 import gc
 import os
+import re
 import sys
 import threading
 import types
@@ -35,6 +36,7 @@ from repro.exceptions import (
     CypherTypeError,
     ParameterNotBound,
     QueryCancelled,
+    TransactionError,
 )
 from repro.functions import default_registry
 from repro.graph.snapshot import SnapshotGraph
@@ -47,7 +49,7 @@ from repro.planner.planning import (
     plan_query,
     plan_statistics_footprint,
 )
-from repro.parser import parse_query
+from repro.parser import Parser, parse_query, tokenize
 from repro.runtime.cancel import CancelToken
 from repro.selftest import _plan_enters_index, graph_state
 from repro.semantics.table import Table
@@ -61,7 +63,9 @@ sys.path.insert(
     ),
 )
 
-from workloads import UpdateStream  # noqa: E402 — needs benchmarks/e2e
+import fuzztools  # noqa: E402
+import workloads  # noqa: E402 — needs benchmarks/e2e
+from workloads import UpdateStream  # noqa: E402
 from world import build_world  # noqa: E402
 
 READ = "MATCH (a:A)-[:R]->(b:B) WHERE a.v = $v RETURN count(*) AS c"
@@ -839,8 +843,8 @@ class TestObservability:
         engine.run(READ, {"v": 1})       # schema eviction
         info = engine.plan_cache_info()
         assert set(info) == {
-            "hits", "misses", "hit_rate", "entries",
-            "revalidated", "evicted_schema", "evicted_drift",
+            "hits", "misses", "hit_rate", "entries", "shapes",
+            "lifted_hits", "revalidated", "evicted_schema", "evicted_drift",
         }
         pipelines = engine.pipeline_info()
         assert pipelines == PIPELINE_STATS and pipelines is not PIPELINE_STATS
@@ -848,7 +852,7 @@ class TestObservability:
         assert info["revalidated"] == 1
         assert info["evicted_schema"] == 1
         assert info["evicted_drift"] == 0
-        assert engine.explain_info(READ)[3] == info
+        assert engine.explain_info(READ)[3] == dict(info, lifts=False)
         line = _cache_line(info, pipelines)
         assert "1 revalidated" in line
         assert "evicted: 1 schema, 0 drift" in line
@@ -903,3 +907,525 @@ class TestExplainMirrorsRun:
         engine = seeded_engine()
         assert "NodeByLabelScan" in engine.explain(READ)
         assert engine.explain_info(UPDATE)[0] == "planner"
+
+
+# ---------------------------------------------------------------------------
+# Shape keys: ad hoc text takes the parameterised path
+# ---------------------------------------------------------------------------
+#
+# A statement whose literals lift is cached under its shape — the token
+# texts with every literal replaced by its kind, plus the texts of the
+# literals that stayed — and runs with the lifted values bound as
+# parameters.  None of that may be visible except in the counters.
+
+def _operators(plan_text):
+    """The operator tree of a ``describe()`` text: names and nesting."""
+    return [
+        re.match(r"( *)(\w+)", line).groups()
+        for line in plan_text.splitlines()
+    ]
+
+
+def _entries(engine):
+    return engine.plan_cache_info()["entries"]
+
+
+def _benchmark_texts(world):
+    """The fourteen ``benchmarks/e2e`` template texts, parameters inlined."""
+    rng = workloads.seeded(7, "test", "templates")
+    texts = []
+    for template in workloads.INTERACTIVE + workloads.ANALYTIC:
+        forms = [(template.text, template.draw)]
+        if template.adhoc is not None:
+            forms.append(template.adhoc)
+        for text, draw in forms:
+            texts.append(workloads.inline(text, draw(rng, world.handles)))
+    assert len(texts) == 14
+    return texts
+
+
+@pytest.fixture(scope="module")
+def social():
+    return build_world(1.0, 7)
+
+
+class TestLiftedPlanIsTheLiteralPlan:
+    """The invariant: same operator tree, a bound rendered differently."""
+
+    @pytest.mark.parametrize("graph", [
+        fuzztools.INDEXED_GRAPH, fuzztools.COMPOSITE_INDEXED_GRAPH,
+    ], ids=["indexed", "composite"])
+    def test_corpus_plans_equal_explain(self, graph):
+        strategies = dict(fuzztools.READ_STRATEGIES)
+        strategies.update(fuzztools.UPDATE_STRATEGIES)
+        texts = fuzztools.sample_corpus(strategies, 25)
+        texts += [fuzztools.literal_sibling(text) for text in texts]
+        lifted = 0
+        for text in dict.fromkeys(texts):
+            engine = CypherEngine(graph.copy())
+            result = engine.run(text)
+            lifted += engine.explain_info(text)[3]["lifts"]
+            (entry,) = engine._plan_cache.values()
+            assert entry[3] is result.plan
+            assert _operators(result.plan.describe()) == _operators(
+                engine.explain(text)
+            ), text
+        assert lifted > 50
+
+    def test_benchmark_templates_plan_alike(self, social):
+        unlifted = []
+        for text in _benchmark_texts(social):
+            engine = CypherEngine(social.graph)
+            plan = engine.run(text).plan
+            assert _operators(plan.describe()) == _operators(
+                engine.explain(text)
+            ), text
+            if not engine.explain_info(text)[3]["lifts"]:
+                unlifted.append(text)
+        # The parameterised latest_posts varies LIMIT, which stays.
+        assert len(unlifted) == 1 and "LIMIT" in unlifted[0]
+
+    def test_latest_posts_keeps_its_ordered_scan(self, social):
+        engine = CypherEngine(social.graph)
+        template = workloads.INTERACTIVE[5]
+        assert template.name == "latest_posts"
+        text, draw = template.adhoc
+        rng = workloads.seeded(7, "test", "latest")
+        seen = set()
+        while len(seen) < 100:
+            query = workloads.inline(text, draw(rng, social.handles))
+            if query in seen:
+                continue
+            seen.add(query)
+            result = engine.run(query, profile=True)
+            assert "IndexOrderedScan" in result.plan.describe()
+            assert "Top" not in result.plan.describe()
+            (path,) = result.access_paths
+            assert path["actual_rows"] <= 16
+            oracle = engine.run(query, mode="interpreter")
+            assert result.values("created") == oracle.values("created")
+        info = engine.plan_cache_info()
+        assert (info["misses"], info["lifted_hits"]) == (1, 99)
+
+    def test_posts_in_window_is_priced_by_the_histogram(self, social):
+        template = workloads.INTERACTIVE[6]
+        assert template.name == "posts_in_window"
+        rng = workloads.seeded(7, "test", "window")
+        for _sample in range(5):
+            engine = CypherEngine(social.graph)
+            query = workloads.inline(
+                template.text, template.draw(rng, social.handles)
+            )
+            (path,) = engine.run(query, profile=True).access_paths
+            assert path["operator"] == "IndexRangeScan"
+            estimated = path["estimated_rows"] + 1
+            actual = path["actual_rows"] + 1
+            assert actual / 2 <= estimated <= actual * 2, (query, path)
+            # The parameterised form still gets the flat constant: user
+            # parameters are never peeked at.
+            lo, hi = re.findall(r"\d{6,}", query)
+            (flat,) = engine.run(
+                template.text, {"lo": int(lo), "hi": int(hi)}, profile=True
+            ).access_paths
+            assert flat["estimated_rows"] > 10 * estimated
+
+
+class TestLiftPolicy:
+    """What never lifts, by cache-entry count and by result."""
+
+    @staticmethod
+    def engine():
+        engine = CypherEngine(MemoryGraph())
+        engine.run(
+            "UNWIND range(1, 6) AS i "
+            "CREATE (:N {x: i, k: i % 2})-[:R]->(:N {x: i + 10, k: 2})"
+        )
+        assert _entries(engine) == 1
+        return engine
+
+    def both(self, first, second, entries, parameters=None):
+        """Run two texts: entries they add, and their results."""
+        engine = self.engine()
+        oracle = CypherEngine(engine.graph, mode="interpreter")
+        results = []
+        for text in (first, second):
+            result = engine.run(text, parameters)
+            assert result.table.same_bag(oracle.run(text, parameters).table)
+            results.append(result)
+        assert _entries(engine) - 1 == entries, engine._plan_cache.keys()
+        return results
+
+    def test_a_where_comparison_shares_one_entry(self):
+        one, two = self.both(
+            "MATCH (n:N) WHERE n.x = 1 RETURN n.x AS x",
+            "MATCH (n:N) WHERE n.x = 12 RETURN n.x AS x", entries=1,
+        )
+        assert (one.values("x"), two.values("x")) == ([1], [12])
+        assert one.plan is two.plan
+
+    def test_a_pattern_map_value_shares_one_entry(self):
+        one, two = self.both(
+            "MATCH (n:N {x: 3})-[r:R]->(m {k: 2}) RETURN m.x AS x",
+            "MATCH (n:N {x: 4})-[r:R]->(m {k: 2}) RETURN m.x AS x",
+            entries=1,
+        )
+        assert (one.values("x"), two.values("x")) == ([13], [14])
+
+    def test_projection_literals_stay(self):
+        one, two = self.both("RETURN 5", "RETURN 6", entries=2)
+        assert (one.table.fields, two.table.fields) == (("5",), ("6",))
+        one, two = self.both(
+            "MATCH (n:N) RETURN n.x = 5", "MATCH (n:N) RETURN n.x = 6",
+            entries=2,
+        )
+        assert one.table.fields == ("n.x = 5",)
+        assert two.table.fields == ("n.x = 6",)
+
+    def test_limit_and_skip_stay(self):
+        one, two = self.both(
+            "MATCH (n:N) RETURN n.x AS x ORDER BY x LIMIT 3",
+            "MATCH (n:N) RETURN n.x AS x ORDER BY x LIMIT 4", entries=2,
+        )
+        assert (len(one), len(two)) == (3, 4)
+        one, two = self.both(
+            "MATCH (n:N) RETURN n.x AS x ORDER BY x SKIP 10",
+            "MATCH (n:N) RETURN n.x AS x ORDER BY x SKIP 11", entries=2,
+        )
+        assert (len(one), len(two)) == (2, 1)
+
+    def test_hop_bounds_stay(self):
+        one, two = self.both(
+            "MATCH (n:N {k: 1})-[*1..1]->(m) RETURN count(*) AS c",
+            "MATCH (n:N {k: 1})-[*0..1]->(m) RETURN count(*) AS c",
+            entries=2,
+        )
+        assert (one.value(), two.value()) == (3, 6)
+
+    def test_in_lists_stay(self):
+        one, two = self.both(
+            "MATCH (n:N) WHERE n.x IN [1, 2] RETURN count(*) AS c",
+            "MATCH (n:N) WHERE n.x IN [1, 30] RETURN count(*) AS c",
+            entries=2,
+        )
+        assert (one.value(), two.value()) == (2, 1)
+
+    def test_set_values_stay(self):
+        engine = self.engine()
+        engine.run("MATCH (n:N) WHERE n.x = 1 SET n.y = 1")
+        engine.run("MATCH (n:N) WHERE n.x = 2 SET n.y = 2")  # shape hit
+        engine.run("MATCH (n:N) WHERE n.x = 3 SET n.y = 1")  # shape hit
+        assert _entries(engine) - 1 == 2
+        assert engine.plan_cache_info()["lifted_hits"] == 1
+        assert engine.run(
+            "MATCH (n:N) WHERE n.y IS NOT NULL RETURN n.x AS x, n.y AS y "
+            "ORDER BY x"
+        ).records == [
+            {"x": 1, "y": 1}, {"x": 2, "y": 2}, {"x": 3, "y": 1},
+        ]
+
+    def test_create_and_merge_patterns_stay(self):
+        engine = self.engine()
+        for v in (1, 2):
+            engine.run("CREATE (:C {v: %d})" % v)
+            engine.run("MERGE (:M {v: %d})" % v)
+        assert _entries(engine) - 1 == 4
+        assert engine.plan_cache_info()["lifted_hits"] == 0
+        assert "MERGE (:M {v: 2})" in engine._plan_cache
+
+    def test_map_expressions_stay(self):
+        one, two = self.both(
+            "MATCH (n:N) WHERE n.x = {k: 1}.k RETURN n.x AS x",
+            "MATCH (n:N) WHERE n.x = {k: 2}.k RETURN n.x AS x", entries=2,
+        )
+        assert (one.values("x"), two.values("x")) == ([1], [2])
+
+    def test_a_backtracked_parse_forgets_what_it_lifted(self):
+        # ``({k: 1}…`` is first tried as a node pattern, whose map value
+        # lifts, then re-parsed as a parenthesised map expression.
+        one, two = self.both(
+            "MATCH (n:N) WHERE ({k: 1}.k = n.x) RETURN n.x AS x",
+            "MATCH (n:N) WHERE ({k: 2}.k = n.x) RETURN n.x AS x", entries=2,
+        )
+        assert (one.values("x"), two.values("x")) == ([1], [2])
+        parser = Parser(
+            tokenize("MATCH (n) WHERE ({k: 1}.k = n.x) AND (n.x = 4) "
+                     "AND exists((n {k: 2})) RETURN n"),
+            lift=True,
+        )
+        parser.parse_query()
+        assert parser.lift_mask == (None, "#1", "#2")
+
+    def test_signed_and_computed_operands_never_share_a_folded_value(self):
+        one, two = self.both(
+            "MATCH (n:N) WHERE n.x > -5 RETURN count(*) AS c",
+            "MATCH (n:N) WHERE n.x > -50 RETURN count(*) AS c", entries=2,
+        )
+        assert (one.value(), two.value()) == (12, 12)
+        one, two = self.both(
+            "MATCH (n:N) WHERE n.x = 1 + 2 RETURN n.x AS x",
+            "MATCH (n:N) WHERE n.x = 1 + 3 RETURN n.x AS x", entries=2,
+        )
+        assert (one.values("x"), two.values("x")) == ([3], [4])
+
+    def test_constant_comparisons_still_fold(self):
+        engine = self.engine()
+        text = "MATCH (n:N) WHERE 1 = 1 AND n.k = 0 RETURN count(*) AS c"
+        assert "1 = 1" not in engine.run(text).plan.describe()
+        assert engine.run(text.replace("1 = 1", "1 = 2")).value() == 0
+        assert _entries(engine) - 1 == 2
+
+    def test_kind_is_part_of_the_shape(self):
+        engine = CypherEngine(MemoryGraph())
+        engine.run("UNWIND [1, 1.0, '1', 2, 'x', null, true] AS v "
+                   "CREATE (:T {x: v})")
+        oracle = CypherEngine(engine.graph, mode="interpreter")
+        counts = []
+        for literal in ("1", "1.0", "'1'", "2", "2.0", "'x'"):
+            for operator in ("=", "<", ">="):
+                text = "MATCH (t:T) WHERE t.x %s %s RETURN count(*) AS c" % (
+                    operator, literal,
+                )
+                got = engine.run(text).value()
+                assert got == oracle.run(text).value(), text
+                counts.append(got)
+        # Three operators x three kinds; values never add an entry.
+        assert _entries(engine) - 1 == 9
+        assert engine.plan_cache_info()["lifted_hits"] == 9
+        assert counts[0] == 2 and counts[6] == 1  # = 1, = '1'
+
+    def test_a_reserved_user_parameter_name_runs_unlifted(self):
+        engine = self.engine()
+        text = "MATCH (n:N) WHERE n.x = 1 OR n.x = $`#0` RETURN count(*) AS c"
+        assert engine.run(text, {"#0": 2}).value() == 2
+        plain = "MATCH (n:N) WHERE n.x = 1 RETURN n.x + $p AS v"
+        assert engine.run(plain, {"p": 1, "#0": 7}).value() == 2
+        assert engine.plan_cache_info()["lifted_hits"] == 0
+        assert plain in engine._plan_cache
+        assert engine.run(plain, {"p": 1}).value() == 2    # that text: a hit
+        for value in (2, 3):                               # its shape
+            text = plain.replace("= 1", "= %d" % value)
+            assert engine.run(text, {"p": 1}).value() == value + 1
+        assert engine.plan_cache_info()["lifted_hits"] == 1
+
+    def test_backticked_text_is_keyed_by_text(self):
+        engine = self.engine()
+        text = "MATCH (`n`:N) WHERE `n`.x = 1 RETURN count(*) AS c"
+        assert engine.run(text).value() == 1
+        assert text in engine._plan_cache
+        assert not engine.explain_info(text)[3]["lifts"]
+
+    @pytest.mark.parametrize("text", [
+        "MATCH (n:N) WHERE n.x = 1 RETURN m",
+        "MATCH (n:N) WHERE n.x = 1 RETURN count(count(n)) AS c",
+        "MATCH (n:N) WHERE count(n) > 1 RETURN n",
+        "MATCH (n:N) WHERE n.x = 1 RETURN n.x AS a, n.k AS a",
+        "MATCH (n:N {x: 1}) DELETE m",
+        "MATCH (n:N) WHERE n.x = 1 RETURN n UNION MATCH (n:N) RETURN n.x",
+        "MATCH (n:N) WHERE n.x = 1 RETURN",
+        "FROM GRAPH g MATCH (n:N) WHERE n.x = 1 RETURN GRAPH h",
+    ])
+    def test_errors_read_the_same_lifted_or_not(self, text):
+        engine = self.engine()
+        raised = []
+        for entry in (engine.run, engine.explain):
+            with pytest.raises(CypherError) as caught:
+                entry(text) if entry == engine.explain else entry(
+                    text, mode="planner"
+                )
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+        assert "#" not in raised[0][1]
+        assert _entries(engine) == 1
+
+    def test_runtime_errors_keep_their_class(self):
+        engine = self.engine()
+        engine.run("CREATE (:N {x: 'text', k: 9})")
+        oracle = CypherEngine(engine.graph, mode="interpreter")
+        for text in (
+            "MATCH (n:N) WHERE n.k = 9 RETURN n.x + 1 AS v",
+            "MATCH (n:N) WHERE n.k = 9 RETURN n.x / 0 AS v",
+            "MATCH (n:N) WHERE n.x = 1 RETURN 1 / 0 AS v",
+            "MATCH (n:N) WHERE n.x / 0 = 1 RETURN n",
+        ):
+            outcomes = []
+            for run in (engine.run, engine.run, oracle.run):
+                try:
+                    outcomes.append(run(text).records)
+                except CypherError as error:
+                    outcomes.append((type(error), str(error)))
+            assert outcomes[0] == outcomes[1] == outcomes[2], text
+
+
+class TestShapeCacheBounds:
+    def test_many_literals_of_one_shape_occupy_one_entry(self):
+        engine = TestLiftPolicy.engine()
+        for value in range(300):
+            got = engine.run(
+                "MATCH (n:N) WHERE n.x = %d RETURN count(*) AS c" % value
+            ).value()
+            assert got == (1 if 1 <= value <= 6 or 11 <= value <= 16 else 0)
+        info = engine.plan_cache_info()
+        assert (info["entries"], info["shapes"]) == (2, 2)
+        assert (info["misses"], info["lifted_hits"]) == (2, 299)
+
+    def test_many_shapes_obey_the_one_limit(self):
+        engine = TestLiftPolicy.engine()
+        limit = engine._PLAN_CACHE_LIMIT
+        for index in range(limit + 44):
+            text = "MATCH (n:N) WHERE n.x = 1 RETURN n.x AS x, %d AS y" % index
+            assert engine.run(text).records == [{"x": 1, "y": index}]
+        assert len(engine._plan_cache) == limit
+        assert all(
+            isinstance(key, tuple) for key in list(engine._plan_cache)[1:]
+        )
+        # One skeleton serves them all: the projected literal is a kept
+        # literal, part of the key but not of the skeleton.
+        assert engine.plan_cache_info()["shapes"] == 2
+        for index in range(limit + 44):
+            engine.run(
+                "MATCH (n:N) WHERE n.x = 1 RETURN n.x AS c%d" % index
+            )
+        assert len(engine._plan_cache) == limit
+        assert len(engine._shapes) == limit
+
+    def test_a_miss_is_counted_once_per_statement(self):
+        engine = TestLiftPolicy.engine()
+        before = engine.plan_cache_info()
+        engine.run("MATCH (n:N) WHERE n.x = 1 RETURN n")      # shape miss
+        engine.run("MATCH (n:N) WHERE n.x = 2 RETURN n")      # shape hit
+        engine.run("MATCH (n:N) RETURN count(*) AS c")        # text miss
+        engine.run("MATCH (n:N) RETURN count(*) AS c")        # text hit
+        with pytest.raises(CypherError):
+            engine.run("MATCH (n:N) WHERE n.x = 1 RETURN")    # no plan
+        with pytest.raises(CypherError):
+            engine.run("MATCH (n:N) WHERE n.x = '1 RETURN n")  # no tokens
+        after = engine.plan_cache_info()
+        assert after["misses"] - before["misses"] == 4
+        assert after["hits"] - before["hits"] == 2
+        assert after["lifted_hits"] - before["lifted_hits"] == 1
+        engine.create_index("N", "x")
+        engine.run("MATCH (n:N) WHERE n.x = 3 RETURN n")      # evicted
+        final = engine.plan_cache_info()
+        assert final["misses"] - after["misses"] == 1
+        assert final["evicted_schema"] - after["evicted_schema"] == 1
+        assert "IndexScan" in engine.run(
+            "MATCH (n:N) WHERE n.x = 4 RETURN n"
+        ).plan.describe()
+
+    def test_observability_reaches_the_cli(self, capsys):
+        import io
+
+        from repro.cli import Shell, main
+
+        engine = TestLiftPolicy.engine()
+        out = io.StringIO()
+        shell = Shell(engine, output=out)
+        shell.handle("MATCH (n:N) WHERE n.x = 1 RETURN n.k AS k")
+        shell.handle("MATCH (n:N) WHERE n.x = 2 RETURN n.k AS k")
+        shell.handle(":schema")
+        assert "1 via shape, 2 shape(s) known" in out.getvalue()
+        shell.handle(":explain MATCH (n:N) WHERE n.x = 3 RETURN n.k AS k")
+        shown = out.getvalue()
+        assert "auto-parameterised: yes" in shown
+        assert "Filter(n.x = 3)" in shown       # the user's literal
+        shell.handle(":explain MATCH (n:N) RETURN n.x = 3")
+        assert "auto-parameterised: no" in out.getvalue()
+        assert main(["explain", "MATCH (n) WHERE n.v = 1 RETURN n"]) == 0
+        printed = capsys.readouterr().out
+        assert "auto-parameterised: yes" in printed
+        assert "0 via shape, 0 shape(s) known" in printed
+
+
+class TestShapeKeysEverywhere:
+    def test_threads_get_their_own_rows(self):
+        engine = CypherEngine(MemoryGraph())
+        engine.run("UNWIND range(0, 1599) AS i CREATE (:P {id: i, d: i * 2})")
+        engine.create_index("P", "id")
+        failures = []
+
+        def work(thread):
+            for step in range(200):
+                value = thread * 200 + step
+                if step % 2:
+                    text = "MATCH (p:P {id: %d}) RETURN p.d AS d" % value
+                    want = [{"d": value * 2}]
+                else:
+                    text = (
+                        "MATCH (p:P) WHERE p.id >= %d AND p.id < %d "
+                        "RETURN count(p) AS c, min(p.id) AS low"
+                        % (value, value + 3)
+                    )
+                    want = [{"c": min(3, 1600 - value), "low": value}]
+                got = engine.run(text).records
+                if got != want:
+                    failures.append((text, got))
+
+        threads = [
+            threading.Thread(target=work, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        info = engine.plan_cache_info()
+        assert info["entries"] == info["shapes"] == 3  # CREATE + the two
+
+    def test_sessions_hit_the_shape_entry_inside_a_transaction(self):
+        engine = TestLiftPolicy.engine()
+        read = "MATCH (n:N) WHERE n.x = %d RETURN count(*) AS c"
+        assert engine.run(read % 40).value() == 0
+        with engine.session() as session:
+            session.begin()
+            session.run("CREATE (:N {x: 40, k: 0})")
+            assert session.run(read % 40).value() == 1   # own write, hit
+            assert session.run(read % 41).value() == 0
+            session.rollback()
+            session.begin()
+            session.run("MATCH (n:N) WHERE n.x = 1 SET n.x = 41")
+            session.run("MATCH (n:N) WHERE n.x = 2 SET n.x = 41")
+            assert session.run(read % 41).value() == 2
+            session.commit()
+        assert engine.run(read % 40).value() == 0
+        assert engine.run(read % 41).value() == 2
+        info = engine.plan_cache_info()
+        assert info["lifted_hits"] == 6
+        assert info["entries"] == 4
+
+    def test_snapshots_share_the_shape_entry_clean_and_dirty(self):
+        engine = TestLiftPolicy.engine()
+        engine.create_index("N", "x")
+        read = "MATCH (n:N) WHERE n.x >= %d RETURN count(*) AS c"
+        assert engine.run(read % 11).value() == 6
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            assert snapshot.run(read % 12).value() == 5          # clean
+            engine.run("MATCH (n:N) WHERE n.x = 16 SET n.x = 0")
+            engine.run("CREATE (:N {x: 99, k: 0})")
+            result = snapshot.run(read % 13, profile=True)       # dirty
+            assert result.value() == 4
+            assert result.access_paths[0]["entry"].startswith("index")
+            assert engine.run(read % 13).value() == 4            # 14, 15, 99
+            assert snapshot.run(read % 16).value() == 1
+            # Refused before planning (nothing cached), then refused off
+            # the shape entry an allowed run left behind.
+            write = "MATCH (n:N) WHERE n.x = %d SET n.k = 5"
+            with pytest.raises(TransactionError):
+                snapshot.run(write % 1)
+            engine.run(write % 50)
+            hits = engine.plan_cache_info()["lifted_hits"]
+            with pytest.raises(TransactionError):
+                snapshot.run(write % 2)
+            with pytest.raises(TransactionError):
+                engine.run(write % 3, read_only=True)
+            assert engine.plan_cache_info()["lifted_hits"] == hits + 2
+        assert engine.run(
+            "MATCH (n:N) WHERE n.k = 5 RETURN count(*) AS c"
+        ).value() == 0
+        assert engine.snapshot_info()["dirty_reads"] >= 2
