@@ -93,6 +93,20 @@ def _median_time(callable_, repeats=9):
     return times[repeats // 2]
 
 
+def _interleaved_min(calls, rounds=15, inner=5):
+    """``{name: min seconds per call}`` over interleaved sample rounds."""
+    for call in calls.values():
+        call()
+    samples = {name: [] for name in calls}
+    for _ in range(rounds):
+        for name, call in calls.items():
+            started = time.perf_counter()
+            for _ in range(inner):
+                call()
+            samples[name].append((time.perf_counter() - started) / inner)
+    return {name: min(times) for name, times in samples.items()}
+
+
 def test_p7_no_workload_leaves_batch_mode():
     """Every workload is a claimed plan and must actually run batched."""
     engine = CypherEngine(build_graph())
@@ -183,14 +197,8 @@ def test_p7_parked_pipeline_against_the_setup_floor(
         )
 
     assert warm().rows == fresh().rows == [{"b": 1234 % 16}]
-    samples = {warm: [], fresh: []}
-    for _ in range(15):
-        for call, times in samples.items():
-            started = time.perf_counter()
-            for _ in range(50):
-                call()
-            times.append((time.perf_counter() - started) / 50)
-    warm_seconds, fresh_seconds = min(samples[warm]), min(samples[fresh])
+    best = _interleaved_min({"warm": warm, "fresh": fresh}, inner=50)
+    warm_seconds, fresh_seconds = best["warm"], best["fresh"]
     table_report(
         "P7 — indexed point read, parked pipeline vs compile per run",
         ["execution", "min of 15 x 50 runs"],
@@ -208,6 +216,75 @@ def test_p7_parked_pipeline_against_the_setup_floor(
         "setup_floor_us": round((fresh_seconds - warm_seconds) * 1e6, 1),
     })
     assert warm_seconds < fresh_seconds
+
+
+def test_p7_no_python_call_per_value(table_report, pipeline_record):
+    """Three cheap pins on the column kernels' preconditions.
+
+    Ids hash and compare in C (a Python ``__hash__`` on the id classes
+    made an id-keyed lookup 3.7x an int-keyed one); ``count(n)`` is a
+    null tally over the column, so it costs what ``count(*)`` costs; a
+    grouped count under a top-k is a ``Counter`` plus one sort.
+    """
+    from repro.values.base import NodeId
+
+    ids = [NodeId(value) for value in range(8000)]
+    by_id = dict.fromkeys(ids, 1)
+    by_int = dict.fromkeys(range(8000), 1)
+    probes = [NodeId(value) for value in range(8000)]  # equal, not identical
+    lookups = _interleaved_min({
+        "id": lambda: list(map(by_id.__getitem__, probes)),
+        "int": lambda: list(map(by_int.__getitem__, range(8000))),
+    }, inner=20)
+
+    graph = MemoryGraph()
+    for index in range(5000):
+        graph.create_node(("Item",), {"v": index, "g": (index * 7) % 577})
+    engine = CypherEngine(graph)
+    grouped = (
+        "MATCH (n:Item) RETURN n.g AS g, count(n.v) AS c "
+        "ORDER BY c DESC, g LIMIT 10"
+    )
+    assert engine.run(grouped, mode="batch").records == engine.run(
+        grouped, mode="interpreter"
+    ).records
+    # A filtered scan, the shape that reaches an aggregate in practice:
+    # over a bare cached scan list count(*) is a few len() calls.
+    queries = _interleaved_min({
+        "count(n)": lambda: engine.run(
+            "MATCH (n:Item) WHERE n.v >= 0 RETURN count(n) AS c", mode="batch"
+        ),
+        "count(*)": lambda: engine.run(
+            "MATCH (n:Item) WHERE n.v >= 0 RETURN count(*) AS c", mode="batch"
+        ),
+        "grouped batch": lambda: engine.run(grouped, mode="batch"),
+        "grouped row": lambda: engine.run(grouped, mode="row"),
+    })
+    ratios = {
+        "id_over_int_lookup": lookups["id"] / lookups["int"],
+        "count_n_over_count_star": queries["count(n)"] / queries["count(*)"],
+        "grouped_topk_row_over_batch": (
+            queries["grouped row"] / queries["grouped batch"]
+        ),
+    }
+    table_report(
+        "P7 — no Python call per value (min of interleaved samples)",
+        ["pin", "measured", "bound"],
+        [
+            ("8,000 lookups, NodeId key / int key",
+             "%.2fx" % ratios["id_over_int_lookup"], "<= 2x"),
+            ("batch count(n) / count(*), 5,000 filtered rows",
+             "%.2fx" % ratios["count_n_over_count_star"], "<= 1.3x"),
+            ("grouped count + top-k, row / batch",
+             "%.2fx" % ratios["grouped_topk_row_over_batch"], ">= 2x"),
+        ],
+    )
+    pipeline_record("pipelines", "p7_column_kernels", {
+        name: round(value, 2) for name, value in ratios.items()
+    })
+    assert ratios["id_over_int_lookup"] <= 2.0
+    assert ratios["count_n_over_count_star"] <= 1.3
+    assert ratios["grouped_topk_row_over_batch"] >= 2.0
 
 
 @pytest.mark.parametrize("mode", ["batch", "row"])

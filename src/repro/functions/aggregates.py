@@ -6,6 +6,19 @@ projection machinery partitions rows into groups, feeds each aggregate one
 value per row, and reads the result off at the end.  All aggregates skip
 nulls (the §3 walkthrough counts "all the non-null values of s"), and all
 support DISTINCT (the final RETURN needs ``count(DISTINCT p2)``).
+
+The batch engine hands an accumulator whole argument columns through
+:meth:`Aggregate.include_column`.  Its contract: the accumulator ends in
+exactly the state ``for value in values: include(value)`` leaves it in,
+and raises what that loop raises.  The base class *is* that loop; a
+subclass overrides it only where the column form is provably the same
+arithmetic — non-distinct ``count`` (a null tally, no call per value)
+and non-distinct ``sum`` of a column whose values are all ``int`` or
+null onto an ``int`` total.  Ints only: integer addition is exact in any
+order, whereas the builtin ``sum`` over floats is compensated from
+CPython 3.12 on and would drift from the interpreter's running ``+=``;
+and ``bool`` is not ``int`` under a ``type`` test, so a Boolean still
+reaches ``_include`` and its ``CypherTypeError``.
 """
 
 from __future__ import annotations
@@ -16,6 +29,9 @@ from repro.exceptions import CypherTypeError, CypherSemanticError
 from repro.values.comparison import compare
 from repro.values.coercion import is_number
 from repro.values.ordering import canonical_key
+
+
+_INT_OR_NULL = {int, type(None)}
 
 
 class Aggregate:
@@ -35,6 +51,11 @@ class Aggregate:
             self._seen.add(key)
         self._include(value)
 
+    def include_column(self, values):
+        """``include`` every element of ``values`` (see module docstring)."""
+        for value in values:
+            self.include(value)
+
     def _include(self, value):
         raise NotImplementedError
 
@@ -51,6 +72,13 @@ class Count(Aggregate):
 
     def _include(self, value):
         self._count += 1
+
+    def include_column(self, values):
+        if self.distinct:
+            return super().include_column(values)
+        self._count += len(values) - len(
+            [value for value in values if value is None]
+        )
 
     def result(self):
         return self._count
@@ -79,6 +107,17 @@ class Sum(Aggregate):
         if not is_number(value):
             raise CypherTypeError("sum() expects numbers, got %r" % (value,))
         self._total += value
+
+    def include_column(self, values):
+        # A float total (an earlier morsel held one) must keep adding
+        # value by value: float + (i + j) is not (float + i) + j.
+        if (
+            self.distinct
+            or type(self._total) is not int
+            or not set(map(type, values)) <= _INT_OR_NULL
+        ):
+            return super().include_column(values)
+        self._total += sum(filter(None, values))  # drops nulls (and zeros)
 
     def result(self):
         return self._total

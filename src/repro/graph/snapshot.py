@@ -546,6 +546,13 @@ class SnapshotGraph(PropertyGraph):
             for state in maps
         ]
 
+    def has_labels_column(self, node_ids, labels):
+        pin = self._pin
+        if _misses(pin.nodes, node_ids):  # untouched: live labels are pin-time
+            return pin.base.has_labels_column(node_ids, labels)
+        required = frozenset(labels)
+        return [required <= self._require_node(node)[0] for node in node_ids]
+
     def expand_batch(self, sources, direction, types=None):
         pin = self._pin
         # An untouched adjacency list holds only relationships that exist

@@ -32,7 +32,8 @@ Access paths (added for the slotted execution engine):
   a morsel can slice, :meth:`node_property_column` reads one property
   across a node column straight off the internal dicts, and
   :meth:`expand_batch` walks the adjacency of a whole source column into
-  parallel ``(origin index, relationship, neighbour)`` columns — no
+  parallel ``(origin index, relationship, neighbour)`` columns, and
+  :meth:`has_labels_column` label-checks a neighbour column — no
   per-row method dispatch on any of them.  ``supports_bulk_scans``
   advertises the capability so the engine only picks batch execution on
   stores that have it.
@@ -128,6 +129,7 @@ robustness layer):
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from operator import and_
 
 from repro.exceptions import (
     ConstraintViolation,
@@ -158,6 +160,9 @@ def _insort_rel(rels, rel_id):
     if rel_id not in rels:
         insort(rels, rel_id, key=_id_value)
 
+
+#: Shared empty set for the label-index misses in has_labels_column.
+_NO_NODES = frozenset()
 
 #: Shared empty dict for the segmented-adjacency misses in expand_batch.
 _EMPTY_SEGMENTS = {}
@@ -906,7 +911,8 @@ class MemoryGraph(PropertyGraph):
 
     #: The batch engine's capability flag: this store implements the bulk
     #: column APIs (all_node_ids / label_scan_ids / node_property_column /
-    #: expand_batch).  Graph views lacking them keep row-wise execution.
+    #: expand_batch / has_labels_column).  Graph views lacking them keep
+    #: row-wise execution.
     supports_bulk_scans = True
 
     #: The executors park a plan's compiled pipeline only on a graph that
@@ -1085,6 +1091,21 @@ class MemoryGraph(PropertyGraph):
         """
         properties = self._node_properties
         return [properties[node].get(key) for node in node_ids]
+
+    def has_labels_column(self, node_ids, labels):
+        """``[set(labels) ⊆ λ(n) for n in node_ids]`` off the label index.
+
+        The batch Expand's label-only target check: one membership pass
+        per label, in C.  ``node_ids`` are current nodes (the neighbours
+        :meth:`expand_batch` just returned); anything else reads False.
+        """
+        mask = None
+        for label in labels:
+            column = map(
+                self._label_index.get(label, _NO_NODES).__contains__, node_ids
+            )
+            mask = column if mask is None else map(and_, mask, column)
+        return list(mask) if mask is not None else [True] * len(node_ids)
 
     def expand_batch(self, sources, direction, types=None):
         """Adjacency of a whole source column, as parallel columns.

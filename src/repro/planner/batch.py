@@ -24,13 +24,23 @@ per-morsel cost amortised over N rows:
   a ``LIMIT`` above an index walk reads about k entries, not a morsel;
 * Expand walks the adjacency of an entire source column in one store
   call (:meth:`~repro.graph.store.MemoryGraph.expand_batch`) and gathers
-  the surviving origins with list selections;
+  the surviving origins with list selections; a label-only target check
+  is one more store call over the neighbour column
+  (:meth:`~repro.graph.store.MemoryGraph.has_labels_column`);
 * filters and projections evaluate *column-compiled* expression closures
   (:class:`~repro.semantics.compile.ColumnCompiler`) — one call per
   morsel, with int fast-path loops inside;
-* aggregation accumulates straight off argument columns, and
-  ``ORDER BY … LIMIT k`` runs the same bounded :class:`Top` heap as the
-  row engine.
+* aggregation hands each argument column to its accumulator whole
+  (:meth:`~repro.functions.aggregates.Aggregate.include_column`: a
+  non-distinct ``count`` tallies nulls and an all-int ``sum`` is the
+  builtin's, everything else loops ``include``), and a grouped single
+  ``count(*)`` / non-distinct ``count(x)`` is a ``collections.Counter``
+  over the morsel's canonical keys — an int per group, no accumulator
+  objects;
+* ``ORDER BY … LIMIT k`` (:func:`_compile_top`) keeps the best k rows as
+  columns and re-runs Sort's stable ``list.sort`` passes over retained +
+  new rows instead of pushing row objects through a heap: same ties as
+  Sort + Limit, O(k + morsel) rows held.
 
 A batch is the pair ``(n, cols)``: ``cols[slot]`` is either a list of
 ``n`` values or ``None`` when the slot is unbound across the whole batch
@@ -55,8 +65,8 @@ final stores over the fuzz corpus.
 
 from __future__ import annotations
 
-import heapq
-from itertools import islice
+from collections import Counter
+from itertools import compress, islice
 
 from repro.ast import expressions as ex
 from repro.ast import patterns as pt
@@ -71,7 +81,6 @@ from repro.planner.physical import (
     _compile_node_conflicts,
     _compile_node_ok,
     _compile_rel_ok,
-    _heap_item_class,
     _index_ordered_probe,
     _index_probe,
     _index_range_probe,
@@ -494,6 +503,12 @@ def _compile_expand(op, ctx):
         or rel_ok is not None
         or (node_ok is not None and bool(op.node_pattern.properties))
     )
+    # ... and when it is the *only* check, the store answers it for the
+    # whole target column at once.  (A store method, not its label dict:
+    # a parked pipeline may hold the graph, never one of its containers.)
+    labels = op.node_pattern.labels
+    labels_only = node_ok is not None and not need_row and not into
+    has_labels_column = ctx.graph.has_labels_column
 
     def run(argument):
         for n, cols in child(argument):
@@ -508,7 +523,12 @@ def _compile_expand(op, ctx):
             )
             if not origins:
                 continue
-            if need_row or node_ok is not None or into:
+            keep = None
+            if labels_only:
+                keep = list(compress(
+                    range(len(targets)), has_labels_column(targets, labels)
+                ))
+            elif need_row or node_ok is not None or into:
                 bound = _bound_columns(cols)
                 keep = []
                 row = None
@@ -534,12 +554,12 @@ def _compile_expand(op, ctx):
                     if node_ok is not None and not node_ok(target, row):
                         continue
                     keep.append(position)
+            if keep is not None and len(keep) != len(origins):
                 if not keep:
                     continue
-                if len(keep) != len(origins):
-                    origins = [origins[p] for p in keep]
-                    rels = [rels[p] for p in keep]
-                    targets = [targets[p] for p in keep]
+                origins = [origins[p] for p in keep]
+                rels = [rels[p] for p in keep]
+                targets = [targets[p] for p in keep]
             out = _select(cols, origins)
             if rel_slot is not None:
                 out[rel_slot] = rels
@@ -1126,9 +1146,10 @@ def _compile_aggregate(op, ctx):
 
     if not grouping:
         # Global aggregation: no keys at all — count(*) adds batch sizes,
-        # one-argument aggregates drain their argument column through the
-        # accumulator in a tight loop.  This is the hot RETURN count(*)
-        # / sum(x) shape the benchmarks pin at 2x the row engine.
+        # one-argument aggregates hand their argument column to the
+        # accumulator whole (``include_column``: count and int sum never
+        # leave C).  This is the hot RETURN count(*) / sum(x) shape the
+        # benchmarks pin at 2x the row engine.
         def run_global(argument):
             states = new_states()
             records = [] if needs_records else None
@@ -1137,9 +1158,7 @@ def _compile_aggregate(op, ctx):
                     if kind == "count":
                         states[position] += n
                     elif kind == "simple":
-                        include = states[position].include
-                        for value in arg_fns[0](n, cols):
-                            include(value)
+                        states[position].include_column(arg_fns[0](n, cols))
                     elif kind == "pair":
                         include_pair = states[position].include_pair
                         for value, percentile in zip(
@@ -1153,11 +1172,19 @@ def _compile_aggregate(op, ctx):
         return run_global
 
     single_key = len(grouping) == 1
-    single_count = (
-        not needs_records
-        and len(outputs) == 1
-        and outputs[0][2] == "count"
-    )
+    # One count(*) or non-distinct count(x) per group needs no accumulator
+    # object: a Counter over the (non-null rows') keys is the whole state.
+    counted, count_argument = False, None
+    if not needs_records and len(outputs) == 1:
+        (_slot, expression, kind, arg_fns), = outputs
+        if kind == "count":
+            counted = True
+        elif (
+            kind == "simple"
+            and expression.name.lower() == "count"
+            and not expression.distinct
+        ):
+            counted, count_argument = True, arg_fns[0]
     single_simple = (
         not needs_records
         and len(outputs) == 1
@@ -1166,6 +1193,7 @@ def _compile_aggregate(op, ctx):
 
     def run(argument):
         groups = {}
+        counts = Counter()
         order = []
         append_key = order.append
         for n, cols in child(argument):
@@ -1177,20 +1205,24 @@ def _compile_aggregate(op, ctx):
             else:
                 keys = list(zip(*keyed))
                 values = None
-            if single_count:
-                # One count(*) per group: the dict is the whole loop.
-                for index, key in enumerate(keys):
-                    entry = groups.get(key)
-                    if entry is None:
-                        groups[key] = entry = (
-                            [values[index]]
-                            if single_key
-                            else [col[index] for col in key_cols],
-                            [0],
-                            None,
-                        )
-                        append_key(key)
-                    entry[1][0] += 1
+            if counted:
+                if not single_key:
+                    values = list(zip(*key_cols))
+                # First-arrival order from dict.fromkeys, each new group's
+                # first-seen key values from the reversed zip (the earliest
+                # row is written last, so it wins).
+                first_seen = dict(zip(reversed(keys), reversed(values)))
+                fresh = [
+                    key for key in dict.fromkeys(keys) if key not in groups
+                ]
+                groups.update(zip(fresh, map(first_seen.__getitem__, fresh)))
+                if count_argument is not None:
+                    keys = [
+                        key
+                        for key, value in zip(keys, count_argument(n, cols))
+                        if value is not None
+                    ]
+                counts.update(keys)
                 continue
             if single_simple:
                 argument_col = outputs[0][3][0](n, cols)
@@ -1237,7 +1269,18 @@ def _compile_aggregate(op, ctx):
                     entry[2].append(
                         to_record(_materialize(cols, bound, index, width))
                     )
-        if order:
+        if counted and groups:
+            out = [None] * width
+            if single_key:
+                out[grouping[0][0]] = list(groups.values())
+            else:
+                for (slot, _compiled), column in zip(
+                    grouping, zip(*groups.values())
+                ):
+                    out[slot] = list(column)
+            out[outputs[0][0]] = [counts[key] for key in groups]
+            yield len(groups), out
+        elif order:
             yield finish(order, groups)
 
     return run
@@ -1290,14 +1333,34 @@ def _compile_sort(op, ctx):
 
 
 def _compile_top(op, ctx):
+    """``ORDER BY … LIMIT k`` keeping the best k rows *as columns*.
+
+    Arriving morsels (with their ``sort_key`` columns riding along as
+    extra columns, so a row's keys are computed once) queue behind the
+    rows retained so far; when more than ``k + max(k, morsel)`` rows are
+    held, and at the end, the queue is concatenated, sorted with the
+    same stable least-significant-key-first ``list.sort`` passes as
+    :func:`_compile_sort`, and truncated to k.  Retained rows are
+    earlier arrivals and sit first, so ties break by arrival exactly as
+    Sort + Limit does.  Waiting for ``max(k, morsel)`` new rows keeps
+    the work linear when k is large (a ``LIMIT`` above the row count
+    sorts once) and is the per-morsel sort when k is small; never more
+    than ``2·max(k, morsel)`` rows plus one morsel are held.
+    ``TOPK_STATS``: ``heap_max`` is the most rows retained by a
+    truncation, ``pushed`` counts the new rows that survived theirs.
+    """
     child = _compile(op.child, ctx)
     key_fns = tuple(ctx.columns.compile(item.expression) for item in op.sort_items)
-    flags = tuple(bool(item.ascending) for item in op.sort_items)
-    limit_count = ctx.compile(op.limit)
-    skip_count = ctx.compile(op.skip) if op.skip is not None else None
     slots = ctx.slots
     width = len(slots)
-    heap_item = _heap_item_class(flags)
+    wide = width + len(key_fns)
+    passes = tuple(reversed([
+        (position, not item.ascending)
+        for position, item in enumerate(op.sort_items, width)
+    ]))
+    limit_count = ctx.compile(op.limit)
+    skip_count = ctx.compile(op.skip) if op.skip is not None else None
+    morsel = ctx.morsel_size
     stats = TOPK_STATS
 
     def run(argument):
@@ -1306,45 +1369,32 @@ def _compile_top(op, ctx):
             k += _bound_value(skip_count, slots, "SKIP")
         if k == 0:
             return
-        heap = []
-        seq = 0
+        held = []     # the retained best (sorted) first, then arrivals
+        retained = 0  # rows of held[0] that survived an earlier truncation
+        rows = 0
         for n, cols in child(argument):
-            key_cols = [fn(n, cols) for fn in key_fns]
-            bound = _bound_columns(cols)
-            for index in range(n):
-                row_keys = tuple(sort_key(kc[index]) for kc in key_cols)
-                if len(heap) < k:
-                    heapq.heappush(
-                        heap,
-                        heap_item(
-                            row_keys,
-                            seq,
-                            _materialize(cols, bound, index, width),
-                        ),
-                    )
-                    stats["pushed"] += 1
-                    if len(heap) > stats["heap_max"]:
-                        stats["heap_max"] = len(heap)
-                else:
-                    candidate = heap_item(row_keys, seq, None)
-                    if heap[0] < candidate:
-                        candidate.row = _materialize(
-                            cols, bound, index, width
-                        )
-                        heapq.heappushpop(heap, candidate)
-                        stats["pushed"] += 1
-                seq += 1
-        if not heap:
-            return
-        rows = [item.row for item in sorted(heap, reverse=True)]
-        out = []
-        first = rows[0]
-        for slot in range(width):
-            if first[slot] is MISSING:
-                out.append(None)  # binding is uniform across the stream
-            else:
-                out.append([row[slot] for row in rows])
-        yield len(rows), out
+            held.append((n, cols + [
+                [sort_key(value) for value in fn(n, cols)] for fn in key_fns
+            ]))
+            rows += n
+            if rows > k + max(k, morsel):
+                held = [best_of(held, retained, k)]
+                rows = retained = held[0][0]
+        if held:
+            n, cols = best_of(held, retained, k)
+            yield n, cols[:width]
+
+    def best_of(held, retained, k):
+        """The first k of ``held`` in sort order, as one wide batch."""
+        n, cols = _concat(held, wide)
+        order = list(range(n))
+        for position, descending in passes:
+            order.sort(key=cols[position].__getitem__, reverse=descending)
+        del order[k:]
+        stats["pushed"] += sum(map(retained.__le__, order))
+        if len(order) > stats["heap_max"]:
+            stats["heap_max"] = len(order)
+        return len(order), _select(cols, order)
 
     return run
 

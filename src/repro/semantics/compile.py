@@ -1117,6 +1117,10 @@ class ExpressionCompiler:
         return comprehend
 
 
+_ALL_BOOL = {bool}
+_TERNARY_TYPES = {bool, type(None)}
+
+
 def select_columns(cols, indices):
     """A new column array restricted to ``indices`` (in that order).
 
@@ -1163,7 +1167,10 @@ class ColumnCompiler:
       when one operand is a constant (``n.v > 5`` is one list pass);
     * AND/OR short-circuit *by column*: the right operand is evaluated
       only on the sub-batch the left side did not decide, which keeps
-      the row path's "never evaluates the pruned side" error semantics.
+      the row path's "never evaluates the pruned side" error semantics
+      (a left column that decides nowhere — the second half of a range
+      predicate above an index range scan — hands the right column
+      through after one type check);
 
     Everything else — comprehensions, CASE, pattern predicates, any
     future node type — reuses the row compiler's closure element-wise
@@ -1463,7 +1470,17 @@ class ColumnCompiler:
         sub_batch = select_columns
 
         def logic_column(n, cols):
-            out = [_as_ternary(value) for value in left(n, cols)]
+            out = left(n, cols)
+            if set(map(type, out)) == _ALL_BOOL and deciding not in out:
+                # The left side decides nowhere (all true under AND, all
+                # false under OR), so the result is the right column
+                # itself once it is known to hold only Booleans and nulls
+                # (else _as_ternary raises on the first value that is not).
+                right_values = right(n, cols)
+                if not set(map(type, right_values)) <= _TERNARY_TYPES:
+                    list(map(_as_ternary, right_values))
+                return right_values
+            out = [_as_ternary(value) for value in out]
             undecided = [
                 index for index, value in enumerate(out) if value is not deciding
             ]

@@ -1,51 +1,64 @@
 """Identifier types and value-universe helpers.
 
-The paper keeps the sets N (node ids) and R (relationship ids) disjoint from
-the base types, so we wrap ids in dedicated classes rather than using bare
-integers.  Both are immutable, hashable, and cheap.
+The paper keeps the sets N (node ids) and R (relationship ids) disjoint
+from each other and from the base types, so an id is not a bare integer:
+it is a **tagged tuple** ``(prefix, value)`` — ``("n", 7)`` for a node,
+``("r", 7)`` for a relationship — under its own ``tuple`` subclass.  The
+tag keeps N and R apart (``NodeId(1) != RelId(1)``, distinct hashes) and
+apart from every integer (``NodeId(1) != 1``); the subclass keeps an id
+apart from every *value* type, because the value universe has no tuples:
+``is_cypher_value``, ``type_name``, ``sort_key``, ``canonical_key``,
+``equals`` and the printer all ask ``isinstance(value, NodeId)`` (lists
+are ``list``), so an id is always an id and never a two-element list.
+
+Why a tuple rather than a slotted object: ids key every store dict,
+adjacency list, undo log, grouping table and ``DISTINCT`` set, so they
+are hashed and compared far more often than they are built.  A tuple
+subclass that defines **no** ``__hash__``, ``__eq__``, ``__ne__`` or
+``__lt__`` in Python inherits tuple's C slots — a dict probe keyed by an
+id never enters the interpreter.  Defining *any* rich comparison in
+Python would put ``slot_tp_richcompare`` in front of the C compare for
+all six operators (a non-identical-key lookup gets about three times
+slower), which is why none of them is defined and why two things follow
+from tuple semantics instead:
+
+* ``NodeId(1) == ("n", 1)`` is true.  Nothing promises otherwise —
+  plain tuples are not Cypher values and never reach a comparison.
+* Ordering *across* kinds is by prefix (``NodeId(9) < RelId(1)``)
+  instead of a ``TypeError``.  Nothing compares raw ids across kinds:
+  ``sort_key`` ranks the kind first and then reads ``.value``.
+
+Ids are immutable (no instance ``__dict__``; ``value`` is a read-only
+property), pickle and copy to their own class, and order by value
+within a kind.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 
-class _Identifier:
+
+class _Identifier(tuple):
     """Common behaviour of node and relationship identifiers."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ()
     _prefix = "id"
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError("identifier value must be an int, got %r" % (value,))
-        object.__setattr__(self, "value", value)
-        # Ids key every store dict and adjacency set, so they are hashed
-        # far more often than constructed: precompute once.
-        object.__setattr__(
-            self, "_hash", hash((type(self).__name__, value))
-        )
+        return tuple.__new__(cls, (cls._prefix, value))
 
-    def __setattr__(self, name, _value):
-        raise AttributeError("identifiers are immutable")
+    value = property(itemgetter(1))
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.value == self.value
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.value < other.value
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return "{}({})".format(type(self).__name__, self.value)
+        return "{}({})".format(type(self).__name__, self[1])
 
     def __str__(self):
-        return "{}{}".format(self._prefix, self.value)
+        return "{}{}".format(self._prefix, self[1])
 
 
 class NodeId(_Identifier):

@@ -6,7 +6,17 @@ pytest-cov, so a minimal ``sys.settrace`` line tracer (below) watches
 fails the session if either package drops under 85% line coverage.  The
 tracer disables itself per code object the moment that object is fully
 covered, so the steady-state overhead on a hot suite is one dict lookup
-per function call.  The floor is only enforced on green, full-suite
+per function call — and it **retires** whole targets: a floor is a "≥"
+check and covered lines only accumulate, so a target that has met its
+floor stays met.  Every ``RETIRE_EVERY`` tests the targets' percentages
+are recomputed, every code object that belongs only to targets at or
+over their floor stops being traced (a function with one never-covered
+line would otherwise keep its per-line tracer for the whole run), and
+once every target is there ``sys.settrace(None)`` ends tracing.  The
+report then says "≥ N% (floor met after K tests)" for a retired target
+and the exact figure for the rest (``REPRO_COVERAGE_DETAIL`` keeps
+every target traced to the end, so its missing-line lists are exact).
+The floor is only enforced on green, full-suite
 runs (partial ``-k``/single-file invocations measure meaningless
 subsets); set ``REPRO_COVERAGE=0`` to disable tracing entirely or
 ``REPRO_COVERAGE=force`` to enforce the floor regardless of selection
@@ -15,6 +25,7 @@ size.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import types
@@ -33,6 +44,13 @@ COVERAGE_FLOOR = 85.0
 COVERAGE_FLOORS = {"src/repro/graph/snapshot.py": 95.0}
 #: Enforce only when at least this many tests were collected (a full run).
 COVERAGE_MIN_ITEMS = 800
+#: Tests between two looks at which targets have met their floor (a
+#: property-based test, being slow, is always followed by a look).
+RETIRE_EVERY = 50
+#: Modules whose property-based tests a floor leans on (``snapshot.py``
+#: reaches its 95% through the writer-script views): they run before the
+#: other property-based tests.  A stale entry only costs time.
+FLOOR_BEARING = ("tests/test_snapshot_views.py",)
 
 
 def _covered_packages():
@@ -115,20 +133,49 @@ class _LineTracer:
 
     ``_watch`` maps each code object to its still-uncovered line set;
     once empty the entry flips to ``False`` and neither the global
-    dispatch nor the local tracer touches that code again.
+    dispatch nor the local tracer touches that code again.  ``retired``
+    maps a target's label to the number of tests after which it met its
+    floor; its code objects flip to ``False`` the same way.
     """
 
     def __init__(self, targets):
+        self.targets = dict(targets)  # label -> directory or file
+        self.retired = {}
+        self.tests_run = 0
+        self._watch = {}
+        self.executed = {}  # filename -> set of executed line numbers
+        self._set_active()
+
+    def _set_active(self):
+        active = [
+            target for label, target in self.targets.items()
+            if label not in self.retired
+        ]
         self._prefixes = tuple(
             target.rstrip(os.sep) + os.sep
-            for target in targets
+            for target in active
             if not target.endswith(".py")
         )
         self._files = frozenset(
-            target for target in targets if target.endswith(".py")
+            target for target in active if target.endswith(".py")
         )
-        self._watch = {}
-        self.executed = {}  # filename -> set of executed line numbers
+
+    def _watches(self, filename):
+        return filename.startswith(self._prefixes) or filename in self._files
+
+    def retire_met(self):
+        """Stop tracing what only met floors need; True when all are met."""
+        for label, target in self.targets.items():
+            if label not in self.retired and (
+                _package_coverage(self, target)[0] >= _floor_of(label)
+            ):
+                self.retired[label] = self.tests_run
+        self._set_active()
+        # A copy: the calls made here are themselves dispatched.
+        for code, remaining in list(self._watch.items()):
+            if remaining and not self._watches(code.co_filename):
+                self._watch[code] = False
+        return len(self.retired) == len(self.targets)
 
     def _lines_of(self, code):
         return {
@@ -142,7 +189,7 @@ class _LineTracer:
         remaining = self._watch.get(code, Ellipsis)
         if remaining is Ellipsis:
             filename = code.co_filename
-            if filename.startswith(self._prefixes) or filename in self._files:
+            if self._watches(filename):
                 remaining = self._lines_of(code)
                 self.executed.setdefault(filename, set())
             else:
@@ -176,6 +223,11 @@ class _LineTracer:
 _CO_OPTIMIZED = 0x0001
 
 
+def _floor_of(label):
+    return COVERAGE_FLOORS.get(label, COVERAGE_FLOOR)
+
+
+@functools.lru_cache(maxsize=None)
 def _executable_lines(path):
     """Every line that can start an instruction in any function body.
 
@@ -237,9 +289,45 @@ def pytest_configure(config):
         return
     if sys.gettrace() is not None:
         return  # debugger (or another tracer) owns the hook
-    tracer = _LineTracer(_covered_packages().values())
+    tracer = _LineTracer(_covered_packages())
     config._repro_coverage = tracer
     sys.settrace(tracer.dispatch)
+
+
+def _property_based(item):
+    return getattr(getattr(item, "obj", None), "is_hypothesis_test", False)
+
+
+def pytest_collection_modifyitems(items):
+    """Example-based tests, then the floor-bearing property-based
+    modules, then every other property-based (hypothesis) test.
+
+    While any target is short of its floor, *every* function call of
+    *every* test pays the tracer's dispatch (about 3x on the generative
+    suites, before a single line event).  The unit tests are where the
+    traced lines get covered and the 70-odd generative tests are where
+    the run's time goes, so this order lets the tracer retire before
+    most of them start.  Stable: collection order within each phase.
+    """
+    def phase(item):
+        if not _property_based(item):
+            return 0
+        return 1 if item.nodeid.split("::")[0] in FLOOR_BEARING else 2
+
+    items.sort(key=phase)
+
+
+def pytest_runtest_teardown(item):
+    tracer = getattr(item.config, "_repro_coverage", None)
+    if tracer is None or sys.gettrace() is None:
+        return
+    tracer.tests_run += 1
+    if (
+        (tracer.tests_run % RETIRE_EVERY == 0 or _property_based(item))
+        and not os.environ.get("REPRO_COVERAGE_DETAIL")
+        and tracer.retire_met()
+    ):
+        sys.settrace(None)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -254,14 +342,20 @@ def pytest_sessionfinish(session, exitstatus):
     report = []
     failed = False
     detail = [] if os.environ.get("REPRO_COVERAGE_DETAIL") else None
-    for label, directory in _covered_packages().items():
+    for label, directory in tracer.targets.items():
+        floor = _floor_of(label)
+        if label in tracer.retired:
+            report.append(
+                "coverage %-22s ≥ %.0f%% (floor met after %d tests) ok"
+                % (label, floor, tracer.retired[label])
+            )
+            continue
         percent, covered, total = _package_coverage(
             tracer, directory, detail
         )
         if detail:
             report.extend(detail)
             detail.clear()
-        floor = COVERAGE_FLOORS.get(label, COVERAGE_FLOOR)
         verdict = "ok" if percent >= floor else "BELOW FLOOR"
         if percent < floor:
             failed = True

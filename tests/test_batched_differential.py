@@ -29,7 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CypherEngine
+from repro import CypherEngine, CypherError
+from repro.exceptions import CypherTypeError
+from repro.functions.aggregates import make_aggregate
+from repro.graph.snapshot import SnapshotGraph
+from repro.graph.store import MemoryGraph
 from repro.planner.batch import plan_supports_batch
 from repro.planner.parallel import plan_supports_parallel
 
@@ -322,3 +326,251 @@ class TestParallelSnapshotReads:
                 assert seen.value() == baseline
             writer.rollback()
         assert engine.run("MATCH (n) RETURN count(*) AS c").value() == baseline
+
+
+# ---------------------------------------------------------------------------
+# Column kernels: accumulators that take columns, Counter-grouped counts,
+# pass-through AND/OR, label-only Expand checks
+# ---------------------------------------------------------------------------
+
+MORSEL_SIZES = (1, 4, 256)
+
+
+def _property_graph(rows):
+    """One ``:V`` node per dict, in order; a None property is left unset."""
+    graph = MemoryGraph()
+    for position, properties in enumerate(rows):
+        stored = {k: v for k, v in properties.items() if v is not None}
+        stored["i"] = position
+        graph.create_node(("V",), stored)
+    return graph
+
+
+def _outcome(run, query, mode, ordered=True):
+    """Records (as a list, or as a bag when not ``ordered``) or the error."""
+    try:
+        records = run(query, mode=mode).records
+    except CypherError as error:
+        return ("error", type(error), str(error))
+    return ("rows", records if ordered else sorted(records, key=repr))
+
+
+def _assert_batch_is_interpreter(graph, query, ordered=True):
+    """Same records — in the same order over a single scan, where both
+    executors enumerate by node id — or the same error, at every morsel."""
+    for morsel_size in MORSEL_SIZES:
+        engine = CypherEngine(graph, morsel_size=morsel_size)
+        want = _outcome(engine.run, query, "interpreter", ordered)
+        assert _outcome(engine.run, query, "batch", ordered) == want, (
+            query, morsel_size
+        )
+        if want[0] == "rows":
+            result = engine.run(query, mode="batch")
+            assert result.execution_mode == "batch", query
+    return want
+
+
+class TestColumnKernels:
+    COLUMNS = {
+        "all-null": [None] * 6,
+        "int-null": [1, None, 2, None, 3, 0, -4, None],
+        "int-float": [1, 2.5, 3, 0.1, 7, 0.2, 5],
+        "float-then-ints": [0.1, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "big-ints": [2 ** 62, 2 ** 62, None, 2 ** 63, -1],
+        "int-bool": [1, 2, True, 3, None],
+        "strings": ["a", None, "b", "a"],
+    }
+    AGGREGATES = [
+        "count(n.x) AS c",
+        "sum(n.x) AS s",
+        "count(n.x) AS c, sum(n.x) AS s",
+        "count(DISTINCT n.x) AS c",
+        "sum(DISTINCT n.x) AS s",
+        "count(*) AS r, count(n.x) AS c",
+    ]
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_global_count_and_sum(self, column, aggregate):
+        graph = _property_graph([{"x": x} for x in self.COLUMNS[column]])
+        want = _assert_batch_is_interpreter(
+            graph, "MATCH (n:V) RETURN " + aggregate
+        )
+        if "sum" in aggregate and column in ("int-bool", "strings"):
+            bad = "True" if column == "int-bool" else "'a'"
+            assert want == (
+                "error", CypherTypeError, "sum() expects numbers, got " + bad
+            )
+        else:
+            assert want[0] == "rows"
+
+    def test_distinct_takes_the_per_value_path(self):
+        for name in ("count", "sum"):
+            accumulator = make_aggregate(name, distinct=True)
+            accumulator.include_column([1, 1.0, None, 2, 1])
+            assert accumulator.result() == (2 if name == "count" else 3)
+
+    #: Keys ``1`` / ``1.0`` share a group (first-seen value reported),
+    #: ``'1'`` and null have their own; groups 2 and 3 are first seen
+    #: after the first morsel at sizes 1 and 4; group 2 counts zero.
+    GROUPED = [
+        {"k": 1, "j": "a", "x": 5},
+        {"k": 1.0, "j": "a", "x": None},
+        {"k": "1", "j": "a", "x": 7},
+        {"k": None, "j": "b", "x": 1},
+        {"k": 1, "j": "b", "x": None},
+        {"k": 2, "j": "a", "x": None},
+        {"k": "1", "j": "a", "x": None},
+        {"k": None, "j": "b", "x": None},
+        {"k": 3, "j": None, "x": 4},
+        {"k": 1.0, "j": "a", "x": 2.5},
+        {"k": 2, "j": "a", "x": None},
+    ]
+
+    @pytest.mark.parametrize("returning", [
+        "n.k AS k, count(n.x) AS c",
+        "n.k AS k, count(*) AS c",
+        "n.k AS k, n.j AS j, count(n.x) AS c",
+        "n.k AS k, n.j AS j, count(*) AS c",
+        "n.k AS k, count(DISTINCT n.x) AS c",
+        "n.k AS k, sum(n.x) AS s",
+        "n.k AS k, count(n.x) AS c, count(*) AS r",
+        "n.k AS k, count(n.x) AS c ORDER BY c DESC, k LIMIT 3",
+        "count(n.x) AS c, n.k AS k ORDER BY k DESC, c SKIP 1 LIMIT 2",
+    ])
+    def test_grouped_count(self, returning):
+        graph = _property_graph(self.GROUPED)
+        want = _assert_batch_is_interpreter(
+            graph, "MATCH (n:V) RETURN " + returning
+        )
+        assert want[0] == "rows"
+
+    def test_grouped_count_reports_the_first_seen_key_value(self):
+        graph = _property_graph(self.GROUPED)
+        for morsel_size in MORSEL_SIZES:
+            records = CypherEngine(graph, morsel_size=morsel_size).run(
+                "MATCH (n:V) RETURN n.k AS k, count(n.x) AS c", mode="batch"
+            ).records
+            assert [(type(r["k"]), r["k"], r["c"]) for r in records] == [
+                (int, 1, 2), (str, "1", 1), (type(None), None, 1),
+                (int, 2, 0), (int, 3, 1),
+            ]
+
+    #: ``i`` is the node's position (0..7); ``x`` holds ints, so ``n.x``
+    #: alone is a non-Boolean operand; ``z`` is 0 on one row, so
+    #: ``1 / n.z`` raises exactly where it is evaluated.
+    LOGIC = [
+        {"x": 1, "z": 1}, {"x": None, "z": 1}, {"x": 3, "z": 0},
+        {"x": 0, "z": 2}, {"x": None, "z": 1}, {"x": 5, "z": 1},
+        {"x": 2, "z": 1}, {"x": 9, "z": 3},
+    ]
+    LEFTS = {
+        "all-true": "n.i >= 0",
+        "all-false": "n.i < 0",
+        "mixed": "n.i % 2 = 0",
+        "null-left": "n.x > 0",
+    }
+    RIGHTS = ["n.x > 1", "n.x", "1 / n.z = 1", "n.x IS NULL", "null"]
+
+    @pytest.mark.parametrize("left", sorted(LEFTS))
+    @pytest.mark.parametrize("right", RIGHTS)
+    @pytest.mark.parametrize("connective", ["AND", "OR"])
+    def test_connectives_keep_their_short_circuit(
+        self, left, right, connective
+    ):
+        graph = _property_graph(self.LOGIC)
+        predicate = "%s %s %s" % (self.LEFTS[left], connective, right)
+        for query in (
+            "MATCH (n:V) WHERE %s RETURN n.i AS i" % predicate,
+            "MATCH (n:V) RETURN n.i AS i, (%s) AS v" % predicate,
+            "MATCH (n:V) WHERE (%s) AND (n.i >= 0 OR %s) RETURN n.i AS i"
+            % (predicate, right),
+        ):
+            want = _assert_batch_is_interpreter(graph, query)
+        # The deciding side suppresses the right operand's error; the
+        # side that decides nowhere lets it through.
+        suppressed = (left, connective) in (
+            ("all-false", "AND"), ("all-true", "OR")
+        )
+        if left.startswith("all-") and right in ("n.x", "1 / n.z = 1"):
+            want = _assert_batch_is_interpreter(
+                graph, "MATCH (n:V) RETURN (%s) AS v" % predicate
+            )
+            assert (want[0] == "rows") == suppressed, predicate
+
+    @staticmethod
+    def _labelled_graph():
+        graph = MemoryGraph()
+        # Fewer sources than carriers of any target label, so the planner
+        # scans :S and the label check lands on the Expand's target.
+        sources = [graph.create_node(("S",), {"i": i}) for i in range(3)]
+        targets = [
+            graph.create_node(labels, {"i": 10 + i})
+            for i, labels in enumerate([
+                ("L1", "L2"), ("L1",), ("L2",), (), ("L2", "L1", "L3"),
+                ("L1", "L2"), ("L1", "L3"), ("L2", "L3"), ("L1", "L2", "L3"),
+                ("L3",),
+            ])
+        ]
+        for i, source in enumerate(sources):
+            for j, target in enumerate(targets):
+                if (i + j) % 2 == 0 or j == 0:
+                    graph.create_relationship(source, target, "T")
+                if (i * j) % 3 == 1:
+                    graph.create_relationship(target, source, "U")
+        return graph
+
+    EXPANDS = [
+        "MATCH (a:S)-[:T]->(b:L1:L2) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:S)-[:T]->(b:L1) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:S)-[:T]->(b:Absent) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:S)-[r]-(b:L2) RETURN a.i AS a, type(r) AS t, b.i AS b",
+        "MATCH (a:S)<-[:U]-(b:L2:L3) RETURN a.i AS a, count(b) AS c",
+    ]
+
+    @pytest.mark.parametrize("query", EXPANDS)
+    def test_label_only_expand(self, query):
+        want = _assert_batch_is_interpreter(
+            self._labelled_graph(), query, ordered=False
+        )
+        assert want[0] == "rows"
+        if "Absent" not in query:
+            assert want[1]
+
+    @pytest.mark.parametrize("query", EXPANDS)
+    def test_label_only_expand_inside_a_transaction(self, query):
+        """A target deleted, relabelled or created by the open transaction."""
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(
+                self._labelled_graph(), morsel_size=morsel_size
+            )
+            with engine.session() as session:
+                session.begin()
+                session.run("MATCH (b {i: 10}) DETACH DELETE b")
+                session.run("MATCH (b {i: 11}) SET b:L2 REMOVE b:L1")
+                session.run(
+                    "MATCH (a:S {i: 1}) CREATE (a)-[:T]->(:L1:L2 {i: 20})"
+                )
+                want = _outcome(session.run, query, "interpreter", False)
+                assert want[0] == "rows"
+                assert _outcome(session.run, query, "batch", False) == want
+                session.rollback()
+
+    @pytest.mark.parametrize("query", EXPANDS)
+    def test_label_only_expand_on_a_dirty_pin(self, query):
+        graph = self._labelled_graph()
+        want = _outcome(
+            CypherEngine(graph.copy()).run, query, "interpreter", False
+        )
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph.copy(), morsel_size=morsel_size)
+            with engine.session() as session:
+                snapshot = session.snapshot()
+                engine.run("MATCH (b {i: 10}) DETACH DELETE b")
+                engine.run("MATCH (b {i: 11}) SET b:L2 REMOVE b:L1")
+                engine.run("MATCH (b {i: 14}) REMOVE b:L3")
+                engine.run(
+                    "MATCH (a:S {i: 1}) CREATE (a)-[:T]->(:L1:L2 {i: 20})"
+                )
+                assert isinstance(snapshot.graph, SnapshotGraph)
+                assert _outcome(snapshot.run, query, "batch", False) == want

@@ -20,6 +20,7 @@ transaction — and everything that would make it stale must be seen at
 the take.
 """
 
+import bisect
 import gc
 import os
 import re
@@ -991,9 +992,17 @@ class TestLiftedPlanIsTheLiteralPlan:
         assert template.name == "latest_posts"
         text, draw = template.adhoc
         rng = workloads.seeded(7, "test", "latest")
+        # The direct oracle: every Post's creationDate, read off the
+        # store once — the ten largest at or under a bound are a slice.
+        graph = social.graph
+        stamps = sorted(
+            graph.node_property(node, "creationDate")
+            for node in graph.label_scan_ids("Post")
+        )
         seen = set()
         while len(seen) < 100:
-            query = workloads.inline(text, draw(rng, social.handles))
+            parameters = draw(rng, social.handles)
+            query = workloads.inline(text, parameters)
             if query in seen:
                 continue
             seen.add(query)
@@ -1002,8 +1011,15 @@ class TestLiftedPlanIsTheLiteralPlan:
             assert "Top" not in result.plan.describe()
             (path,) = result.access_paths
             assert path["actual_rows"] <= 16
-            oracle = engine.run(query, mode="interpreter")
-            assert result.values("created") == oracle.values("created")
+            under = bisect.bisect_right(stamps, parameters["ts"])
+            assert result.values("created") == stamps[
+                max(under - 10, 0):under
+            ][::-1]
+            if len(seen) % 20 == 0:
+                # The interpreter sorts the whole label per text; a
+                # sample of it keeps the direct oracle honest.
+                oracle = engine.run(query, mode="interpreter")
+                assert result.values("created") == oracle.values("created")
         info = engine.plan_cache_info()
         assert (info["misses"], info["lifted_hits"]) == (1, 99)
 

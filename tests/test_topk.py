@@ -9,6 +9,12 @@ observable ``TOPK_STATS`` counters: on a large shuffled input the heap
 never exceeds k rows and only a small tail of candidates is ever
 materialised — far below the input size, and within k + one morsel.
 
+The batch engine's ``Top`` keeps its k rows as columns and re-sorts them
+with each arriving morsel instead of pushing row objects through a heap
+(same counters: ``heap_max`` is the rows retained by a truncation,
+``pushed`` the new rows that survived one); ``TestBatchTopAcrossMorsels``
+holds it to the interpreter's order at morsel sizes 1, 4 and 256.
+
 The last class pins the batch engine's *ramped* index walks: a lazily
 chunked index scan emits morsels of 16, 32, … rows up to the morsel
 size, so a ``LIMIT k`` above an ordered index reads about k entries —
@@ -146,6 +152,58 @@ class TestTopKSemantics:
         )
         assert len(result) == 0
         assert TOPK_STATS["pushed"] == 0
+
+
+class TestBatchTopAcrossMorsels:
+    """The batch Top sorts retained + new rows per morsel and truncates:
+    whatever the morsel size, ties break by arrival like Sort + Limit."""
+
+    MIXED = [3, "b", None, 2.5, True, "a", 1, None, False, 7, "b", 3.0]
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph = MemoryGraph()
+        for i in range(41):
+            properties = {"i": i, "t": i % 3, "v": (i * 17) % 41}
+            if self.MIXED[i % 12] is not None:
+                properties["m"] = self.MIXED[i % 12]
+            graph.create_node(("Item",), properties)
+        return graph
+
+    #: ``(ORDER BY … tail, k = SKIP + LIMIT)``
+    TAILS = [
+        ("ORDER BY t LIMIT 7", 7),             # ties straddle every morsel
+        ("ORDER BY t DESC LIMIT 20", 20),
+        ("ORDER BY t DESC, v LIMIT 9", 9),
+        ("ORDER BY t, v DESC LIMIT 9", 9),
+        ("ORDER BY t, m DESC, v LIMIT 11", 11),
+        ("ORDER BY m LIMIT 12", 12),           # mixed types, nulls last
+        ("ORDER BY m DESC LIMIT 12", 12),      # ... and first
+        ("ORDER BY m DESC, t LIMIT 30", 30),
+        ("ORDER BY t SKIP 5 LIMIT 6", 11),
+        ("ORDER BY v DESC SKIP 38 LIMIT 10", 48),  # runs past the end
+        ("ORDER BY t LIMIT 1000", 1000),       # k above the row count
+        ("ORDER BY t SKIP 41 LIMIT 3", 44),
+        ("ORDER BY t LIMIT 0", 0),
+    ]
+
+    @pytest.mark.parametrize("tail,k", TAILS)
+    @pytest.mark.parametrize("morsel_size", [1, 4, 256])
+    def test_matches_interpreter_and_row(self, graph, tail, k, morsel_size):
+        query = (
+            "MATCH (n:Item) RETURN n.i AS i, n.t AS t, n.v AS v, n.m AS m "
+            + tail
+        )
+        engine = CypherEngine(graph, morsel_size=morsel_size)
+        reference = engine.run(query, mode="interpreter").records
+        _reset_stats()
+        batch = engine.run(query, mode="batch")
+        assert batch.execution_mode == "batch"
+        assert "Top" in batch.plan.describe()
+        assert batch.records == reference, (tail, morsel_size)
+        assert TOPK_STATS["heap_max"] == min(k, 41)  # rows retained
+        assert min(k, 41) <= TOPK_STATS["pushed"] <= 41
+        assert engine.run(query, mode="row").records == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,18 @@
 """Unit tests for identifiers, paths and the value universe (paper §4.1)."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
+from repro.ast.printer import print_literal
+from repro.datasets.paper import figure1_graph
+from repro.graph.io import dump_json, load_json
+from repro.graph.store import MemoryGraph
 from repro.values.base import NodeId, RelId, is_cypher_value, type_name
+from repro.values.comparison import equals
+from repro.values.ordering import canonical_key, sort_key
 from repro.values.path import Path
 
 
@@ -39,6 +49,84 @@ class TestIdentifiers:
         assert repr(NodeId(4)) == "NodeId(4)"
         assert str(NodeId(4)) == "n4"
         assert str(RelId(2)) == "r2"
+
+
+class TestIdentifiersAreTaggedTuples:
+    """What the tuple representation could silently alter, pinned.
+
+    Ids are ``(prefix, value)`` tuples under their own classes so that
+    hashing and comparison run in C.  ``NodeId(1) != ("n", 1)`` is *not*
+    promised (tuple equality says they are equal; plain tuples are not
+    Cypher values and never meet an id), and ordering *across* kinds is
+    by prefix rather than a ``TypeError`` — nothing compares raw ids
+    across kinds, ``sort_key`` ranks the kind first.
+    """
+
+    def test_no_python_level_hash_or_comparison(self):
+        for cls in (NodeId, RelId, NodeId.__mro__[1]):
+            for name in ("__hash__", "__eq__", "__ne__", "__lt__"):
+                assert name not in vars(cls), (cls, name)
+        assert not hasattr(NodeId(1), "__dict__")
+
+    def test_a_plain_tuple_is_not_a_value_and_an_id_is_not_a_list(self):
+        assert not is_cypher_value(("n", 1))
+        assert not is_cypher_value([("n", 1)])
+        assert (type_name(NodeId(1)), type_name(RelId(1))) == (
+            "Node", "Relationship"
+        )
+        assert canonical_key(NodeId(7)) == ("node", 7)
+        assert canonical_key(RelId(7)) == ("rel", 7)
+        assert canonical_key([NodeId(7)]) == ("list", (("node", 7),))
+        assert equals(NodeId(1), NodeId(1)) is True
+        assert equals(NodeId(1), RelId(1)) is False
+        assert equals(NodeId(1), ["n", 1]) is False
+        with pytest.raises(ValueError):
+            print_literal(NodeId(1))
+
+    def test_sort_key_ranks_kinds_first_and_is_unchanged(self):
+        assert sort_key(NodeId(9)) == (1, 9)
+        assert sort_key(RelId(2)) == (2, 2)
+        assert sort_key([NodeId(9)]) == (3, ((1, 9),))
+        mixed = [RelId(1), NodeId(5), RelId(0), NodeId(2)]
+        assert sorted(mixed, key=sort_key) == [
+            NodeId(2), NodeId(5), RelId(0), RelId(1)
+        ]
+        # Raw cross-kind ordering is by prefix: documented, unused.
+        assert NodeId(9) < RelId(1)
+
+    @pytest.mark.parametrize("make", [NodeId, RelId])
+    def test_pickle_and_copy_round_trip_to_the_same_class(self, make):
+        original = make(12)
+        for clone in (
+            pickle.loads(pickle.dumps(original)),
+            copy.copy(original),
+            copy.deepcopy(original),
+            copy.deepcopy([original])[0],
+        ):
+            assert type(clone) is make
+            assert clone == original and clone.value == 12
+
+    def test_ids_survive_copy_and_restore(self):
+        graph, _ids = figure1_graph()
+        clone = graph.copy()
+        restored = MemoryGraph()
+        restored.restore_from(graph)
+        for other in (clone, restored):
+            assert list(other.nodes()) == list(graph.nodes())
+            assert list(other.relationships()) == list(graph.relationships())
+            assert {type(n) for n in other.nodes()} == {NodeId}
+            assert {type(r) for r in other.relationships()} == {RelId}
+
+    def test_json_io_writes_values_never_ids(self):
+        graph, _ids = figure1_graph()
+        text = dump_json(graph)
+        assert '"n"' not in text and '"r"' not in text
+        document = json.loads(text)
+        assert all(type(node["id"]) is int for node in document["nodes"])
+        loaded = load_json(text)
+        assert dump_json(loaded) == text
+        assert list(loaded.nodes()) == list(graph.nodes())
+        assert list(loaded.relationships()) == list(graph.relationships())
 
 
 class TestPath:
