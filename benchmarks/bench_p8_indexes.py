@@ -398,6 +398,59 @@ def test_p8_ordered_top_k_batch_keeps_up_with_row(
     )
 
 
+#: A range over one-id-per-value buckets chains them in C; the per-value
+#: gather (a tuple, two hashes and a memo lookup per value) is the
+#: fallback and the yardstick.
+RANGE_CHAIN_OVER_GATHER = 2.0
+
+
+def test_p8_range_over_unique_values_chains_buckets(
+    table_report, pipeline_record
+):
+    """min-over-samples ratio from interleaved runs (see bench_p9)."""
+    graph = MemoryGraph()
+    graph.create_index("Stamp", "at")
+    for value in range(2000):
+        graph.create_node(("Stamp",), {"at": value * 3})
+    index = graph._index("Stamp", "at")
+    low, high = 300 * 3, 1600 * 3
+    payloads = [value * 3 for value in range(300, 1600)]
+    calls = {
+        "range_ids": lambda: index.range_ids(low, True, high, False),
+        "gather": lambda: index._gather((), "num", payloads),
+    }
+    assert calls["range_ids"]() == calls["gather"]()
+    assert len(calls["gather"]()) == 1300
+    samples = {name: [] for name in calls}
+    for _ in range(15):
+        for name, call in calls.items():
+            started = time.perf_counter()
+            for _ in range(20):
+                call()
+            samples[name].append((time.perf_counter() - started) / 20)
+    chained, gathered = min(samples["range_ids"]), min(samples["gather"])
+    ratio = gathered / max(chained, 1e-9)
+    table_report(
+        "P8 — range over 1,300 unique values, chained against gathered",
+        ["path", "min of 15 x 20 calls"],
+        [
+            ("range_ids (aligned buckets)", "%.1f µs" % (chained * 1e6)),
+            ("_gather (per value)", "%.1f µs" % (gathered * 1e6)),
+            ("gather/chain", "%.2fx (pin >= %.1fx)" % (
+                ratio, RANGE_CHAIN_OVER_GATHER,
+            )),
+        ],
+    )
+    pipeline_record("pipelines", "p8_range_chain_over_gather", {
+        "range_ids_us": round(chained * 1e6, 1),
+        "gather_us": round(gathered * 1e6, 1),
+        "ratio": round(ratio, 2),
+    })
+    assert ratio >= RANGE_CHAIN_OVER_GATHER, (
+        "range_ids only %.2fx the per-value gather" % ratio
+    )
+
+
 #: ``latest_posts`` as the end-to-end benchmark's ad hoc workload issues
 #: it — the bound inlined, a different literal every time — against the
 #: form that passes the bound as a parameter.

@@ -546,6 +546,12 @@ class SnapshotGraph(PropertyGraph):
             for state in maps
         ]
 
+    def label_property_column(self, label, key, ids):
+        pin = self._pin
+        if pin.nodes:  # a node has a pre-image: live ι is not pin-time ι
+            return None
+        return pin.base.label_property_column(label, key, ids)
+
     def has_labels_column(self, node_ids, labels):
         pin = self._pin
         if _misses(pin.nodes, node_ids):  # untouched: live labels are pin-time

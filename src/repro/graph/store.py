@@ -36,7 +36,19 @@ Access paths (added for the slotted execution engine):
   :meth:`has_labels_column` label-checks a neighbour column — no
   per-row method dispatch on any of them.  ``supports_bulk_scans``
   advertises the capability so the engine only picks batch execution on
-  stores that have it.
+  stores that have it;
+* two auxiliary structures that must always equal their from-scratch
+  definition.  :meth:`label_property_column` memoises ι over a label's
+  scan list, beside the scan cache; a property write cannot tell which
+  labels' columns it staled without reading the node's labels, so every
+  raw node-property mutator drops the *whole* cache (one falsy-dict
+  check when it is cold), while label changes, creates and deletes are
+  covered by what they already do to the scan list it is keyed on.  A
+  property index's sorted half keeps each payload's id bucket beside
+  it: the buckets are the hash half's own dicts, *shared by reference*
+  — an id joining or leaving a live bucket needs no upkeep — and only a
+  value appearing or vanishing moves the list, at the bisected position
+  its payload moves at.
 
 All adjacency lists (full and segmented) stay sorted by relationship id
 because ids are allocated monotonically and appends happen at creation
@@ -129,6 +141,7 @@ robustness layer):
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain, repeat
 from operator import and_
 
 from repro.exceptions import (
@@ -238,8 +251,10 @@ class _PropertyIndex:
         #: order by bisection on the stored keys (see _child_added).
         self._ordered = {}
         #: Memoised per-prefix sorted segments: prefix ->
-        #: {"num": [...], "str": [...], "bool": [...]}; maintained in
-        #: place like ``_ordered``.
+        #: {"num": (payloads, buckets), "str": …, "bool": …} — sorted
+        #: distinct payloads and, parallel to them, their
+        #: ``_ids_by_prefix`` bucket dicts, shared by reference (module
+        #: docstring); maintained in place like ``_ordered``.
         self._segments = {}
 
     @property
@@ -518,7 +533,12 @@ class _PropertyIndex:
         if segments is not None:
             name = self._SEGMENT_OF.get(canonical[0])
             if name is not None:
-                insort(segments[name], canonical[1])
+                payloads, buckets = segments[name]
+                position = bisect_left(payloads, canonical[1])
+                payloads.insert(position, canonical[1])
+                buckets.insert(
+                    position, self._ids_by_prefix[prefix + (canonical,)]
+                )
 
     def _child_removed(self, prefix, canonical, value):
         """Delete a vanished child from ``prefix``'s warm memos.
@@ -536,8 +556,10 @@ class _PropertyIndex:
         if segments is not None:
             name = self._SEGMENT_OF.get(canonical[0])
             if name is not None:
-                payloads = segments[name]
-                del payloads[bisect_left(payloads, canonical[1])]
+                payloads, buckets = segments[name]
+                position = bisect_left(payloads, canonical[1])
+                del payloads[position]
+                del buckets[position]
 
     # -- statistics --------------------------------------------------------
 
@@ -641,20 +663,21 @@ class _PropertyIndex:
         return sorted(merged, key=_id_value)
 
     def _segment(self, prefix, segment_name):
-        """Sorted distinct payloads of one segment under ``prefix``."""
+        """One segment under ``prefix``: its sorted distinct payloads
+        and, position for position, the id bucket of each."""
         segments = self._segments.get(prefix)
         if segments is None:
             bucket = self._children.get(prefix)
             if bucket is None:
-                return []  # dead prefix: never memoised (see _sorted_ids)
-            segments = {"num": [], "str": [], "bool": []}
-            segment_of = self._SEGMENT_OF
-            for canonical in bucket:
-                name = segment_of.get(canonical[0])
-                if name is not None:
-                    segments[name].append(canonical[1])
-            for payloads in segments.values():
-                payloads.sort()
+                return [], []  # dead prefix: never memoised (see _sorted_ids)
+            segments = {"num": ([], []), "str": ([], []), "bool": ([], [])}
+            ids_by_prefix = self._ids_by_prefix
+            # (tag, payload) pairs sort by payload within a tag; segment
+            # names coincide with the canonical tags.
+            for canonical in sorted(c for c in bucket if c[0] in segments):
+                payloads, buckets = segments[canonical[0]]
+                payloads.append(canonical[1])
+                buckets.append(ids_by_prefix[prefix + (canonical,)])
             self._segments[prefix] = segments
         return segments[segment_name]
 
@@ -684,7 +707,7 @@ class _PropertyIndex:
                 # The two bounds admit disjoint value types: no value can
                 # satisfy both comparisons, whatever the other bound is.
                 return []
-        values = self._segment(prefix, segment_name)
+        values, buckets = self._segment(prefix, segment_name)
         start = 0
         stop = len(values)
         if low is not None:
@@ -699,6 +722,10 @@ class _PropertyIndex:
                 if high_inclusive
                 else bisect_left(values, high)
             )
+        buckets = buckets[start:stop]
+        if sum(map(len, buckets)) == len(buckets):
+            # One id per value: value order is the whole order.
+            return list(chain.from_iterable(buckets))
         return self._gather(prefix, segment_name, values[start:stop])
 
     def prefix_ids(self, prefix, prefix_values=()):
@@ -713,7 +740,7 @@ class _PropertyIndex:
         equality = self._canonical_prefix(prefix_values)
         if equality is None:
             return []
-        values = self._segment(equality, "str")
+        values, _buckets = self._segment(equality, "str")
         start = bisect_left(values, prefix)
         matching = []
         for position in range(start, len(values)):
@@ -798,7 +825,7 @@ class _PropertyIndex:
         if starts_with is not None:
             payloads = []
             if isinstance(starts_with, str):
-                candidates = self._segment(prefix, "str")
+                candidates, _buckets = self._segment(prefix, "str")
                 start = bisect_left(candidates, starts_with)
                 for position in range(start, len(candidates)):
                     if not candidates[position].startswith(starts_with):
@@ -815,7 +842,7 @@ class _PropertyIndex:
                 and self._segment_for(high) != segment_name
             ):
                 return
-            candidates = self._segment(prefix, segment_name)
+            candidates, _buckets = self._segment(prefix, segment_name)
             start = 0
             stop = len(candidates)
             if low is not None:
@@ -939,6 +966,7 @@ class MemoryGraph(PropertyGraph):
         self._label_index = {}        # str -> set[NodeId]
         self._type_index = {}         # str -> set[RelId]
         self._scan_cache = {}         # ("label"|"type", name) -> (version, sorted list)
+        self._column_cache = {}       # (label, key) -> (label scan list, its ι column)
         self._indexes_by_label = {}   # str -> {str key: _PropertyIndex}
         self._reachability_indexes = {}  # frozenset[str]|None -> ReachabilityIndex
         # Transactional robustness layer (all dormant by default):
@@ -1092,6 +1120,23 @@ class MemoryGraph(PropertyGraph):
         properties = self._node_properties
         return [properties[node].get(key) for node in node_ids]
 
+    def label_property_column(self, label, key, ids):
+        """``[ι(n, key) for n in label_scan_ids(label)]``, memoised — or None.
+
+        Vouched for only while ``ids`` *is* the current memoised scan
+        list, the column is as long as it (creates append in place) and
+        no node property was written since.  Do not mutate the result.
+        """
+        scan = self._scan_cache.get(("label", label))
+        if scan is None or scan[1] is not ids or scan[0] != self._version:
+            return None
+        entry = self._column_cache.get((label, key))
+        if entry is None or entry[0] is not ids or len(entry[1]) != len(ids):
+            properties = self._node_properties
+            entry = (ids, [properties[node].get(key) for node in ids])
+            self._column_cache[label, key] = entry
+        return entry[1]
+
     def has_labels_column(self, node_ids, labels):
         """``[set(labels) ⊆ λ(n) for n in node_ids]`` off the label index.
 
@@ -1142,6 +1187,27 @@ class MemoryGraph(PropertyGraph):
         single = None
         if types is not None and len(types) == 1:
             (single,) = types
+            # One type, one direction: two dict reads per source, then C
+            # iterators.  A value that is not a current node finds no
+            # key (the guard's verdict); an unhashable one (a list, a
+            # map) raises and takes the guarded loop below.
+            try:
+                segments = [
+                    segmented.get(node, _EMPTY_SEGMENTS).get(single, ())
+                    for node in sources
+                ]
+            except TypeError:
+                pass
+            else:
+                rels = list(chain.from_iterable(segments))
+                count = len(segments)
+                if len(rels) == count and all(segments):
+                    origins = list(range(count))  # one step per source
+                else:
+                    origins = list(chain.from_iterable(
+                        map(repeat, range(count), map(len, segments))
+                    ))
+                return origins, rels, [endpoints[rel][end] for rel in rels]
         for index, node in enumerate(sources):
             if not isinstance(node, NodeId) or node not in node_labels:
                 continue
@@ -2071,6 +2137,8 @@ class MemoryGraph(PropertyGraph):
 
     def _set_property_raw(self, entity_id, key, value):
         self._fault("set_property")
+        if self._column_cache:
+            self._column_cache = {}
         props = self._property_map(entity_id)
         track = self._indexes_by_label and type(entity_id) is NodeId
         record = self._undo is not None
@@ -2096,6 +2164,8 @@ class MemoryGraph(PropertyGraph):
 
     def _remove_property_raw(self, entity_id, key):
         self._fault("remove_property")
+        if self._column_cache:
+            self._column_cache = {}
         props = self._property_map(entity_id)
         if self._pins:
             self._preserve_entity(entity_id)
@@ -2116,6 +2186,8 @@ class MemoryGraph(PropertyGraph):
 
     def _replace_properties_raw(self, entity_id, properties):
         self._fault("replace_properties")
+        if self._column_cache:
+            self._column_cache = {}
         props = self._property_map(entity_id)
         # Validate before touching anything: a rejected value must leave
         # both the property map and the index entries untouched (an index
@@ -2144,6 +2216,8 @@ class MemoryGraph(PropertyGraph):
 
     def _merge_properties_raw(self, entity_id, properties):
         self._fault("merge_properties")
+        if self._column_cache:
+            self._column_cache = {}
         props = self._property_map(entity_id)
         track = self._indexes_by_label and type(entity_id) is NodeId
         record = self._undo is not None
@@ -2264,6 +2338,7 @@ class MemoryGraph(PropertyGraph):
         self._indexes_by_label = donor._indexes_by_label
         self._reachability_indexes = donor._reachability_indexes
         self._scan_cache = {}
+        self._column_cache = {}
         self._version += 1
         self._schema_version += 1
 

@@ -17,14 +17,21 @@ per-morsel cost amortised over N rows:
 
 * scans slice whole chunks off the store's cached scan lists
   (:meth:`~repro.graph.store.MemoryGraph.label_scan_ids`) and broadcast
-  the outer bindings, instead of copying a row per node — index scans
+  the outer bindings, instead of copying a row per node; the whole-label
+  scan also *publishes* the morsel it just emitted — chunk, offset, the
+  scan list it is a slice of — and a property read whose subject column
+  **is** that chunk (an identity test, so shadowing cannot confuse it)
+  is ``column[start:start + n]`` of the store's label-aligned column
+  (:meth:`~repro.graph.store.MemoryGraph.label_property_column`) while
+  the store vouches for it, a per-node read otherwise — index scans
   (equality/``IN``/range/prefix probes per driving row) chunk their
   id-ordered candidate lists the same way, so indexed plans stay inside
   the batch claim — lazily, in morsels that start small and double, so
   a ``LIMIT`` above an index walk reads about k entries, not a morsel;
 * Expand walks the adjacency of an entire source column in one store
   call (:meth:`~repro.graph.store.MemoryGraph.expand_batch`) and gathers
-  the surviving origins with list selections; a label-only target check
+  the surviving origins with list selections (a one-to-one expansion
+  that drops nothing reuses the input columns); a label-only target check
   is one more store call over the neighbour column
   (:meth:`~repro.graph.store.MemoryGraph.has_labels_column`);
 * filters and projections evaluate *column-compiled* expression closures
@@ -66,7 +73,7 @@ final stores over the fuzz corpus.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 
 from repro.ast import expressions as ex
 from repro.ast import patterns as pt
@@ -91,9 +98,10 @@ from repro.semantics.table import Table
 from repro.values.base import NodeId
 from repro.values.ordering import canonical_key, sort_key
 
-#: Target rows per morsel.  Big enough to amortise per-batch Python
-#: overhead, small enough to keep columns cache-resident; engines expose
-#: it as the ``morsel_size`` knob.
+#: Target rows per morsel; engines expose it as the ``morsel_size`` knob.
+#: Big enough to amortise per-batch Python overhead, and past that the
+#: cost is per value: 256 -> 1024 -> 4096 moves the three heavy analytic
+#: templates 4-10%, so the default stays.
 DEFAULT_MORSEL_SIZE = 256
 
 #: Rows in the first morsel of a lazily chunked index scan; the size
@@ -257,8 +265,9 @@ def _compile_init(op, ctx):
     return run
 
 
-def _compile_scan(op, ctx, source_of, granted_label=None):
-    """Shared chunked scan: slice the node list per driving row."""
+def _compile_scan(op, ctx, source_of, granted_label=None, published=None):
+    """Shared chunked scan: slice the node list per driving row
+    (``published``: see :func:`_compile_label_scan`)."""
     child = _compile(op.child, ctx)
     slot = ctx.slots[op.variable]
     ok = _compile_node_ok(ctx, op.node_pattern, granted_label=granted_label)
@@ -280,6 +289,8 @@ def _compile_scan(op, ctx, source_of, granted_label=None):
                 total = len(nodes)
                 for start in range(0, total, morsel):
                     chunk = nodes[start:start + morsel]
+                    if published is not None and ok is None:
+                        published[:3] = chunk, start, nodes
                     out = [None] * width
                     for out_slot, col in bound:
                         out[out_slot] = [col[index]] * len(chunk)
@@ -291,8 +302,9 @@ def _compile_scan(op, ctx, source_of, granted_label=None):
     return run
 
 
-def _profiled_batch_scan(ctx, op, entry, run):
-    """Morsel-level emitted-row counter, matching the row engine's."""
+def _profiled_batch_scan(ctx, op, entry, run, **tallies):
+    """Morsel-level emitted-row counter, matching the row engine's
+    (``tallies``: live counters the scan's record also shows)."""
     log = ctx.access_log
     if log is None:
         return run
@@ -302,6 +314,7 @@ def _profiled_batch_scan(ctx, op, entry, run):
         "entry": entry,
         "estimated_rows": getattr(op, "estimated_rows", None),
         "actual_rows": 0,
+        **tallies,
     }
     log.append(record)
 
@@ -321,11 +334,28 @@ def _compile_all_nodes_scan(op, ctx):
 
 
 def _compile_label_scan(op, ctx):
+    """The one scan that publishes its morsels (module docstring), in
+    ``ColumnCompiler.label_morsels``; reset between runs, so a parked
+    pipeline holds no rows.  Partition scans share :func:`_compile_scan`
+    over a *copied* id list and never publish."""
     label = op.label
     scan = ctx.graph.label_scan_ids
+    served = {}
+    published = [None, 0, None, label, served]
+    ctx.columns.label_morsels.append(published)
+
+    def reset():
+        published[:3] = None, 0, None
+        served.clear()
+
+    ctx.compiler.memo_resets.append(reset)
     return _profiled_batch_scan(
         ctx, op, "label scan :%s" % label,
-        _compile_scan(op, ctx, lambda: scan(label), granted_label=label),
+        _compile_scan(
+            op, ctx, lambda: scan(label), granted_label=label,
+            published=published,
+        ),
+        column_slices=served,  # {key: morsels served as slices}
     )
 
 
@@ -560,7 +590,10 @@ def _compile_expand(op, ctx):
                 origins = [origins[p] for p in keep]
                 rels = [rels[p] for p in keep]
                 targets = [targets[p] for p in keep]
-            out = _select(cols, origins)
+            if len(origins) == n and origins == list(range(n)):
+                out = list(cols)  # one relationship per row, none dropped
+            else:
+                out = _select(cols, origins)
             if rel_slot is not None:
                 out[rel_slot] = rels
             if not into and to_slot is not None:
@@ -1001,8 +1034,34 @@ def _compile_strip(op, ctx):
     return run
 
 
+#: The constant heads of an int's and a str's sort and canonical keys,
+#: read off the reference functions so the zipped keys cannot drift.
+_SORT_HEADS = {int: sort_key(0)[:-1], str: sort_key("")[:-1]}
+_CANONICAL_HEADS = {int: canonical_key(0)[:-1], str: canonical_key("")[:-1]}
+
+
+def _homogeneous_keys(column, heads):
+    """Keys of an all-int or all-str column — the value behind a
+    constant head — zipped in C after one type-set check; else None."""
+    kinds = set(map(type, column))
+    head = heads.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if head is None:
+        return None
+    return list(zip(*map(repeat, head), column))
+
+
+def _sort_keys(column):
+    """``[sort_key(value) for value in column]`` (Sort and Top)."""
+    return _homogeneous_keys(column, _SORT_HEADS) or [
+        sort_key(value) for value in column
+    ]
+
+
 def _canonical_column(column):
     """Canonical grouping keys for one column (hot scalar cases inlined)."""
+    out = _homogeneous_keys(column, _CANONICAL_HEADS)
+    if out is not None:
+        return out
     out = []
     append = out.append
     for value in column:
@@ -1217,11 +1276,13 @@ def _compile_aggregate(op, ctx):
                 ]
                 groups.update(zip(fresh, map(first_seen.__getitem__, fresh)))
                 if count_argument is not None:
-                    keys = [
-                        key
-                        for key, value in zip(keys, count_argument(n, cols))
-                        if value is not None
-                    ]
+                    counted_col = count_argument(n, cols)
+                    if None in counted_col:
+                        keys = [
+                            key
+                            for key, value in zip(keys, counted_col)
+                            if value is not None
+                        ]
                 counts.update(keys)
                 continue
             if single_simple:
@@ -1325,7 +1386,7 @@ def _compile_sort(op, ctx):
         # Stable multi-pass sort, least-significant key first — the same
         # lexicographic-comparator equivalence the row engine uses.
         for compiled, ascending in reversed(keys):
-            keyed = [sort_key(value) for value in compiled(n, cols)]
+            keyed = _sort_keys(compiled(n, cols))
             order.sort(key=keyed.__getitem__, reverse=not ascending)
         yield n, _select(cols, order)
 
@@ -1373,9 +1434,7 @@ def _compile_top(op, ctx):
         retained = 0  # rows of held[0] that survived an earlier truncation
         rows = 0
         for n, cols in child(argument):
-            held.append((n, cols + [
-                [sort_key(value) for value in fn(n, cols)] for fn in key_fns
-            ]))
+            held.append((n, cols + [_sort_keys(fn(n, cols)) for fn in key_fns]))
             rows += n
             if rows > k + max(k, morsel):
                 held = [best_of(held, retained, k)]

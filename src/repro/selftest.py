@@ -440,6 +440,49 @@ def _check_pipeline_smoke(failures):
             )
 
 
+#: The aligned-column smoke: a label scan whose filter reads the store's
+#: label-aligned column, and a write that moves a row across the filter.
+ALIGNED_SMOKE_READ = (
+    "MATCH (a:A) WHERE a.v >= $low RETURN count(a) AS c, sum(a.v) AS s"
+)
+ALIGNED_SMOKE_WRITE = "MATCH (a:A) WHERE a.v = $low SET a.v = a.v - 100"
+
+
+def _check_aligned_column_smoke(failures):
+    """Four batch reads against the interpreter — before a write, inside
+    the writing transaction, on a snapshot pinned before it, after the
+    rollback — each also checked for whether its morsels were *served*
+    as slices: neither a stale slice nor a dead fast path passes."""
+    low = {"low": 2}
+    engine = CypherEngine(fixture_graph())
+
+    def check(name, target, want, served):
+        result = target.run(ALIGNED_SMOKE_READ, low, mode="batch", profile=True)
+        slices = result.access_paths[0]["column_slices"]
+        if result.records != want or bool(slices) != served:
+            failures.append("aligned columns: %s answered %r (want %r), %s" % (
+                name, result.records, want,
+                "served a slice" if slices else "refused one",
+            ))
+
+    before = engine.run(ALIGNED_SMOKE_READ, low, mode="interpreter").records
+    reader = engine.session()
+    snapshot = reader.snapshot()
+    check("first read", engine, before, True)
+    with engine.session() as writer:
+        writer.begin()
+        writer.run(ALIGNED_SMOKE_WRITE, low)
+        written = writer.run(
+            ALIGNED_SMOKE_READ, low, mode="interpreter"
+        ).records
+        check("read in the transaction", writer, written, True)
+        check("read on the older pin", snapshot, before, False)
+    reader.close()
+    check("read after rollback", engine, before, True)
+    if written == before:
+        failures.append("aligned columns: the write never changed the answer")
+
+
 #: The snapshot-under-writes smoke: committed writes on the indexed key
 #: (SET, CREATE, DETACH DELETE) plus one statement left uncommitted …
 SNAPSHOT_SMOKE_COMMITTED = INDEX_SMOKE_STATEMENTS[1:] + (
@@ -857,6 +900,12 @@ def run_selftest(output=print):
     output(
         "prepared pipelines:   run, write, re-run on the parked pipeline "
         "x 2 engines; unbound-after-bound; error-then-rerun"
+    )
+    _check_aligned_column_smoke(failures)
+    output(
+        "aligned columns:      read, write in an open transaction, re-read in "
+        "it and on an older pin, rollback, re-read - 4 interpreter-checked "
+        "results, slice served / served fresh / refused / served"
     )
     _check_snapshot_smoke(failures)
     output(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import compress, repeat
 
 from repro.ast import expressions as ex
 from repro.exceptions import (
@@ -82,6 +83,7 @@ _NATIVE_INEQUALITIES = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _NATIVE_ARITHMETIC = {
     "+": operator.add,
     "-": operator.sub,
@@ -1118,7 +1120,19 @@ class ExpressionCompiler:
 
 
 _ALL_BOOL = {bool}
+_ALL_INT = {int}
 _TERNARY_TYPES = {bool, type(None)}
+
+
+def _const_column(value):
+    """A column closure repeating ``value``, with the ``scalar()`` door
+    the one-scalar-side kernels read instead of the column."""
+
+    def const_column(n, cols):
+        return [value] * n
+
+    const_column.scalar = lambda: value
+    return const_column
 
 
 def select_columns(cols, indices):
@@ -1149,9 +1163,10 @@ class ColumnCompiler:
     the hot shapes —
 
     * variables return their column by reference (zero copies);
-    * property access tries the store's bulk ``node_property_column``
-      first and only drops to the per-element mixed-type loop when the
-      column is not purely nodes;
+    * property access over a whole-label scan's own morsel slices the
+      store's label-aligned column (``label_morsels``); otherwise it
+      tries the bulk ``node_property_column`` and only drops to the
+      per-element mixed-type loop when the column is not purely nodes;
     * repeated ``variable.key`` reads are *memoised*: all occurrences of
       e.g. ``n.v`` across one compilation share a single closure
       (structural key, not AST identity), and that closure caches its
@@ -1163,8 +1178,12 @@ class ColumnCompiler:
       cannot change during a read execution (between executions the
       memo is reset, which also lets go of the last morsel — see
       :attr:`ExpressionCompiler.memo_resets`);
-    * arithmetic and comparisons run int fast-path loops, specialised
-      when one operand is a constant (``n.v > 5`` is one list pass);
+    * arithmetic and comparisons run int fast-path loops; literal and
+      parameter columns expose ``scalar()`` — their one value for the
+      batch — and an inequality with one scalar side checks the other
+      column's type set once and, all-int against an int, compares in C;
+    * a WHERE whose root can only yield true/false/null selects by
+      ``compress`` (:meth:`compile_selection`);
     * AND/OR short-circuit *by column*: the right operand is evaluated
       only on the sub-batch the left side did not decide, which keeps
       the row path's "never evaluates the pruned side" error semantics
@@ -1190,6 +1209,11 @@ class ColumnCompiler:
         #: distinct AST nodes spelling the same read share one closure
         #: (and therefore one per-morsel value memo).
         self._property_readers = {}
+        #: The batch whole-label scans' last morsels, one mutable
+        #: ``[chunk, start, scan list, label, slices served per key]``
+        #: each: the scans write, the property readers match their
+        #: subject column by identity.
+        self.label_morsels = []
 
     # ------------------------------------------------------------------
 
@@ -1207,8 +1231,20 @@ class ColumnCompiler:
         return compiled
 
     def compile_selection(self, expression):
-        """WHERE semantics as a selection: row indices where strictly true."""
+        """WHERE semantics as a selection: row indices where strictly true.
+
+        A comparison, connective or null test yields only ``True``,
+        ``False`` and ``None``: truthiness *is* the strict test, so the
+        selection is one ``compress``.  Any other root (a property, a
+        CASE, a function call) may hold a stored ``1`` — not true.
+        """
         compiled = self.compile(expression)
+        if type(expression) in _TERNARY_ROOTS:
+
+            def ternary_selection(n, cols):
+                return list(compress(range(n), compiled(n, cols)))
+
+            return ternary_selection
 
         def selection(n, cols):
             return [
@@ -1250,13 +1286,7 @@ class ColumnCompiler:
     # -- leaves ------------------------------------------------------------
 
     def _literal(self, node):
-        value = node.value
-
-        def const_column(n, cols):
-            return [value] * n
-
-        const_column.constant_value = (value,)
-        return const_column
+        return _const_column(node.value)
 
     def _parameter(self, node):
         row_fn = self.rows.compile(node)
@@ -1267,6 +1297,7 @@ class ColumnCompiler:
                 return empty
             return [row_fn(empty)] * n
 
+        param_column.scalar = lambda: row_fn(empty)  # raises if unbound
         return param_column
 
     def _variable(self, node):
@@ -1301,6 +1332,8 @@ class ColumnCompiler:
         subject = self.compile(node.subject)
         key = node.key
         bulk = getattr(self.graph, "node_property_column", None)
+        aligned = getattr(self.graph, "label_property_column", None)
+        label_morsels = self.label_morsels
         property_value = self.graph.property_value
 
         def element(value):
@@ -1319,6 +1352,15 @@ class ColumnCompiler:
 
         def prop_column(n, cols):
             values = subject(n, cols)
+            for chunk, start, ids, label, served in label_morsels:
+                if values is chunk:
+                    # A label scan's own morsel: a slice of the store's
+                    # aligned column, while the store vouches for it.
+                    column = aligned(label, key, ids)
+                    if column is None:
+                        break
+                    served[key] = served.get(key, 0) + 1
+                    return column[start:start + n]
             if bulk is not None:
                 try:
                     return bulk(values, key)
@@ -1357,13 +1399,7 @@ class ColumnCompiler:
         row_fn = self.rows.compile(node)
         folded = _constant_of(row_fn)
         if folded is not None:
-            value = folded[0]
-
-            def const_column(n, cols):
-                return [value] * n
-
-            const_column.constant_value = folded
-            return const_column
+            return _const_column(folded[0])
         left = self.compile(node.left)
         right = self.compile(node.right)
         operator_name = node.operator
@@ -1378,19 +1414,21 @@ class ColumnCompiler:
                 ]
 
             return general_column
-        right_const = _constant_of(right)
-        if right_const is not None and type(right_const[0]) is int:
-            rv = right_const[0]
+        right_scalar = getattr(right, "scalar", None)
+        if right_scalar is not None:
 
-            def const_right(n, cols):
+            def scalar_right(n, cols):
+                column = left(n, cols)
+                rv = right_scalar() if n else None
+                int_right = type(rv) is int
                 return [
                     native(l, rv)
-                    if type(l) is int
+                    if int_right and type(l) is int
                     else apply_arithmetic(operator_name, l, rv)
-                    for l in left(n, cols)
+                    for l in column
                 ]
 
-            return const_right
+            return scalar_right
 
         def arithmetic_column(n, cols):
             return [
@@ -1425,20 +1463,34 @@ class ColumnCompiler:
                 ]
 
             return ne_column
-        native = _NATIVE_INEQUALITIES[operator_name]
-        right_const = _constant_of(right)
-        if right_const is not None and type(right_const[0]) is int:
-            rv = right_const[0]
+        left_scalar = getattr(left, "scalar", None)
+        scalar = getattr(right, "scalar", None)
+        if (left_scalar is None) != (scalar is None):
+            # One side is a literal or parameter — one value for the
+            # batch (``$x < n.v`` is read as ``n.v > $x``): an all-int
+            # column against an int compares in C, anything else takes
+            # the per-value verdict, as the two-column loop below would.
+            scalar_first = scalar is None
+            if scalar_first:
+                left, scalar = right, left_scalar
+                operator_name = _MIRRORED[operator_name]
+            native = _NATIVE_INEQUALITIES[operator_name]
 
-            def const_right(n, cols):
+            def scalar_side(n, cols):
+                if not n:
+                    return []
+                if scalar_first:  # operands evaluate left to right
+                    rv, column = scalar(), left(n, cols)
+                else:
+                    column, rv = left(n, cols), scalar()
+                if type(rv) is int and set(map(type, column)) == _ALL_INT:
+                    return list(map(native, column, repeat(rv)))
                 return [
-                    native(l, rv)
-                    if type(l) is int
-                    else _ordering_verdict(operator_name, l, rv)
-                    for l in left(n, cols)
+                    _ordering_verdict(operator_name, l, rv) for l in column
                 ]
 
-            return const_right
+            return scalar_side
+        native = _NATIVE_INEQUALITIES[operator_name]
 
         def inequality_column(n, cols):
             return [
@@ -1562,6 +1614,11 @@ class ColumnCompiler:
 
         return invoke_column
 
+
+#: Expression roots whose column holds only ``True``/``False``/``None``.
+_TERNARY_ROOTS = frozenset(
+    (ex.Comparison, ex.BinaryLogic, ex.Not, ex.IsNull, ex.IsNotNull)
+)
 
 _COLUMN_COMPILERS = {
     ex.Literal: ColumnCompiler._literal,

@@ -635,7 +635,8 @@ def create_update_queries(draw):
         suffix = draw(st.sampled_from(["", " RETURN count(*) AS c"]))
     else:
         driver = (
-            "MATCH (a:A), (b:B) WITH a, b ORDER BY a.name, b.name "
+            "MATCH (a:A), (b:B) WITH a, b "
+            "ORDER BY a.name, b.name, id(a), id(b) "
         )
         body = draw(
             st.sampled_from(
@@ -739,7 +740,8 @@ def merge_queries(draw):
         return driver + pattern + actions + suffix
     if shape == "rel":
         driver = (
-            "MATCH (a:A), (b:B) WITH a, b ORDER BY a.name, b.name "
+            "MATCH (a:A), (b:B) WITH a, b "
+            "ORDER BY a.name, b.name, id(a), id(b) "
         )
         pattern = draw(
             st.sampled_from(

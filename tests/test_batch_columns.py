@@ -11,6 +11,7 @@ import pytest
 
 from repro import CypherEngine
 from repro.exceptions import CypherTypeError, ParameterNotBound
+from repro.graph.snapshot import SnapshotGraph
 from repro.graph.store import MemoryGraph
 from repro.parser import parse_expression
 from repro.planner.slots import SlotMap
@@ -308,3 +309,226 @@ class TestBulkStoreApis:
         origins, rels, targets = g.expand_batch([n], "both", None)
         assert len(rels) == 1
         assert targets == [n]
+
+
+class TestLabelAlignedColumns:
+    """``label_property_column`` is an auxiliary structure: whenever it
+    answers at all, it equals its from-scratch definition —
+    ``node_property_column(label_scan_ids(l), k)`` — and a batch scan
+    reading through it equals the interpreter, after every kind of
+    write, inside and outside transactions."""
+
+    LABELS = ("L", "M")
+    KEYS = ("v", "w")
+    READ = "MATCH (n:L) WHERE n.v >= $x RETURN count(n) AS c, sum(n.v) AS s"
+
+    #: Every raw mutator a column could go stale under, plus the four
+    #: that move the scan list instead.
+    STEPS = (
+        "MATCH (n:L {i: 3}) SET n.v = 100",
+        "MATCH (n:L {i: 4}) REMOVE n.v",
+        "MATCH (n:L {i: 5}) SET n = {i: 5, v: -7}",
+        "MATCH (n:L {i: 6}) SET n += {v: 60, w: null}",
+        "MATCH (n:M {i: 41}) SET n:L",
+        "MATCH (n:L {i: 7}) REMOVE n:L",
+        "CREATE (:L {i: 90, v: 9}), (:L:M {i: 91, v: 91, w: 1})",
+        "MATCH (n:L {i: 8}) DETACH DELETE n",
+    )
+
+    @staticmethod
+    def _graph():
+        g = MemoryGraph()
+        for i in range(12):
+            g.create_node(("L",), {"i": i, "v": i % 5, "w": i * 2})
+        for i in range(40, 44):
+            g.create_node(("M",), {"i": i, "v": i})
+        return g
+
+    def _check(self, graph, run):
+        """Columns ≡ rebuilt (or refused); batch read ≡ interpreter."""
+        for label in self.LABELS:
+            ids = graph.label_scan_ids(label)
+            for key in self.KEYS:
+                for _twice in range(2):  # the fill, then the memo
+                    column = graph.label_property_column(label, key, ids)
+                    assert column is None or column == (
+                        graph.node_property_column(ids, key)
+                    ), (label, key)
+        for x in (0, 3):
+            want = run(self.READ, {"x": x}, mode="interpreter").records
+            got = run(self.READ, {"x": x}, mode="batch", profile=True)
+            assert got.execution_mode == "batch"
+            assert got.records == want
+            # ... and the read really went through the aligned column.
+            assert got.access_paths[0]["column_slices"].get("v")
+
+    def test_maintained_equals_rebuilt_through_a_scripted_session(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        self._check(graph, engine.run)
+        with engine.session() as session:
+            for ending in ("rollback", "commit"):
+                session.begin()
+                for step in self.STEPS:
+                    session.run(step)
+                    self._check(graph, session.run)
+                getattr(session, ending)()
+                self._check(graph, session.run)
+        self._check(graph, engine.run)
+
+    def test_auto_committed_writes(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        for step in self.STEPS:
+            self._check(graph, engine.run)  # warm before every write
+            engine.run(step)
+        self._check(graph, engine.run)
+
+    def test_a_failed_statement_rolled_back_inside_a_session(self):
+        from repro.exceptions import QueryCancelled
+        from repro.functions.registry import default_registry
+        from repro.runtime.cancel import CancelToken
+
+        token = CancelToken()
+        calls = [0]
+
+        def tripwire(context, value):
+            calls[0] += 1
+            if calls[0] == 40:
+                token.cancel()
+            return value
+
+        registry = default_registry()
+        registry.register("tripwire", tripwire, min_arity=1, max_arity=1)
+        graph = MemoryGraph()
+        for i in range(600):
+            graph.create_node(("L",), {"i": i, "v": i % 5, "w": i})
+        engine = CypherEngine(graph, functions=registry)
+        with engine.session() as session:
+            session.begin()
+            session.run(self.STEPS[0])
+            self._check(graph, session.run)
+            applied = graph.node_property_column(graph.label_scan_ids("L"), "v")
+            with pytest.raises(QueryCancelled):
+                session.run(
+                    "MATCH (n:L) SET n.v = tripwire(n.v) + 1000", cancel=token
+                )
+            assert calls[0] >= 40  # some rows were written, then unwound
+            self._check(graph, session.run)
+            assert applied == graph.node_property_column(
+                graph.label_scan_ids("L"), "v"
+            )
+            session.commit()
+        self._check(graph, engine.run)
+
+    def test_restore_from_and_copy_start_cold(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        self._check(graph, engine.run)
+        assert graph._column_cache
+        clone = graph.copy()
+        assert not clone._column_cache
+        self._check(clone, CypherEngine(clone).run)
+        donor = self._graph()
+        CypherEngine(donor).run("MATCH (n:L) SET n.v = n.v + 50")
+        graph.restore_from(donor)
+        assert not graph._column_cache
+        self._check(graph, engine.run)
+        assert engine.run(self.READ, {"x": 50}, mode="batch").records == [
+            {"c": 12, "s": sum(50 + i % 5 for i in range(12))}
+        ]
+
+    def test_a_stale_scan_list_is_refused(self):
+        graph = self._graph()
+        ids = graph.label_scan_ids("L")
+        assert graph.label_property_column("L", "v", ids) is not None
+        assert graph.label_property_column("L", "v", list(ids)) is None
+        graph.delete_node(ids[3])
+        assert graph.label_property_column("L", "v", ids) is None
+        fresh = graph.label_scan_ids("L")
+        assert fresh is not ids and len(fresh) == len(ids) - 1
+        assert graph.label_property_column("L", "v", fresh) == (
+            graph.node_property_column(fresh, "v")
+        )
+        # A create appends to the warm list in place: same list, longer.
+        with CypherEngine(graph).session() as session:
+            session.begin()
+            warm = graph.label_scan_ids("L")
+            before = graph.label_property_column("L", "v", warm)
+            session.run("CREATE (:L {i: 99, v: 99})")
+            assert graph.label_scan_ids("L") is warm
+            after = graph.label_property_column("L", "v", warm)
+            assert after == before + [99] and len(after) == len(warm)
+            session.rollback()
+        assert graph.label_property_column("L", "v", warm) is None
+
+    def test_snapshot_pins_clean_and_dirty(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        want = engine.run(self.READ, {"x": 2}, mode="interpreter").records
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            view = snapshot.graph
+            ids = view.label_scan_ids("L")
+            assert view.label_property_column("L", "v", ids) is (
+                graph.label_property_column("L", "v", ids)
+            )
+            clean = snapshot.run(
+                self.READ, {"x": 2}, mode="batch", profile=True
+            )
+            assert clean.records == want
+            assert clean.access_paths[0]["column_slices"] == {"v": 1}
+            engine.run("MATCH (n:L {i: 3}) SET n.v = 100")
+            view = snapshot.graph
+            assert isinstance(view, SnapshotGraph)
+            assert view.label_property_column(
+                "L", "v", view.label_scan_ids("L")
+            ) is None
+            dirty = snapshot.run(
+                self.READ, {"x": 2}, mode="batch", profile=True
+            )
+            assert dirty.records == want  # the pin-time answer, gathered
+            assert dirty.access_paths[0]["column_slices"] == {}
+        assert engine.run(self.READ, {"x": 2}, mode="batch").records != want
+
+    def test_fault_injection_across_a_property_write(self):
+        """Crash at every site of one transaction that writes a property
+        with the column warm: after the rollback the column is the
+        pre-transaction one again (or refused) and the read agrees."""
+        from repro.graph.store import FaultInjector, InjectedFault
+
+        def workload(graph):
+            with CypherEngine(graph).session() as session:
+                session.begin()
+                session.run("MATCH (n:L) WHERE n.i < 4 SET n.v = n.v + 10")
+                session.run("MATCH (n:L {i: 5}) SET n += {v: 1, w: 2}")
+                session.run("MATCH (n:L {i: 6}) REMOVE n.v")
+                session.commit()
+
+        def warmed():
+            graph = self._graph()
+            graph.create_index("L", "w")  # index sites in the sweep too
+            self._check(graph, CypherEngine(graph).run)
+            return graph
+
+        tracer = FaultInjector()
+        traced = warmed()
+        traced.install_fault_injector(tracer)
+        workload(traced)
+        traced.install_fault_injector(None)
+        self._check(traced, CypherEngine(traced).run)
+        assert tracer.counts["set_property"] == 4
+        pristine = warmed()
+        pristine_column = pristine.node_property_column(
+            pristine.label_scan_ids("L"), "v"
+        )
+        for ordinal in range(1, tracer.total + 1):
+            graph = warmed()
+            graph.install_fault_injector(FaultInjector(arm_at=ordinal))
+            with pytest.raises(InjectedFault):
+                workload(graph)
+            graph.install_fault_injector(None)
+            self._check(graph, CypherEngine(graph).run)
+            assert graph.node_property_column(
+                graph.label_scan_ids("L"), "v"
+            ) == pristine_column, ordinal

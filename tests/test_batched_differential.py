@@ -574,3 +574,265 @@ class TestColumnKernels:
                 )
                 assert isinstance(snapshot.graph, SnapshotGraph)
                 assert _outcome(snapshot.run, query, "batch", False) == want
+
+
+class TestScalarComparisonKernel:
+    """One scalar side (literal or parameter): an all-int column against
+    an int compares in C, everything else takes the per-value verdict —
+    same verdicts and the same error class as the interpreter, whatever
+    the column and the scalar hold."""
+
+    COLUMNS = {
+        "all-int": [3, 1, 4, 1, 5, 9, 2, 6],
+        "int-null": [3, None, 4, None, 5, 0],
+        "int-float": [3, 2.5, 4, 0.5, float("nan"), 7],
+        "int-bool": [3, True, 4, False, 1],
+        "all-str": ["b", "a", "c", "a"],
+    }
+    #: name -> (literal spelling or None for parameter-only, value)
+    SCALARS = {
+        "int": ("3", 3),
+        "null": ("null", None),
+        "float": ("1.5", 1.5),
+        "bool": ("true", True),
+        "str": ("'a'", "a"),
+        "nan": (None, float("nan")),
+        "list": ("[1]", [1]),
+    }
+    SHAPES = ["n.x >= %s", "%s < n.x", "n.x < %s", "%s <= n.x"]
+
+    @staticmethod
+    def _outcome(engine, query, parameters, mode):
+        try:
+            records = engine.run(query, parameters, mode=mode).records
+        except CypherError as error:
+            return ("error", type(error))
+        return ("rows", records)
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    @pytest.mark.parametrize("scalar", sorted(SCALARS))
+    def test_verdicts_and_errors_match_the_interpreter(self, column, scalar):
+        graph = _property_graph([{"x": x} for x in self.COLUMNS[column]])
+        literal, value = self.SCALARS[scalar]
+        spellings = [("$s", {"s": value})]
+        if literal is not None:
+            spellings.append((literal, {}))
+        for morsel_size in (4, 256):
+            engine = CypherEngine(graph, morsel_size=morsel_size)
+            for shape in self.SHAPES:
+                for spelling, parameters in spellings:
+                    predicate = shape % spelling
+                    for query in (
+                        "MATCH (n:V) RETURN n.i AS i, %s AS v" % predicate,
+                        "MATCH (n:V) WHERE %s "
+                        "RETURN count(n) AS c, sum(n.i) AS s" % predicate,
+                    ):
+                        want = self._outcome(
+                            engine, query, parameters, "interpreter"
+                        )
+                        got = self._outcome(engine, query, parameters, "batch")
+                        # NaN verdict columns never hold NaN itself, so
+                        # plain equality is exact here.
+                        assert got == want, (query, parameters, morsel_size)
+
+    def test_an_unbound_scalar_raises_like_the_interpreter(self):
+        from repro.exceptions import ParameterNotBound
+
+        graph = _property_graph([{"x": 1}, {"x": 2}])
+        for query in (
+            "MATCH (n:V) WHERE n.x >= $s RETURN n.i AS i",
+            "MATCH (n:V) WHERE $s < n.x RETURN n.i AS i",
+        ):
+            for mode in ("interpreter", "batch"):
+                with pytest.raises(ParameterNotBound):
+                    CypherEngine(graph).run(query, mode=mode)
+
+    def test_arithmetic_against_a_scalar(self):
+        """The same door serves ``n.x + $k`` / ``n.x * 2``."""
+        for column in ("all-int", "int-null", "int-float", "all-str"):
+            graph = _property_graph([{"x": x} for x in self.COLUMNS[column]])
+            engine = CypherEngine(graph)
+            for text, parameters in (
+                ("n.x + $k", {"k": 2}), ("n.x * 2", {}), ("n.x - $k", {"k": 0.5}),
+                ("n.x + $k", {"k": "s"}), ("n.x * $k", {"k": None}),
+            ):
+                query = "MATCH (n:V) RETURN n.i AS i, %s AS v" % text
+                want = self._outcome(engine, query, parameters, "interpreter")
+                got = self._outcome(engine, query, parameters, "batch")
+                assert repr(got) == repr(want), (query, parameters)
+
+
+class TestSelectionRoots:
+    """``WHERE`` keeps rows whose verdict *is* ``true``: a comparison,
+    connective or null test is compressed by truthiness, any other root
+    — a stored ``1`` is not true — keeps the strict test."""
+
+    ROWS = [
+        {"b": True, "x": 1}, {"b": 1, "x": 2}, {"b": False, "x": None},
+        {"b": None, "x": 0}, {"b": "yes", "x": 5}, {"b": True, "x": None},
+        {"b": 1.0, "x": 7}, {"b": [True], "x": 3},
+    ]
+    PREDICATES = [
+        "n.b",                                      # bare property
+        "CASE WHEN n.x > 1 THEN n.b ELSE true END",
+        "coalesce(n.b, true)",                      # function call
+        "n.b = true",
+        "n.x > 1",
+        "NOT n.x > 1",
+        "n.x IS NULL",
+        "n.x IS NOT NULL",
+        "n.x > 1 OR n.x IS NULL",
+        "n.x > 0 AND n.x < 6",
+        "n.x > 1 XOR n.x < 6",
+        "1 < n.x < 6",                              # chained comparison
+        "$p",
+    ]
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_where_is_strictly_true(self, predicate):
+        graph = _property_graph(self.ROWS)
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph, morsel_size=morsel_size)
+            query = "MATCH (n:V) WHERE %s RETURN n.i AS i" % predicate
+            for p in (True, 1, None):
+                want = engine.run(query, {"p": p}, mode="interpreter").records
+                got = engine.run(query, {"p": p}, mode="batch")
+                assert got.execution_mode == "batch"
+                assert got.records == want, (predicate, p, morsel_size)
+
+    def test_a_stored_one_is_not_true(self):
+        graph = _property_graph(self.ROWS)
+        records = CypherEngine(graph).run(
+            "MATCH (n:V) WHERE n.b RETURN n.i AS i", mode="batch"
+        ).records
+        assert [r["i"] for r in records] == [0, 5]
+
+
+class TestSingleTypeExpand:
+    """``(a)-[:T]->(b)`` / ``(a)<-[:T]-(b)``: one type and one direction
+    gather the segmented adjacency in C; a source column holding
+    anything but current nodes must give the guarded loop's rows."""
+
+    @staticmethod
+    def _graph():
+        graph = MemoryGraph()
+        nodes = [graph.create_node(("N",), {"i": i}) for i in range(7)]
+        # 0: none; 1: one; 2: several (+ another type); 3: a self-loop;
+        # 4: one each; 5, 6: targets only.
+        for source, target, rel_type in [
+            (1, 5, "T"), (2, 5, "T"), (2, 6, "T"), (2, 1, "U"), (2, 0, "T"),
+            (3, 3, "T"), (4, 6, "T"), (4, 5, "U"), (6, 5, "T"),
+        ]:
+            graph.create_relationship(nodes[source], nodes[target], rel_type)
+        return graph
+
+    QUERIES = [
+        "MATCH (a:N)-[:T]->(b) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:N)<-[:T]-(b) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:N)-[r:T]->(b:N) RETURN a.i AS a, id(r) AS r, b.i AS b",
+        "MATCH (a:N)-[:T]->(b)-[:T]->(c) RETURN a.i AS a, c.i AS c",
+        "MATCH (a:N)-[:T]->(b) WHERE a.i >= $low RETURN a.i AS a, count(b) AS c",
+        "MATCH (a:N)-[:T|U]->(b) RETURN a.i AS a, b.i AS b",
+        "MATCH (a:N)-[:T]-(b) RETURN a.i AS a, b.i AS b",
+    ]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_expands_match_the_interpreter(self, query):
+        graph = self._graph()
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph, morsel_size=morsel_size)
+            want = engine.run(query, {"low": 1}, mode="interpreter").records
+            got = engine.run(query, {"low": 1}, mode="batch")
+            assert got.execution_mode == "batch"
+            assert got.records == want, (query, morsel_size)
+
+    def test_one_to_one_expand_shares_its_input_columns(self):
+        """Every source with exactly one ``:T`` edge: the fast path keeps
+        the scan's own morsel, so a later ``a.i`` is still a slice."""
+        graph = MemoryGraph()
+        for i in range(9):
+            a = graph.create_node(("A",), {"i": i})
+            graph.create_relationship(
+                a, graph.create_node(("B",), {"i": 10 * i}), "T"
+            )
+        query = (
+            "MATCH (a:A)-[:T]->(b) WHERE a.i >= $low "
+            "RETURN a.i AS a, b.i AS b"
+        )
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph, morsel_size=morsel_size)
+            want = engine.run(query, {"low": 0}, mode="interpreter").records
+            got = engine.run(query, {"low": 0}, mode="batch", profile=True)
+            assert got.records == want
+            (scan,) = [
+                path for path in got.access_paths
+                if path["entry"] == "label scan :A"
+            ]
+            assert scan["column_slices"] == {"i": -(-9 // morsel_size)}
+
+    SOURCES = ["null", "1", "'n'", "[a]", "{k: a}", "r", "[1, 2]", "$gone"]
+
+    @pytest.mark.parametrize("direction", ["-[:T]->", "<-[:T]-"])
+    def test_sources_that_are_not_current_nodes(self, direction):
+        """A null, a scalar, a relationship, a list and a map (unhashable:
+        the guarded loop) and a node the store no longer has."""
+        graph = self._graph()
+        gone = graph.label_scan_ids("N")[4]
+        graph.delete_node(gone, detach=True)
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph, morsel_size=morsel_size)
+
+            def run(query, mode):
+                return engine.run(query, {"gone": gone}, mode=mode)
+
+            for source in self.SOURCES:
+                query = (
+                    "MATCH (a:N)-[r:T]->() WITH a, r ORDER BY id(r) "
+                    "UNWIND [a, %s] AS s MATCH (s)%s(b) "
+                    "RETURN a.i AS a, b.i AS b" % (source, direction)
+                )
+                want = _outcome(run, query, "interpreter", False)
+                assert want[0] == "rows" and want[1]
+                assert _outcome(run, query, "row", False) == want
+                assert _outcome(run, query, "batch", False) == want, (
+                    query, morsel_size
+                )
+
+    def test_a_source_deleted_under_a_held_column(self):
+        """``expand_batch`` itself, over a column that still names a node
+        the store no longer has: nothing expands from it."""
+        graph = self._graph()
+        nodes = graph.label_scan_ids("N")[:]
+        graph.delete_node(nodes[2], detach=True)
+        for direction in ("out", "in"):
+            fast = graph.expand_batch(nodes, direction, ("T",))
+            slow = graph.expand_batch(nodes, direction, ("T", "T"))
+            assert fast == slow
+            assert 2 not in fast[0]
+        mixed = [nodes[1], None, [nodes[1]], {"k": 1}, 7, "n", nodes[3]]
+        assert graph.expand_batch(mixed, "out", ("T",)) == (
+            graph.expand_batch(mixed, "out", ("T", "T"))
+        )
+
+    @pytest.mark.parametrize("query", QUERIES[:5])
+    def test_expand_on_a_dirty_pin(self, query):
+        graph = self._graph()
+        want = _outcome(
+            lambda q, mode: CypherEngine(graph.copy()).run(
+                q, {"low": 1}, mode=mode
+            ),
+            query, "interpreter", False,
+        )
+        for morsel_size in MORSEL_SIZES:
+            engine = CypherEngine(graph.copy(), morsel_size=morsel_size)
+            with engine.session() as session:
+                snapshot = session.snapshot()
+                engine.run("MATCH (a:N {i: 2})-[r:T]->() DELETE r")
+                engine.run("MATCH (a:N {i: 0}), (b:N {i: 5}) CREATE (a)-[:T]->(b)")
+                engine.run("MATCH (a:N {i: 4}) SET a.i = 40")
+                assert isinstance(snapshot.graph, SnapshotGraph)
+                got = _outcome(
+                    lambda q, mode: snapshot.run(q, {"low": 1}, mode=mode),
+                    query, "batch", False,
+                )
+                assert got == want, (query, morsel_size)

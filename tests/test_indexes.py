@@ -636,15 +636,30 @@ class TestPushdownChoices:
 
 
 class CountingGraph(MemoryGraph):
-    """MemoryGraph counting bulk property-column reads."""
+    """MemoryGraph counting bulk property-column reads, by door.
+
+    ``bulk_reads`` is every column the compiled reader asked the store
+    for: ``gathers`` through :meth:`node_property_column` (a read per
+    node) plus ``slices`` through :meth:`label_property_column` (the
+    label-aligned column a whole-label scan's morsel is a slice of).
+    """
 
     def __init__(self):
         super().__init__()
-        self.bulk_reads = 0
+        self.gathers = 0
+        self.slices = 0
+
+    @property
+    def bulk_reads(self):
+        return self.gathers + self.slices
 
     def node_property_column(self, node_ids, key):
-        self.bulk_reads += 1
+        self.gathers += 1
         return super().node_property_column(node_ids, key)
+
+    def label_property_column(self, label, key, ids):
+        self.slices += 1
+        return super().label_property_column(label, key, ids)
 
 
 class TestEngineObservability:
@@ -732,8 +747,10 @@ class TestColumnPropertyCaching:
             mode="batch",
         )
         # filter + three projection occurrences, one store read (one
-        # morsel): the memoised reader is shared structurally.
+        # morsel): the memoised reader is shared structurally.  The
+        # morsel is the label scan's own, so the one read is a slice.
         assert graph.bulk_reads == 1
+        assert (graph.slices, graph.gathers) == (1, 0)
 
     def test_cache_is_per_morsel(self):
         from repro.planner.batch import DEFAULT_MORSEL_SIZE
@@ -743,6 +760,7 @@ class TestColumnPropertyCaching:
             "MATCH (n:L) RETURN n.v AS a, n.v AS b", mode="batch"
         )
         assert graph.bulk_reads == 2  # one per morsel, not per item
+        assert (graph.slices, graph.gathers) == (2, 0)
 
     def test_cache_never_leaks_across_filtered_columns(self):
         graph, engine = self.counting_engine(50)
@@ -752,3 +770,6 @@ class TestColumnPropertyCaching:
         )
         assert result.values("v") == list(range(25, 50))
         assert graph.bulk_reads == 2  # pre-filter column + selected column
+        # ... and the selected column is a gather over its own 25 ids,
+        # never a slice of (or the memo of) the scan's 50.
+        assert (graph.slices, graph.gathers) == (1, 1)

@@ -107,7 +107,8 @@ class TestSnapshotVisibility:
         covered by :meth:`test_unordered_create_same_edge_multiset`.
         """
         planned = assert_agreement(
-            "MATCH (a:A), (b:B) WITH a, b ORDER BY a.name, b.name "
+            "MATCH (a:A), (b:B) WITH a, b "
+            "ORDER BY a.name, b.name, id(a), id(b) "
             "CREATE (a)-[:T]->(b) RETURN count(*) AS n"
         )
         assert planned.value() == 6  # 3 × 2 pairs
