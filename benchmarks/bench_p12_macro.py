@@ -59,13 +59,6 @@ UPDATE_TXNS = 60
 READERS = 2
 BUDGET_S = 60.0
 
-#: The driving engine runs with a worker pool so the analytic class
-#: (issued under mode ``auto``) fans parallel-claimed plans out over
-#: the scheduler mid-workload; the threshold is lowered to match the
-#: scale-0.1 message-scan sizes (hundreds of rows, not thousands).
-WORKLOAD_WORKERS = 4
-WORKLOAD_PARALLEL_THRESHOLD = 256
-
 #: Indexes declared before ingest — the deferred path drops and
 #: rebuilds these once; the incremental path maintains them per row.
 #: The all-types condensation is the expensive one to maintain
@@ -120,12 +113,7 @@ def _driven_engine():
     """An ingested engine plus the driver handles for it."""
     dataset = _dataset()
     graph, _report = _ingest(_tables(dataset), 1000, True)
-    engine = CypherEngine(
-        graph,
-        workers=WORKLOAD_WORKERS,
-        parallel_threshold=WORKLOAD_PARALLEL_THRESHOLD,
-    )
-    return engine, dataset_handles(dataset)
+    return CypherEngine(graph), dataset_handles(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +218,13 @@ def test_p12_macro_latency_profile(table_report, pipeline_record):
                 "%.3f ms" % entry["p99_ms"],
             )
         )
-    fanout = result.parallelism
     table_report(
-        "P12 — mixed workload, %d committed / %d aborted txns, %.2fs; "
-        "analytic auto fan-out %d/%d runs (%d partitions, %d workers)"
-        % (
-            result.committed, result.aborted, result.elapsed_s,
-            fanout["parallel_runs"], fanout["analytic_runs"],
-            fanout["partitions"], fanout["max_workers"],
-        ),
+        "P12 — mixed workload, %d committed / %d aborted txns, %.2fs"
+        % (result.committed, result.aborted, result.elapsed_s),
         ["class", "count", "throughput", "p50", "p95", "p99"],
         rows,
     )
-    assert fanout["analytic_runs"] > 0, "analytic class never ran"
+    assert stats["analytic"]["count"] > 0, "analytic class never ran"
     pipeline_record(
         "workloads",
         "p12_macro[scale=%s]" % SCALE,
@@ -251,12 +233,10 @@ def test_p12_macro_latency_profile(table_report, pipeline_record):
             "seed": SEED,
             "update_txns": UPDATE_TXNS,
             "readers": READERS,
-            "workers": WORKLOAD_WORKERS,
             "committed": result.committed,
             "aborted": result.aborted,
             "snapshot_retries": result.snapshot_retries,
             "elapsed_s": result.elapsed_s,
-            "parallelism": fanout,
             "classes": stats,
         },
     )

@@ -11,10 +11,7 @@ in separate threads:
   makes torn reads observable);
 * **analytic** — multi-hop and scan-heavy reads (friends-of-friends,
   bounded reply chains, forum fan-in, message scans) against the same
-  snapshots, issued under engine mode ``auto`` so parallel-claimed
-  plans fan out over the morsel scheduler mid-workload whenever the
-  driving engine has ``workers > 1``; the fan-outs that actually
-  happened are tallied in ``WorkloadResult.parallelism``.
+  snapshots.
 
 Concurrency model: the store's read paths are cooperative — a mutation
 must never land *inside* one statement's execution (see
@@ -86,15 +83,6 @@ class WorkloadResult:
         self.committed = 0
         self.aborted = 0          # deliberate rollbacks (never in the log)
         self.reads = 0
-        #: Exchange fan-outs observed by the analytic class under mode
-        #: ``auto``: statements issued, how many actually ran parallel,
-        #: total partitions across those, and the largest worker pool.
-        self.parallelism = {
-            "analytic_runs": 0,
-            "parallel_runs": 0,
-            "partitions": 0,
-            "max_workers": 0,
-        }
         self.snapshot_retries = 0
         self.invariant_failures = []
         self.version_regressions = []
@@ -200,8 +188,7 @@ _ANALYTICS = (
     "(p:Person {id: $pid}) RETURN count(m) AS n",
     "MATCH (f:Forum {id: $fid})-[:CONTAINER_OF]->(m:Post)<-[:LIKES]-(p) "
     "RETURN count(p) AS n",
-    # Scan-heavy aggregates whose source scans clear the parallel
-    # threshold on workers>1 engines — the class's fan-out exercisers.
+    # Scan-heavy aggregates.
     "MATCH (m:Comment) WHERE m.length >= $minlen RETURN count(m) AS n",
     "MATCH (m:Post) WHERE m.creationDate >= 0 "
     "RETURN count(m) AS n, sum(m.length) AS total",
@@ -378,7 +365,6 @@ class MacroWorkload:
                             result, "analytic", snapshot,
                             rng.choice(_ANALYTICS),
                             {"pid": pid, "fid": fid, "minlen": 5},
-                            mode="auto",
                         )
                         self._check_invariants(result, snapshot)
                 time.sleep(0)
@@ -399,25 +385,11 @@ class MacroWorkload:
             time.sleep(0.0005)
         return None
 
-    def _timed_read(
-        self, result, op_class, snapshot, query, parameters, mode=None
-    ):
-        options = {} if mode is None else {"mode": mode}
+    def _timed_read(self, result, op_class, snapshot, query, parameters):
         with self._statement_lock:
             begun = time.perf_counter()
-            run = snapshot.run(query, parameters, **options)
-            records = run.records
+            records = snapshot.run(query, parameters).records
             elapsed = time.perf_counter() - begun
-            if op_class == "analytic":
-                counts = result.parallelism
-                counts["analytic_runs"] += 1
-                info = run.parallelism
-                if run.execution_mode == "parallel" and info:
-                    counts["parallel_runs"] += 1
-                    counts["partitions"] += info.get("partitions", 0)
-                    counts["max_workers"] = max(
-                        counts["max_workers"], info.get("workers", 0)
-                    )
         result.latencies[op_class].append(elapsed)
         result.reads += 1
         return records

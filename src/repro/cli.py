@@ -31,8 +31,7 @@ execute as Cypher; special commands start with ``:``:
     :reach :R|S         create a reachability index over types R and S
     :reach *            create the all-types reachability index
     :reach drop :R|S    drop one (``:reach drop *`` for all-types)
-    :mode <m>           auto | interpreter | planner | row | batch | parallel
-    :workers <n>        worker count for parallel morsel execution
+    :mode <m>           auto | interpreter | planner | row | batch
     :begin              open a transaction; statements accumulate
     :commit             make the transaction's changes visible atomically
     :rollback           undo everything since :begin
@@ -54,7 +53,7 @@ import sys
 from repro.exceptions import CypherError
 from repro.graph.io import dump_json, load_json
 from repro.graph.store import MemoryGraph
-from repro.runtime.engine import CypherEngine
+from repro.runtime.engine import MODES, CypherEngine
 
 
 def _cache_line(cache_info, pipelines):
@@ -145,28 +144,11 @@ def _reach_display(types):
 
 
 def _access_path_lines(access_paths):
-    """Per-scan ``estimated vs actual`` report lines for profiled runs.
-
-    Parallel executions append an ``Exchange`` record; its per-worker
-    morsel counts are rendered so a silent serial fallback (one
-    partition where several were expected) is visible at the shell.
-    """
+    """Per-scan ``estimated vs actual`` report lines for profiled runs."""
     if not access_paths:
         return ["access paths: none (no scan operators)"]
     lines = ["access paths (estimated vs actual rows):"]
     for record in access_paths:
-        if record.get("operator") == "Exchange":
-            lines.append(
-                "  %-12s via %-24s %d partition(s), "
-                "rows/worker=%s, morsels/worker=%s" % (
-                    record["variable"],
-                    record["entry"],
-                    record["partitions"],
-                    record["worker_rows"],
-                    record["worker_morsels"],
-                )
-            )
-            continue
         estimated = record["estimated_rows"]
         lines.append(
             "  %-12s via %-24s est≈%s actual=%d" % (
@@ -223,25 +205,11 @@ class Shell:
         elif command == ":reach":
             self._reach(argument)
         elif command == ":mode":
-            if argument in (
-                "auto", "interpreter", "planner", "row", "batch", "parallel"
-            ):
+            if argument in MODES:
                 self.engine.mode = argument
                 self.write("mode set to %s" % argument)
             else:
-                self.write(
-                    "usage: :mode auto|interpreter|planner|row|batch|parallel"
-                )
-        elif command == ":workers":
-            try:
-                workers = int(argument)
-                if workers < 1:
-                    raise ValueError
-            except ValueError:
-                self.write("usage: :workers <positive integer>")
-                return
-            self.engine.workers = workers
-            self.write("workers set to %d" % workers)
+                self.write("usage: :mode " + "|".join(MODES))
         elif command == ":begin":
             self._begin()
         elif command == ":commit":
@@ -599,28 +567,11 @@ def explain_main(argv=None):
         "--profile",
         action="store_true",
         help="also execute the query and report estimated vs actual "
-        "rows per access path (plus per-worker morsel counts when "
-        "parallel)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count for parallel morsel execution (default 1)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("thread", "serial"),
-        help="scheduler backend when --workers > 1 (default: thread)",
+        "rows per access path",
     )
     arguments = parser.parse_args(argv)
     graph = load_json(arguments.graph) if arguments.graph else MemoryGraph()
-    engine = CypherEngine(
-        graph,
-        mode="parallel" if arguments.workers > 1 else "auto",
-        workers=arguments.workers,
-        scheduler=arguments.scheduler,
-    )
+    engine = CypherEngine(graph)
     for spec in arguments.index:
         parsed = _parse_index_spec(spec)
         if parsed is None:
@@ -830,28 +781,12 @@ def main(argv=None):
     parser.add_argument("--query", help="run one query and exit")
     parser.add_argument(
         "--mode",
-        choices=("auto", "interpreter", "planner", "row", "batch", "parallel"),
+        choices=MODES,
         default="auto",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count for parallel morsel execution (default 1)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("thread", "serial"),
-        help="scheduler backend when --workers > 1 (default: thread)",
     )
     arguments = parser.parse_args(argv)
     graph = load_json(arguments.graph) if arguments.graph else MemoryGraph()
-    engine = CypherEngine(
-        graph,
-        mode=arguments.mode,
-        workers=arguments.workers,
-        scheduler=arguments.scheduler,
-    )
+    engine = CypherEngine(graph, mode=arguments.mode)
     shell = Shell(engine)
     if arguments.query:
         shell.handle(arguments.query)

@@ -336,8 +336,7 @@ def _compile_all_nodes_scan(op, ctx):
 def _compile_label_scan(op, ctx):
     """The one scan that publishes its morsels (module docstring), in
     ``ColumnCompiler.label_morsels``; reset between runs, so a parked
-    pipeline holds no rows.  Partition scans share :func:`_compile_scan`
-    over a *copied* id list and never publish."""
+    pipeline holds no rows."""
     label = op.label
     scan = ctx.graph.label_scan_ids
     served = {}

@@ -53,48 +53,6 @@ def statistics_for(graph):
     return statistics
 
 
-def estimated_source_rows(plan, graph):
-    """Estimated candidate rows of a plan's bottom-most source scan.
-
-    The parallelism gate: fan-out only pays when the *source* — not the
-    final output — is large, because the workers' cost is proportional
-    to the rows the segment touches (the functional-dependency output
-    bounds of PAPERS.md make the same argument planner-side).  Walks the
-    chain down to the operator above ``Init`` and prices it: the
-    planner's own ``estimated_rows`` annotation when present (index
-    scans carry their NDV-backed estimate), else label/node counts from
-    statistics.  None when the plan has no recognisable source (such a
-    plan is outside the parallel claim anyway).
-    """
-    from repro.planner import logical as lg
-
-    source = None
-    op = plan
-    while True:
-        children = op._children()
-        if not children or len(children) != 1:
-            break
-        if isinstance(children[0], lg.Init):
-            source = op
-            break
-        op = children[0]
-    if source is None:
-        return None
-    annotated = getattr(source, "estimated_rows", None)
-    if annotated is not None:
-        return float(annotated)
-    stats = statistics_for(graph)
-    if isinstance(source, lg.AllNodesScan):
-        return float(stats.node_count)
-    if isinstance(source, lg.NodeByLabelScan):
-        return float(stats.nodes_with_label(source.label))
-    if isinstance(
-        source, (lg.IndexScan, lg.IndexRangeScan, lg.IndexOrderedScan)
-    ):
-        return float(stats.nodes_with_label(source.label))
-    return None
-
-
 #: "No plan-time value": what :meth:`CostModel.plan_time_value` answers
 #: for a bound only the run knows (``None`` is a value — a literal null).
 MISSING = object()

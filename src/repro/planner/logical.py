@@ -827,55 +827,3 @@ class Union(Operator):
 
     def _children(self):
         return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Exchange(Operator):
-    """Repartition boundary: fan the child's morsel stream across workers.
-
-    A *describe* operator — the parallel layer
-    (:mod:`repro.planner.parallel`) never executes an Exchange node;
-    it rebuilds the worker segment per partition instead.  The node
-    exists so ``explain`` shows exactly where the plan splits, how many
-    partitions the candidate list was (or would be) cut into, and which
-    backend runs them.
-    """
-
-    child: Operator
-    workers: int = 1
-    partitions: Optional[int] = None
-    scheduler: str = "serial"
-    fields: Tuple[str, ...] = ()
-
-    def _describe_line(self):
-        return "Exchange(workers={}, partitions{}, scheduler={})".format(
-            self.workers,
-            "≈?" if self.partitions is None else "=%d" % self.partitions,
-            self.scheduler,
-        )
-
-    def _children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True)
-class Gather(Operator):
-    """Merge barrier: collect per-worker partial states, in chunk order.
-
-    ``merge`` names the deterministic merge the gather performs:
-    ``"ordered"`` (concatenate partition streams in partition order —
-    bitwise the serial stream), ``"aggregate"`` / ``"sort"`` / ``"top"``
-    / ``"distinct"`` (per-worker partial states combined exactly as the
-    serial operator would have seen the stream).  Like
-    :class:`Exchange`, a describe-only node.
-    """
-
-    child: Operator
-    merge: str = "ordered"
-    fields: Tuple[str, ...] = ()
-
-    def _describe_line(self):
-        return "Gather(merge={})".format(self.merge)
-
-    def _children(self):
-        return (self.child,)

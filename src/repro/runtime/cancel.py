@@ -40,33 +40,6 @@ class CancelToken:
         return self._cancelled
 
 
-class AbortToken:
-    """A scheduler-side token: relays a caller token, adds an abort.
-
-    Parallel workers share one deadline but each poll their own
-    :class:`Cancellation` (the strided countdown is per-thread state);
-    what they *share* is this token, which fires when either the
-    caller's original token is cancelled or a sibling worker failed and
-    the scheduler called :meth:`abort`.  Duck-typed against
-    :class:`CancelToken` — :meth:`Cancellation.poll` only reads
-    ``_cancelled``.
-    """
-
-    __slots__ = ("_inner", "_aborted")
-
-    def __init__(self, inner=None):
-        self._inner = inner
-        self._aborted = False
-
-    def abort(self):
-        self._aborted = True
-
-    @property
-    def _cancelled(self):
-        inner = self._inner
-        return self._aborted or (inner is not None and inner._cancelled)
-
-
 class Cancellation:
     """One statement's interruption state: deadline and/or token."""
 

@@ -42,10 +42,15 @@ from repro.semantics.analysis import check_query
 from repro.semantics.morphism import EDGE_ISOMORPHISM
 from repro.semantics.query import QueryState, run_query
 
-_MODES = ("auto", "interpreter", "planner", "row", "batch", "parallel")
+#: The execution modes :class:`CypherEngine` and every ``run`` accept.
+MODES = ("auto", "interpreter", "planner", "row", "batch")
 
-#: Modes that run (or may run) the slotted planner.
-_PLANNER_MODES = ("auto", "planner", "row", "batch", "parallel")
+
+def _checked_mode(mode):
+    """``mode`` itself, or :class:`ValueError` if it is not in :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError("mode must be one of %r" % (MODES,))
+    return mode
 
 
 def _merged(parameters, lifted):
@@ -92,23 +97,6 @@ class CypherEngine:
     morsel_size:
         Rows per batch on the vectorised path (default
         :data:`~repro.planner.batch.DEFAULT_MORSEL_SIZE`).
-    workers:
-        Worker count for parallel morsel execution (default 1 —
-        serial).  With more than one worker, ``auto`` mode fans
-        parallel-claimed read plans out across a scheduler whenever the
-        cost model estimates the source scan above
-        ``parallel_threshold`` rows; ``mode="parallel"`` pins the
-        exchange regardless of size (for differential testing, like
-        ``"row"`` and ``"batch"``).
-    scheduler:
-        Scheduler backend for parallel execution: ``"thread"``,
-        ``"serial"``, a :class:`~repro.runtime.scheduler.Scheduler`
-        instance, or None to pick by worker count.
-    parallel_threshold:
-        Minimum *estimated* source-scan rows before ``auto`` mode
-        parallelises (default :data:`~repro.planner.parallel.
-        DEFAULT_PARALLEL_THRESHOLD`); small inputs stay serial because
-        fan-out cost would dominate.
     max_sessions:
         The admission gate: at most this many sessions in flight at
         once (default 32).
@@ -128,25 +116,17 @@ class CypherEngine:
         rewrite=True,
         schema=None,
         morsel_size=None,
-        workers=None,
-        scheduler=None,
-        parallel_threshold=None,
         max_sessions=32,
         admission_timeout=0.0,
     ):
-        if mode not in _MODES:
-            raise ValueError("mode must be one of %r" % (_MODES,))
         self.graph = graph if graph is not None else MemoryGraph()
         self.catalog = catalog if catalog is not None else GraphCatalog(self.graph)
-        self.mode = mode
+        self.mode = _checked_mode(mode)
         self.morphism = morphism
         self.functions = functions
         self.rewrite = rewrite
         self.schema = schema
         self.morsel_size = morsel_size
-        self.workers = max(1, int(workers)) if workers else 1
-        self.scheduler = scheduler
-        self.parallel_threshold = parallel_threshold
         self.max_sessions = max_sessions
         self.admission_timeout = admission_timeout
         #: Bounded admission: sessions acquire a slot on first use and
@@ -265,7 +245,7 @@ class CypherEngine:
         ``restore_from``) plans per statement and leaves the cache
         alone.
         """
-        mode = mode or self.mode
+        mode = self.mode if mode is None else _checked_mode(mode)
         shared = planned_on is self.graph
         access_log = [] if profile else None
         cancellation = Cancellation.build(timeout, deadline, cancel)
@@ -275,7 +255,7 @@ class CypherEngine:
             # in-flight checks would let a short statement slip through.
             cancellation.poll()
         key, lifted, tokens, query = query_text, None, None, None
-        if shared and mode in _PLANNER_MODES:
+        if shared and mode != "interpreter":
             cached = self._cached_plan(query_text)
             if cached is None:
                 # Only now is the text lexed: a miss either finds its
@@ -568,19 +548,6 @@ class CypherEngine:
         mode = self._pick_execution_mode(
             self.graph, plan, updating, self.mode
         )
-        if mode == "parallel":
-            from repro.planner.parallel import describe_parallel
-            from repro.runtime.scheduler import get_scheduler
-
-            scheduler = get_scheduler(self.scheduler, self.workers)
-            shown = describe_parallel(
-                plan,
-                self.workers,
-                scheduler_name=scheduler.name,
-                graph=self.graph,
-                morsel_size=self.morsel_size,
-            )
-            return ("planner", None, shown.describe(), cache_info, mode)
         return ("planner", None, plan.describe(), cache_info, mode)
 
     def plan_cache_info(self):
@@ -664,7 +631,7 @@ class CypherEngine:
         )
 
     def _pick_execution_mode(self, graph, plan, updating, mode="auto"):
-        """``"parallel"``, ``"batch"`` or ``"row"`` for one execution.
+        """``"batch"`` or ``"row"`` for one execution.
 
         Batch execution is the default wherever the batch engine claims
         the plan: a read-only plan whose operators all have batch
@@ -672,42 +639,11 @@ class CypherEngine:
         Write plans (and their Eager barriers) always run row-wise —
         their mutations already batch through the store transaction.
         ``mode="row"`` pins row execution for differential testing.
-
-        Parallel execution layers on top of the batch claim: with
-        ``workers > 1`` and a plan inside the
-        :func:`~repro.planner.parallel.plan_supports_parallel` claim,
-        ``auto`` mode fans out when the cost model estimates the source
-        scan at or above ``parallel_threshold`` rows — below it the
-        per-task compile cost would eat the win.  ``mode="parallel"``
-        pins the exchange for any claimed plan regardless of size (the
-        no-silent-serial guarantee the differential tests rely on); an
-        unclaimed plan degrades to ``"batch"``/``"row"`` exactly as
-        ``"batch"`` mode would.
         """
         if mode == "row" or updating:
             return "row"
         if not (plan_supports_batch(plan) and graph_supports_batch(graph)):
             return "row"
-        if mode != "parallel" and (mode != "auto" or self.workers == 1):
-            return "batch"
-        # repro.planner.parallel imports repro.runtime (cancellation), so
-        # it cannot be bound at module level here; only executions that
-        # can actually fan out reach these imports.
-        from repro.planner.parallel import plan_supports_parallel
-
-        if not plan_supports_parallel(plan):
-            return "batch"
-        if mode == "parallel":
-            return "parallel"
-        from repro.planner.cost import estimated_source_rows
-        from repro.planner.parallel import DEFAULT_PARALLEL_THRESHOLD
-
-        threshold = self.parallel_threshold
-        if threshold is None:
-            threshold = DEFAULT_PARALLEL_THRESHOLD
-        estimate = estimated_source_rows(plan, graph)
-        if estimate is not None and estimate >= threshold:
-            return "parallel"
         return "batch"
 
     def _execute_planned(
@@ -717,30 +653,6 @@ class CypherEngine:
         execution_mode = self._pick_execution_mode(
             graph, plan, updating, mode
         )
-        if execution_mode == "parallel":
-            from repro.planner.parallel import execute_plan_parallel
-            from repro.runtime.scheduler import get_scheduler
-
-            table, parallelism = execute_plan_parallel(
-                plan,
-                graph,
-                parameters=parameters,
-                functions=self.functions,
-                morphism=self.morphism,
-                morsel_size=self.morsel_size,
-                access_log=access_log,
-                cancel=cancel,
-                scheduler=get_scheduler(self.scheduler, self.workers),
-                workers=self.workers,
-            )
-            return QueryResult(
-                table,
-                plan=plan,
-                executed_by="planner",
-                execution_mode="parallel",
-                access_paths=access_log,
-                parallelism=parallelism,
-            )
         if execution_mode == "batch":
             table = execute_plan_batched(
                 plan,

@@ -30,15 +30,7 @@ class QueryResult:
     record per scan operator — ``{"operator", "variable", "entry",
     "estimated_rows", "actual_rows"}`` — making the cost model's
     index-vs-label-scan decision, and how well its estimate matched
-    reality, observable per execution.  None on unprofiled runs.  A
-    parallel execution appends one ``"Exchange"`` record carrying the
-    per-worker row and morsel counts.
-
-    ``parallelism`` (set only when ``execution_mode == "parallel"``)
-    records how the exchange actually ran: scheduler name, worker
-    count, partition count, merge strategy, and per-partition
-    row/morsel/thread lists — the observable that makes silent serial
-    fallback of a parallel-claimed plan testable.
+    reality, observable per execution.  None on unprofiled runs.
     """
 
     def __init__(
@@ -50,7 +42,6 @@ class QueryResult:
         fallback_reason=None,
         execution_mode=None,
         access_paths=None,
-        parallelism=None,
     ):
         self._table = table
         self.graphs = dict(graphs or {})
@@ -59,7 +50,6 @@ class QueryResult:
         self.fallback_reason = fallback_reason
         self.execution_mode = execution_mode
         self.access_paths = access_paths
-        self.parallelism = parallelism
 
     # -- table access -------------------------------------------------------
 

@@ -8,11 +8,6 @@ harnesses, runnable without pytest or the tests/ tree:
   interpreter, the row-wise planner and the vectorised batch engine;
   reads must agree as bags (and claimed plans must actually run
   batched), updates must additionally leave byte-identical stores;
-* a **parallel smoke set** — the same read corpus through the parallel
-  executor at several worker counts and morsel sizes; claimed plans
-  must run through the exchange (partition counts checked, so silent
-  serial fallback fails) and match the serial batch engine record for
-  record, order included;
 * an **index-maintenance smoke set** — a create → update → delete
   statement sequence over an indexed clone of the same graph; the probe
   queries afterwards must actually enter through the index (plan
@@ -172,48 +167,6 @@ def _check_read(query, graph, failures):
             )
         if not reference.table.same_bag(result.table):
             failures.append("%s: %s-mode result bag diverged" % (query, mode))
-
-
-#: ``(workers, morsel_size)`` pairs for the parallel smoke; the tiny
-#: morsels force the 9-node fixture graph into several partitions.
-PARALLEL_SMOKE_CONFIGS = ((2, 4), (4, 2))
-
-
-def _check_parallel(query, graph, failures):
-    """Parallel runs must equal serial batch runs record-for-record.
-
-    For parallel-claimed plans the published ``parallelism`` record is
-    checked too: the run must really have partitioned (more than one
-    partition whenever the source had enough rows), so a silent serial
-    fallback fails the selftest rather than hiding in a bag match.
-    """
-    from repro.planner.parallel import plan_supports_parallel
-
-    serial = CypherEngine(graph).run(query, mode="batch")
-    for workers, morsel_size in PARALLEL_SMOKE_CONFIGS:
-        engine = CypherEngine(graph, workers=workers, morsel_size=morsel_size)
-        result = engine.run(query, mode="parallel")
-        if not plan_supports_parallel(result.plan):
-            if not serial.table.same_bag(result.table):
-                failures.append("%s: unclaimed parallel run diverged" % query)
-            continue
-        if result.execution_mode != "parallel":
-            failures.append(
-                "%s: parallel-claimed plan ran %r"
-                % (query, result.execution_mode)
-            )
-            continue
-        if result.records != serial.records:
-            failures.append(
-                "%s: parallel records diverged at %d workers"
-                % (query, workers)
-            )
-        info = result.parallelism
-        if info["source_rows"] >= 2 * morsel_size and info["partitions"] < 2:
-            failures.append(
-                "%s: silent serial fallback (%d partition(s) at %d workers)"
-                % (query, info["partitions"], workers)
-            )
 
 
 def _check_update(query, graph, failures):
@@ -867,13 +820,6 @@ def run_selftest(output=print):
     output(
         "differential reads:   %2d queries x %d modes"
         % (len(READ_CORPUS), len(_MODES))
-    )
-    for query in READ_CORPUS:
-        _check_parallel(query, graph, failures)
-    output(
-        "parallel smoke:       %2d queries x %d worker configs "
-        "(records compared)"
-        % (len(READ_CORPUS), len(PARALLEL_SMOKE_CONFIGS))
     )
     for query in UPDATE_CORPUS:
         _check_update(query, graph, failures)

@@ -61,11 +61,10 @@ def _covered_packages():
     mutation path, so untested store lines are untested write paths.
     ``runtime/`` joined with transactional sessions (PR 6): the session
     state machine, cancellation polling and admission gate are exactly
-    the kind of branchy control code that rots silently.  Parallel
-    morsel execution (PR 7) lands inside these same roots —
-    ``runtime/scheduler.py`` and ``planner/parallel.py`` are under the
-    floor automatically, which is the point of tracing directories
-    rather than files.  ``graph/reachability.py`` joined with the
+    the kind of branchy control code that rots silently.  A new module
+    under these roots is under the floor automatically, which is the
+    point of tracing directories rather than files.
+    ``graph/reachability.py`` joined with the
     reachability indexes (PR 8): its condensation maintenance runs on
     every relationship mutation, same argument as ``store.py``.
     ``datasets/`` and ``graph/ingest.py`` joined with the macro

@@ -1,7 +1,7 @@
-"""Differential harness: interpreter ≡ row ≡ batch ≡ parallel planner.
+"""Differential harness: interpreter ≡ row ≡ batch planner.
 
 Runs the *full* fuzz corpus (reads and updates, same generators as
-``test_fuzz_queries`` via :mod:`fuzztools`) through all four executors
+``test_fuzz_queries`` via :mod:`fuzztools`) through all three executors
 and holds them to:
 
 * **identical result bags** — duplicates included, on every query;
@@ -12,17 +12,12 @@ and holds them to:
   batched (``execution_mode == "batch"``), mode ``"row"`` must always
   run row-wise, and update statements must run row-wise even when batch
   execution is requested (their mutations batch through the store
-  transaction instead).
-
-The parallel executor is held to a *stronger* bar than bag equality:
-every read runs at several worker counts and morsel sizes
-(:data:`PARALLEL_CONFIGS`), and a parallel-claimed plan
-(:func:`repro.planner.parallel.plan_supports_parallel`) must produce
-**record-identical output, order included**, to the serial batch engine
-— the deterministic-merge guarantee — while its published
-``parallelism`` record proves the run really partitioned (never silent
-serial).  Merge determinism across *runs* and reads under snapshot pins
-get their own test classes below.
+  transaction instead);
+* **morsel-size independence** — every read also runs batched at the
+  small morsel sizes of :data:`SMALL_MORSEL_SIZES`, so the 9-node corpus
+  graph spans several morsels and every batch compiler crosses morsel
+  boundaries; a batch-claimed plan must then produce **record-identical
+  output, order included**, to the default-morsel batch run.
 """
 
 import pytest
@@ -35,7 +30,6 @@ from repro.functions.aggregates import make_aggregate
 from repro.graph.snapshot import SnapshotGraph
 from repro.graph.store import MemoryGraph
 from repro.planner.batch import plan_supports_batch
-from repro.planner.parallel import plan_supports_parallel
 
 from fuzztools import (
     GRAPH,
@@ -55,10 +49,23 @@ from fuzztools import (
 )
 
 
-#: ``(workers, morsel_size)`` grid for the parallel sweep: the single
-#: worker proves the degenerate case, the small morsel sizes force the
-#: 9-node corpus graph into several partitions per run.
-PARALLEL_CONFIGS = ((1, 7), (2, 4), (4, 4))
+#: Morsel sizes for the small-morsel sweep: both cut the 9-node corpus
+#: graph into several morsels per scan.
+SMALL_MORSEL_SIZES = (4, 7)
+
+
+def _assert_small_morsels_agree(query, interpreted, batch, **kwargs):
+    """Batch runs at :data:`SMALL_MORSEL_SIZES` against the reference
+    bag and, for claimed plans, the default-morsel batch records."""
+    for morsel_size in SMALL_MORSEL_SIZES:
+        small = CypherEngine(GRAPH, morsel_size=morsel_size, **kwargs).run(
+            query, mode="batch"
+        )
+        assert small.executed_by == "planner", (query, morsel_size)
+        assert interpreted.table.same_bag(small.table), (query, morsel_size)
+        if plan_supports_batch(small.plan):
+            assert small.execution_mode == "batch", (query, morsel_size)
+            assert small.records == batch.records, (query, morsel_size)
 
 
 def _assert_read_differential(query, morphism=None):
@@ -76,25 +83,7 @@ def _assert_read_differential(query, morphism=None):
         assert batch.execution_mode == "batch", query
     assert interpreted.table.same_bag(row.table), query
     assert interpreted.table.same_bag(batch.table), query
-    for workers, morsel_size in PARALLEL_CONFIGS:
-        parallel_engine = CypherEngine(
-            GRAPH, workers=workers, morsel_size=morsel_size, **kwargs
-        )
-        parallel = parallel_engine.run(query, mode="parallel")
-        assert parallel.executed_by == "planner", (query, workers)
-        assert interpreted.table.same_bag(parallel.table), (query, workers)
-        if not plan_supports_parallel(parallel.plan):
-            continue
-        # Claimed plans must really run through the exchange, with the
-        # exact record order of the serial batch engine (the
-        # deterministic-merge contract) and — given enough source rows
-        # — more than one partition (no silent serial).
-        assert parallel.execution_mode == "parallel", (query, workers)
-        assert parallel.records == batch.records, (query, workers)
-        info = parallel.parallelism
-        assert info["workers"] == workers, (query, workers)
-        if workers > 1 and info["source_rows"] >= 2 * morsel_size:
-            assert info["partitions"] > 1, (query, workers, info)
+    _assert_small_morsels_agree(query, interpreted, batch, **kwargs)
 
 
 def _assert_update_differential(query):
@@ -249,7 +238,7 @@ class TestBatchClaimSweep:
             assert result.execution_mode == "row", query
 
 
-#: Fixed shapes exercising each deterministic merge strategy.
+#: Fixed shapes for the operators that hold state across morsels.
 _MERGE_QUERIES = (
     ("ordered", "MATCH (a)-[:R]->(b) RETURN a.v AS av, b.v AS bv"),
     ("aggregate", "MATCH (n) RETURN n.v AS v, count(*) AS c, collect(n.w) AS ws"),
@@ -259,73 +248,37 @@ _MERGE_QUERIES = (
 )
 
 
-class TestParallelMergeDeterminism:
-    """Same records, same order, every run, every worker count."""
+class TestMorselBoundaries:
+    """Sort / Top / Aggregate / Distinct across morsel boundaries."""
 
-    @pytest.mark.parametrize("workers,morsel_size", PARALLEL_CONFIGS)
     @pytest.mark.parametrize(
-        "merge,query", _MERGE_QUERIES, ids=[m for m, _q in _MERGE_QUERIES]
+        "query", [q for _m, q in _MERGE_QUERIES],
+        ids=[m for m, _q in _MERGE_QUERIES],
     )
-    def test_merge_is_deterministic_across_runs(
-        self, merge, query, workers, morsel_size
+    def test_stateful_operators_agree_at_small_morsels(self, query):
+        engine = CypherEngine(GRAPH)
+        interpreted = engine.run(query, mode="interpreter")
+        batch = engine.run(query, mode="batch")
+        assert batch.execution_mode == "batch"
+        _assert_small_morsels_agree(query, interpreted, batch)
+
+    #: One row per morsel, an exact multiple of the 9-node graph (3),
+    #: and sizes that leave a short last morsel.
+    @pytest.mark.parametrize("morsel_size", (1, 2, 3, 4, 7))
+    @pytest.mark.parametrize(
+        "query", [q for _m, q in _MERGE_QUERIES],
+        ids=[m for m, _q in _MERGE_QUERIES],
+    )
+    def test_same_records_every_run_at_every_morsel_size(
+        self, query, morsel_size
     ):
-        serial = CypherEngine(GRAPH).run(query, mode="batch")
-        engine = CypherEngine(GRAPH, workers=workers, morsel_size=morsel_size)
-        first = engine.run(query, mode="parallel")
-        second = engine.run(query, mode="parallel")
-        assert first.execution_mode == "parallel"
-        assert first.parallelism["merge"] == merge
+        reference = CypherEngine(GRAPH).run(query, mode="batch")
+        engine = CypherEngine(GRAPH, morsel_size=morsel_size)
+        first = engine.run(query, mode="batch")
+        second = engine.run(query, mode="batch")
+        assert first.execution_mode == "batch"
         assert first.records == second.records
-        assert first.records == serial.records
-
-    def test_claimed_plans_never_run_silent_serial(self):
-        """Multi-worker configs really partition and really leave the
-        calling thread — the published-claim proof."""
-        import threading
-
-        engine = CypherEngine(GRAPH, workers=4, morsel_size=2)
-        for _merge, query in _MERGE_QUERIES:
-            result = engine.run(query, mode="parallel")
-            info = result.parallelism
-            assert info["partitions"] > 1, (query, info)
-            assert any(
-                ident != threading.get_ident()
-                for ident in info["worker_threads"]
-            ), (query, info)
-
-
-class TestParallelSnapshotReads:
-    """Workers read one pinned version, never a mid-transaction state."""
-
-    def test_parallel_snapshot_ignores_concurrent_commits(self):
-        graph = GRAPH.copy()
-        engine = CypherEngine(graph, workers=4, morsel_size=2)
-        with engine.session() as session:
-            snapshot = session.snapshot()
-            before = snapshot.run("MATCH (n) RETURN count(*) AS c", mode="parallel")
-            engine.run("CREATE (:Zed {v: 1})")  # commits a new version
-            after = snapshot.run("MATCH (n) RETURN count(*) AS c", mode="parallel")
-            assert after.execution_mode == "parallel"
-            assert after.parallelism["partitions"] > 1
-            assert before.value() == after.value()
-        assert engine.run("MATCH (n) RETURN count(*) AS c").value() == before.value() + 1
-
-    def test_parallel_snapshot_invisible_to_uncommitted_writes(self):
-        graph = GRAPH.copy()
-        engine = CypherEngine(graph, workers=4, morsel_size=2)
-        baseline = engine.run("MATCH (n) RETURN count(*) AS c").value()
-        with engine.session() as writer:
-            writer.begin()
-            with engine.session() as reader:
-                snapshot = reader.snapshot()
-                writer.run("CREATE (:Zed {v: 1})")  # uncommitted
-                seen = snapshot.run(
-                    "MATCH (n) RETURN count(*) AS c", mode="parallel"
-                )
-                assert seen.parallelism["partitions"] > 1
-                assert seen.value() == baseline
-            writer.rollback()
-        assert engine.run("MATCH (n) RETURN count(*) AS c").value() == baseline
+        assert first.records == reference.records
 
 
 # ---------------------------------------------------------------------------

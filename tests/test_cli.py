@@ -72,6 +72,14 @@ class TestCommands:
         shell.handle(":mode bogus")
         assert "usage" in output.getvalue()
 
+    def test_mode_parallel_is_refused(self):
+        shell, output = make_shell()
+        shell.handle(":mode parallel")
+        assert "usage: :mode auto|interpreter|planner|row|batch" in (
+            output.getvalue()
+        )
+        assert shell.engine.mode == "auto"
+
     def test_explain(self):
         shell, output = make_shell()
         shell.handle(":explain MATCH (n) RETURN n")
@@ -190,6 +198,14 @@ class TestExplainSubcommand:
         ])
         assert code == 2
         assert "bad reachability spec" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "RETURN 1 AS x", "--workers", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --workers 2" in err
 
 
 class TestSelftestSubcommand:

@@ -3,9 +3,14 @@
 import pytest
 
 from repro import CypherEngine, Table
-from repro.exceptions import CypherRuntimeError, CypherSyntaxError
+from repro.exceptions import (
+    CypherRuntimeError,
+    CypherSyntaxError,
+    QueryCancelled,
+)
 from repro.graph.builder import GraphBuilder
 from repro.graph.store import MemoryGraph
+from repro.runtime.cancel import CancelToken
 
 
 @pytest.fixture
@@ -28,6 +33,17 @@ class TestEngine:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             CypherEngine(MemoryGraph(), mode="turbo")
+
+    @pytest.mark.parametrize("mode", ["parallel", "bogus"])
+    def test_invalid_per_call_mode_rejected(self, engine, mode):
+        query = "MATCH (p:Person) RETURN count(p) AS c"
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            for run in (engine.run, session.run, snapshot.run):
+                with pytest.raises(ValueError, match="mode must be one of"):
+                    run(query, mode=mode)
+            assert snapshot.run(query, mode=None).value() == 2
+        assert engine.plan_cache_info()["misses"] == 1
 
     def test_syntax_errors_surface(self, engine):
         with pytest.raises(CypherSyntaxError):
@@ -120,6 +136,105 @@ class TestExecutionModeReporting:
             result = tiny.run(query, mode="batch")
             assert result.execution_mode == "batch"
             assert result.records == reference.records, morsel_size
+
+
+def _p_graph_engine(n, **kwargs):
+    """``n`` ``:P`` nodes (``v = i % 10``) and ``:R`` edges within the
+    ``v < 2`` groups — a scan several morsels long at small sizes."""
+    engine = CypherEngine(**kwargs)
+    engine.run(
+        "UNWIND range(0, %d) AS i "
+        "CREATE (:P {v: i %% 10, name: 'p' + toString(i)})" % (n - 1)
+    )
+    engine.run(
+        "MATCH (a:P), (b:P) WHERE a.v = b.v AND a.name < b.name AND a.v < 2 "
+        "CREATE (a)-[:R]->(b)"
+    )
+    return engine
+
+
+class TestSerialBatchPath:
+    """Reads run on one serial batch path, whatever the graph's size."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "MATCH (n:P) RETURN n.v AS v",
+            "MATCH (n) RETURN count(*) AS c",
+            "MATCH (a:P)-[:R]->(b) RETURN a.v AS v ORDER BY v LIMIT 3",
+            "MATCH (a:P)-[:R*1..2]->(b) RETURN count(*) AS c",
+        ],
+    )
+    def test_scan_rooted_reads_batch_and_match_the_interpreter(self, query):
+        engine = _p_graph_engine(20, morsel_size=4)
+        result = engine.run(query)
+        assert result.execution_mode == "batch"
+        assert engine.run(query, mode="interpreter").table.same_bag(
+            result.table
+        )
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_auto_picks_batch_for_claimed_reads_at_any_size(self, n):
+        engine = _p_graph_engine(n)
+        result = engine.run("MATCH (n:P) RETURN count(*) AS c")
+        assert result.execution_mode == "batch"
+        assert result.value() == n
+
+    def test_updating_statement_runs_row_wise_when_batch_is_pinned(self):
+        engine = _p_graph_engine(12, morsel_size=4)
+        result = engine.run("CREATE (:Q) RETURN 1 AS x", mode="batch")
+        assert result.execution_mode == "row"
+        assert result.records == [{"x": 1}]
+        assert engine.run("MATCH (q:Q) RETURN count(*) AS c").value() == 1
+
+    @pytest.mark.parametrize("morsel_size", [1, 4])
+    def test_runtime_error_propagates_and_engine_stays_usable(
+        self, morsel_size
+    ):
+        engine = _p_graph_engine(60, morsel_size=morsel_size)
+        with pytest.raises(CypherRuntimeError):
+            engine.run(
+                "MATCH (n:P) RETURN n.v AS v ORDER BY n.v LIMIT -1",
+                mode="batch",
+            )
+        assert engine.run(
+            "MATCH (n:P) RETURN count(*) AS c", mode="batch"
+        ).value() == 60
+
+    def test_pre_cancelled_token_refuses_a_batch_scan(self):
+        engine = _p_graph_engine(30, morsel_size=4)
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            engine.run(
+                "MATCH (n:P) RETURN count(*) AS c", mode="batch", cancel=token
+            )
+
+    @pytest.mark.parametrize("morsel_size", [1, 4, 256])
+    def test_profile_scan_record_sums_across_morsels(self, morsel_size):
+        engine = _p_graph_engine(40, morsel_size=morsel_size)
+        result = engine.run(
+            "MATCH (n:P) WHERE n.v > 1 RETURN n.v AS v",
+            mode="batch",
+            profile=True,
+        )
+        assert [r["operator"] for r in result.access_paths] == [
+            "NodeByLabelScan"
+        ]
+        assert result.access_paths[0]["actual_rows"] == 40
+        assert len(result.records) == 32
+
+    def test_explain_shows_a_serial_plan(self):
+        engine = _p_graph_engine(40, morsel_size=4)
+        _by, _reason, text, _cache, mode = engine.explain_info(
+            "MATCH (n:P) RETURN n.v AS v, count(*) AS c"
+        )
+        assert mode == "batch"
+        assert text.splitlines() == [
+            "Aggregate(group=[v], aggregates=[c])",
+            "  NodeByLabelScan(n:P)",
+            "    Init",
+        ]
 
 
 class TestExplainInfo:

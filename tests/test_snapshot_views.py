@@ -596,6 +596,54 @@ class TestReleasedSnapshots:
             assert fresh.run(self.QUERY).value() == (end == "commit")
 
 
+class TestSnapshotCountsAcrossMorsels:
+    """A pinned ``count(*)`` whose scan spans several morsels."""
+
+    COUNT = "MATCH (n) RETURN count(*) AS c"
+
+    def engine(self):
+        return CypherEngine(fuzztools.GRAPH.copy(), morsel_size=2)
+
+    def test_snapshot_ignores_a_later_commit(self):
+        engine = self.engine()
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            before = snapshot.run(self.COUNT)
+            engine.run("CREATE (:Zed {v: 1})")  # commits a new version
+            after = snapshot.run(self.COUNT)
+            assert after.execution_mode == "batch"
+            assert before.value() == after.value()
+        assert engine.run(self.COUNT).value() == before.value() + 1
+
+    def test_snapshot_ignores_an_open_writers_create(self):
+        engine = self.engine()
+        baseline = engine.run(self.COUNT).value()
+        with engine.session() as writer:
+            writer.begin()
+            with engine.session() as reader:
+                snapshot = reader.snapshot()
+                writer.run("CREATE (:Zed {v: 1})")  # uncommitted
+                seen = snapshot.run(self.COUNT)
+                assert seen.execution_mode == "batch"
+                assert seen.value() == baseline
+            writer.rollback()
+        assert engine.run(self.COUNT).value() == baseline
+
+    def test_clean_then_dirty_pin_reads_the_same_count(self):
+        engine = self.engine()
+        baseline = engine.run(self.COUNT).value()
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            for dirty in (False, True):
+                if dirty:
+                    engine.run("CREATE (:Zed {v: 1})")
+                assert snapshot.pin.clean is not dirty
+                result = snapshot.run(self.COUNT)
+                assert result.execution_mode == "batch"
+                assert result.value() == baseline
+        assert engine.run(self.COUNT).value() == baseline + 1
+
+
 class TestSnapshotCounters:
     def test_pins_reads_and_preimages_are_counted(self):
         engine = CypherEngine(fuzztools.fixture_graph())
