@@ -20,6 +20,7 @@ import pytest
 
 from repro import CypherEngine
 from repro.graph.store import MemoryGraph
+from repro.selftest import graph_state
 
 #: One statement ingesting 300 nodes with computed properties (the
 #: CREATE takes the store's deferred bulk path: one label-index touch).
@@ -83,31 +84,6 @@ def test_p6_no_write_workload_falls_back():
             "write workload %r fell back to the interpreter (%s)"
             % (name, result.fallback_reason)
         )
-
-
-def graph_state(graph):
-    """Canonical, id-inclusive snapshot (mirrors the fuzz cross-check)."""
-    from repro.values.ordering import canonical_key
-
-    nodes = sorted(
-        (
-            node.value,
-            tuple(sorted(graph.labels(node))),
-            canonical_key(graph.properties(node)),
-        )
-        for node in graph.nodes()
-    )
-    rels = sorted(
-        (
-            rel.value,
-            graph.src(rel).value,
-            graph.tgt(rel).value,
-            graph.rel_type(rel),
-            canonical_key(graph.properties(rel)),
-        )
-        for rel in graph.relationships()
-    )
-    return nodes, rels
 
 
 def test_p6_same_final_state():

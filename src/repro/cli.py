@@ -6,8 +6,8 @@ Usage::
     python -m repro.cli --graph data.json     # load a JSON graph
     python -m repro.cli --query "MATCH (n) RETURN count(*) AS n"
     python -m repro.cli explain "MATCH ..."   # which path runs it, and why
-    python -m repro.cli selftest              # row/batch/interpreter
-                                              # differential + TCK smoke gate
+    python -m repro.cli selftest              # the smoke-marked tier-1
+                                              # tests (pytest -m smoke)
     python -m repro.cli ingest dir/           # bulk-load CSV tables
                                               # (--generate SCALE for the
                                               # LDBC-style social dataset)
@@ -47,7 +47,9 @@ message — an interrupted write is rolled back, never half-applied.
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import shlex
 import sys
 
 from repro.exceptions import CypherError
@@ -284,7 +286,7 @@ class Shell:
         if indexes:
             self.write(
                 "indexes: "
-                + ", ".join(":%s(%s)" % pair for pair in indexes)
+                + ", ".join(_index_display(*pair) for pair in indexes)
             )
         reach = getattr(graph, "reachability_indexes", lambda: [])()
         if reach:
@@ -470,6 +472,43 @@ def _stdin_lines():
             return
 
 
+def _repo_dir(name):
+    """``<repo>/<name>``, the directory beside the package, or None.
+
+    None comes after an ``error:`` line on stderr; the subcommand that
+    needs the directory then exits 2.
+    """
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        ))),
+        name,
+    )
+    if os.path.isdir(path):
+        return path
+    print("error: no %s/ directory next to the package (%s)" % (name, path),
+          file=sys.stderr)
+    return None
+
+
+def _run_pytest(argv, **env):
+    """``pytest.main(argv)`` with ``env`` set for the call only (a None
+    value leaves its variable alone)."""
+    import pytest
+
+    env = {name: value for name, value in env.items() if value is not None}
+    previous = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    try:
+        return pytest.main(argv)
+    finally:
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def bench_main(argv=None):
     """``python -m repro.cli bench``: run the perf suite, log medians.
 
@@ -478,8 +517,6 @@ def bench_main(argv=None):
     ``BENCH_pipeline.json`` so successive PRs accumulate a perf
     trajectory.
     """
-    import os
-
     parser = argparse.ArgumentParser(
         prog="repro.cli bench",
         description="run the benchmark suite and record medians",
@@ -498,13 +535,8 @@ def bench_main(argv=None):
     )
     arguments = parser.parse_args(argv)
 
-    repo_root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    bench_dir = os.path.join(repo_root, "benchmarks")
-    if not os.path.isdir(bench_dir):
-        print("error: no benchmarks/ directory next to the package "
-              "(%s)" % bench_dir, file=sys.stderr)
+    bench_dir = _repo_dir("benchmarks")
+    if bench_dir is None:
         return 2
     # bench_*.py does not match pytest's default python_files pattern, so
     # the files are always passed explicitly.
@@ -517,20 +549,7 @@ def bench_main(argv=None):
     pytest_argv = ["-q"] + targets
     if arguments.filter:
         pytest_argv += ["-k", arguments.filter]
-
-    import pytest
-
-    if not arguments.output:
-        return pytest.main(pytest_argv)
-    previous = os.environ.get("BENCH_PIPELINE_PATH")
-    os.environ["BENCH_PIPELINE_PATH"] = arguments.output
-    try:
-        return pytest.main(pytest_argv)
-    finally:
-        if previous is None:
-            os.environ.pop("BENCH_PIPELINE_PATH", None)
-        else:
-            os.environ["BENCH_PIPELINE_PATH"] = previous
+    return _run_pytest(pytest_argv, BENCH_PIPELINE_PATH=arguments.output)
 
 
 def explain_main(argv=None):
@@ -747,22 +766,37 @@ def ingest_main(argv=None):
 
 
 def selftest_main(argv=None):
-    """``python -m repro.cli selftest``: the differential smoke gate.
+    """``python -m repro.cli selftest``: the tier-1 smoke gate.
 
-    Runs the small differential corpus (interpreter vs row planner vs
-    batch engine, final stores compared on updates) plus the TCK smoke
-    set — see :mod:`repro.selftest`.  Exit 0 on full agreement, 1 with
-    the offending queries listed otherwise, so CI and pre-commit hooks
-    can call it directly.
+    Runs ``pytest -m smoke`` over the repository's ``tests/``: the
+    interpreter / row / batch differentials, index, plan-cache, snapshot,
+    reachability, crash-recovery and macro-workload cases and five TCK
+    features, coverage tracing off.  Exit 0 when every one passes, 1 on
+    any failure (no smoke test collected included), 2 without a
+    ``tests/`` directory — so CI and pre-commit hooks can call it
+    directly.
     """
     parser = argparse.ArgumentParser(
         prog="repro.cli selftest",
-        description="run the row/batch/interpreter differential smoke suite",
+        description="run the smoke-marked tier-1 tests (pytest -m smoke)",
     )
     parser.parse_args(argv)
-    from repro.selftest import run_selftest
-
-    return 1 if run_selftest() else 0
+    tests_dir = _repo_dir("tests")
+    if tests_dir is None:
+        return 2
+    # The repository root goes on pytest's path, so the test modules'
+    # ``tests.conftest`` imports resolve from any working directory.
+    root = shlex.quote(os.path.dirname(tests_dir))
+    code = _run_pytest(
+        ["-q", "-p", "no:cacheprovider", "-m", "smoke",
+         "-o", "pythonpath=" + root, tests_dir],
+        REPRO_COVERAGE="0",
+    )
+    if code == 0:
+        print("selftest passed")
+        return 0
+    print("selftest FAILED (pytest exit code %d)" % code)
+    return 1
 
 
 def main(argv=None):

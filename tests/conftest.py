@@ -284,6 +284,10 @@ def _package_coverage(tracer, target, detail=None):
 
 
 def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "smoke: the quick slice that `python -m repro.cli selftest` runs",
+    )
     if os.environ.get("REPRO_COVERAGE") == "0":
         return
     if sys.gettrace() is not None:
@@ -298,20 +302,23 @@ def _property_based(item):
 
 
 def pytest_collection_modifyitems(items):
-    """Example-based tests, then the floor-bearing property-based
-    modules, then every other property-based (hypothesis) test.
+    """Example-based ``smoke`` tests, the other example-based tests, the
+    floor-bearing property-based modules, then every other
+    property-based (hypothesis) test.
 
     While any target is short of its floor, *every* function call of
     *every* test pays the tracer's dispatch (about 3x on the generative
     suites, before a single line event).  The unit tests are where the
     traced lines get covered and the 70-odd generative tests are where
     the run's time goes, so this order lets the tracer retire before
-    most of them start.  Stable: collection order within each phase.
+    most of them start.  The smoke slice goes first because it spans
+    every layer, so one early pass covers what most targets need.
+    Stable: collection order within each phase.
     """
     def phase(item):
         if not _property_based(item):
-            return 0
-        return 1 if item.nodeid.split("::")[0] in FLOOR_BEARING else 2
+            return 0 if item.get_closest_marker("smoke") else 1
+        return 2 if item.nodeid.split("::")[0] in FLOOR_BEARING else 3
 
     items.sort(key=phase)
 

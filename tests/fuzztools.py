@@ -10,7 +10,8 @@ The module exposes:
 
 * :func:`fixture_graph` / :data:`GRAPH` — the structurally rich fixed
   graph (three labels, two relationship types, a cycle, a self-loop,
-  parallel paths) every read strategy runs against;
+  parallel paths) every read strategy runs against, and
+  :data:`READ_CORPUS`, a fixed list of reads over it;
 * read-query strategies (``match_queries``, ``two_hop_queries``,
   ``pipeline_queries``, ``two_clause_queries``, ``named_path_queries``,
   ``comprehension_queries``) and update strategies
@@ -19,7 +20,8 @@ The module exposes:
   mutation sequences are observable and final stores must be
   byte-identical;
 * :func:`graph_state` — the canonical, id-inclusive store snapshot used
-  to compare final graphs across execution paths;
+  to compare final graphs across execution paths (re-exported from
+  :mod:`repro.selftest`, which the benchmarks share);
 * :data:`READ_STRATEGIES` / :data:`UPDATE_STRATEGIES` — name → strategy
   registries, so a harness can enumerate the whole corpus;
 * the index-accelerated access paths (PR 5): ``sargable_queries``
@@ -54,12 +56,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
+from repro.selftest import graph_state  # noqa: F401 — re-exported
 from repro.semantics.morphism import (
     EDGE_ISOMORPHISM,
     HOMOMORPHISM,
     NODE_ISOMORPHISM,
 )
-from repro.values.ordering import canonical_key
 
 MORPHISMS = {
     "edge": EDGE_ISOMORPHISM,
@@ -92,6 +94,31 @@ def fixture_graph():
 
 
 GRAPH = fixture_graph()
+
+
+#: A fixed list of reads over :func:`fixture_graph`: every batch-engine
+#: operator, plus the row-engine-only shapes no strategy draws together
+#: (a named path, OPTIONAL MATCH, UNION).
+READ_CORPUS = [
+    "MATCH (n) RETURN count(*) AS c",
+    "MATCH (a:A) RETURN a.v AS v ORDER BY v",
+    "MATCH (a:A)-[:R]->(b) RETURN a.v AS av, b.v AS bv ORDER BY av, bv",
+    "MATCH (a)-[r:R|S]->(b) WHERE r.w >= 1 RETURN count(*) AS c",
+    "MATCH (a)-->(b)-->(c) RETURN count(*) AS paths",
+    "MATCH (a:B) WHERE a.v > 1 OR a.name CONTAINS '4' RETURN a.name AS n",
+    "MATCH (a) RETURN a.v AS g, count(*) AS c ORDER BY g",
+    "MATCH (a) RETURN DISTINCT a.v AS v ORDER BY v",
+    "MATCH (a) RETURN a.v AS v ORDER BY v DESC LIMIT 3",
+    "MATCH (a) WITH a.v AS v ORDER BY v SKIP 2 LIMIT 4 RETURN sum(v) AS s",
+    "UNWIND [3, 1, 2] AS x RETURN x * 10 AS y ORDER BY y",
+    "MATCH (a:A) WITH collect(a.v) AS vs RETURN size(vs) AS n",
+    "MATCH (a) WHERE all(x IN [a.v] WHERE x >= 0) RETURN count(*) AS c",
+    "MATCH (a)-[:R*1..2]->(b) RETURN count(*) AS c",
+    "MATCH p = (a:A)-[:R]->(b) RETURN length(p) AS l, count(*) AS c",
+    "MATCH (a:A) OPTIONAL MATCH (a)-[:S]->(c) RETURN a.v AS v, c.v AS cv "
+    "ORDER BY v, cv",
+    "RETURN 1 AS x UNION RETURN 2 AS x",
+]
 
 
 def indexed_fixture_graph():
@@ -564,29 +591,6 @@ def indexed_update_queries(draw):
     if source == "extra":
         return draw(extra)
     return draw(UPDATE_STRATEGIES[source]())
-
-
-def graph_state(graph):
-    """Canonical, id-inclusive snapshot used to compare final stores."""
-    nodes = sorted(
-        (
-            node.value,
-            tuple(sorted(graph.labels(node))),
-            canonical_key(graph.properties(node)),
-        )
-        for node in graph.nodes()
-    )
-    rels = sorted(
-        (
-            rel.value,
-            graph.src(rel).value,
-            graph.tgt(rel).value,
-            graph.rel_type(rel),
-            canonical_key(graph.properties(rel)),
-        )
-        for rel in graph.relationships()
-    )
-    return nodes, rels
 
 
 #: Driving prefixes with a pinned row order (ids must allocate alike).

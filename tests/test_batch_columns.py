@@ -362,6 +362,7 @@ class TestLabelAlignedColumns:
             # ... and the read really went through the aligned column.
             assert got.access_paths[0]["column_slices"].get("v")
 
+    @pytest.mark.smoke
     def test_maintained_equals_rebuilt_through_a_scripted_session(self):
         graph = self._graph()
         engine = CypherEngine(graph)
@@ -462,6 +463,7 @@ class TestLabelAlignedColumns:
             session.rollback()
         assert graph.label_property_column("L", "v", warm) is None
 
+    @pytest.mark.smoke
     def test_snapshot_pins_clean_and_dirty(self):
         graph = self._graph()
         engine = CypherEngine(graph)

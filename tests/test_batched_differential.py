@@ -111,6 +111,7 @@ def _assert_update_differential(query):
 class TestReadDifferential:
     """Three-way agreement on every read strategy of the corpus."""
 
+    @pytest.mark.smoke
     @settings(max_examples=60, deadline=None)
     @given(query=match_queries())
     def test_match(self, query):
@@ -126,11 +127,13 @@ class TestReadDifferential:
     def test_pipeline(self, query):
         _assert_read_differential(query)
 
+    @pytest.mark.smoke
     @settings(max_examples=40, deadline=None)
     @given(query=two_clause_queries())
     def test_optional_chain(self, query):
         _assert_read_differential(query)
 
+    @pytest.mark.smoke
     @settings(max_examples=50, deadline=None)
     @given(query=named_path_queries())
     def test_named_path(self, query):
@@ -153,21 +156,25 @@ class TestReadDifferential:
 class TestUpdateDifferential:
     """Three-way agreement on updating queries, final stores included."""
 
+    @pytest.mark.smoke
     @settings(max_examples=50, deadline=None)
     @given(query=create_update_queries())
     def test_create(self, query):
         _assert_update_differential(query)
 
+    @pytest.mark.smoke
     @settings(max_examples=50, deadline=None)
     @given(query=set_remove_queries())
     def test_set_remove(self, query):
         _assert_update_differential(query)
 
+    @pytest.mark.smoke
     @settings(max_examples=25, deadline=None)
     @given(query=delete_queries())
     def test_delete(self, query):
         _assert_update_differential(query)
 
+    @pytest.mark.smoke
     @settings(max_examples=50, deadline=None)
     @given(query=merge_queries())
     def test_merge(self, query):
@@ -199,6 +206,7 @@ class TestUpdateDifferential:
         assert tables["interpreter"].same_bag(tables["batch"])
 
 
+@pytest.mark.smoke
 class TestBatchClaimSweep:
     """The published claim set is consistent with the corpus shapes."""
 

@@ -1,6 +1,10 @@
 """Unit tests for the interactive shell (driven through StringIO)."""
 
 import io
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +68,13 @@ class TestCommands:
         text = output.getvalue()
         assert "2 nodes, 1 relationships" in text
         assert "City" in text and "Person" in text and "IN" in text
+
+    def test_schema_renders_composite_indexes_like_index(self):
+        shell, output = make_shell()
+        shell.handle(":index :A(x,y)")
+        shell.handle(":index :B(z)")
+        shell.handle(":schema")
+        assert "indexes: :A(x,y), :B(z)" in output.getvalue()
 
     def test_mode_switch(self):
         shell, output = make_shell()
@@ -209,30 +220,81 @@ class TestExplainSubcommand:
 
 
 class TestSelftestSubcommand:
-    def test_selftest_passes_on_healthy_build(self, capsys):
+    """``selftest`` is ``pytest -m smoke`` over ``tests/``, exit-mapped."""
+
+    #: Test functions marked ``smoke`` across the suite; a real run
+    #: passes at least one case of each.
+    MARKED_TESTS = 37
+
+    @staticmethod
+    def fake_pytest(monkeypatch, code):
+        seen = {}
+
+        def fake_main(argv):
+            seen["argv"] = argv
+            seen["coverage"] = os.environ.get("REPRO_COVERAGE")
+            return code
+
+        monkeypatch.setattr(pytest, "main", fake_main)
+        return seen
+
+    @pytest.mark.parametrize("outer", [None, "force"])
+    def test_runs_the_smoke_marker_untraced(self, monkeypatch, outer):
+        if outer is None:
+            monkeypatch.delenv("REPRO_COVERAGE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_COVERAGE", outer)
+        seen = self.fake_pytest(monkeypatch, 0)
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "differential reads" in out
-        assert "tck smoke set" in out
-        assert "selftest passed" in out
+        argv = seen["argv"]
+        assert argv[argv.index("-m") + 1] == "smoke"
+        assert os.path.basename(argv[-1]) == "tests"
+        assert os.path.isdir(argv[-1])
+        assert seen["coverage"] == "0"  # set for the call...
+        assert os.environ.get("REPRO_COVERAGE") == outer  # ...then restored
 
-    def test_selftest_reports_divergence(self, monkeypatch, capsys):
-        """A diverging executor must flip the exit code, not just print."""
-        from repro import selftest as selftest_module
-        from repro.semantics.table import Table
+    @pytest.mark.parametrize("code, exit_code, verdict", [
+        (0, 0, "selftest passed"),
+        (1, 1, "selftest FAILED"),
+        (5, 1, "selftest FAILED"),  # no test collected
+    ])
+    def test_pytest_codes_map_to_exit_codes(
+        self, monkeypatch, capsys, code, exit_code, verdict
+    ):
+        self.fake_pytest(monkeypatch, code)
+        assert main(["selftest"]) == exit_code
+        assert capsys.readouterr().out.splitlines()[-1].startswith(verdict)
 
-        real_run = CypherEngine.run
+    def test_missing_tests_directory_is_a_usage_error(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import repro.cli as cli_module
 
-        def lying_run(self, query_text, parameters=None, mode=None, **options):
-            result = real_run(self, query_text, parameters, mode, **options)
-            if mode == "batch" and result.columns:
-                result._table = Table(result.table.fields, [])  # drop rows
-            return result
+        seen = self.fake_pytest(monkeypatch, 0)
+        monkeypatch.setattr(
+            cli_module, "__file__", str(tmp_path / "src" / "repro" / "cli.py")
+        )
+        assert main(["selftest"]) == 2
+        assert "error: no tests/ directory" in capsys.readouterr().err
+        assert not seen
 
-        monkeypatch.setattr(CypherEngine, "run", lying_run)
-        monkeypatch.setattr(selftest_module, "TCK_SMOKE", ())
-        assert main(["selftest"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_real_run_passes_every_smoke_test(self, tmp_path):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "selftest"],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=600,
+        )
+        out = done.stdout
+        assert done.returncode == 0, out[-2000:] + done.stderr[-2000:]
+        assert out.splitlines()[-1].startswith("selftest passed")
+        summary = re.search(r"^(\d+) passed.* in ", out, re.MULTILINE)
+        assert summary and int(summary.group(1)) >= self.MARKED_TESTS
+        assert "failed" not in summary.group(0)
+        assert "error" not in summary.group(0)
 
 
 class TestBenchSubcommand:

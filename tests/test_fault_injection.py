@@ -111,6 +111,7 @@ class TestTrace:
         assert trace_sites().counts == TRACE.counts
 
 
+@pytest.mark.smoke
 class TestCrashEverySite:
     @pytest.mark.parametrize("ordinal", range(1, TRACE.total + 1))
     def test_crash_then_rollback_is_exact(self, ordinal):

@@ -12,6 +12,7 @@ Berkholz et al.'s "answering queries under updates" regime: maintenance
 is only worth having if nobody can tell it from recomputation).
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro import CypherEngine
@@ -75,6 +76,7 @@ class TestSargableReads:
         assert plain.table.same_bag(indexed.table), query
 
 
+@pytest.mark.smoke
 class TestIndexedUpdates:
     """Byte-identical stores and rebuild-identical indexes after updates."""
 
@@ -147,6 +149,7 @@ class TestCompositeSargableReads:
         indexed = _assert_read_agreement(query, COMPOSITE_INDEXED_GRAPH)
         assert plain.table.same_bag(indexed.table), query
 
+    @pytest.mark.smoke
     def test_hand_written_composite_probes(self):
         for query in COMPOSITE_QUERIES:
             plain = _assert_read_agreement(query, GRAPH)
@@ -154,6 +157,7 @@ class TestCompositeSargableReads:
             assert plain.table.same_bag(indexed.table), query
 
 
+@pytest.mark.smoke
 class TestCompositeIndexedUpdates:
     """Composite maintenance must equal a rebuild, across executors."""
 
@@ -183,8 +187,10 @@ class TestCompositeIndexedUpdates:
                 ), (query, mode, label, key)
 
 
+@pytest.mark.smoke
 def test_composite_point_lookup_takes_the_index():
-    """Full-tuple equality plans as one composite seek, no label scan."""
+    """Full-tuple equality plans as one composite seek, no label scan;
+    once the index is dropped the same text re-plans off it."""
     engine = CypherEngine(composite_indexed_fixture_graph())
     # :B carries only the composite (v, name) index, so the plan shape
     # is unambiguous (:A also has a single-key (name) index that ties
@@ -200,6 +206,14 @@ def test_composite_point_lookup_takes_the_index():
     kinds = {type(op) for op in _plan_operators(result.plan)}
     assert lg.NodeByLabelScan not in kinds
     assert result.values("c") == [1]
+    assert engine.drop_index("B", "v", "name") is True
+    dropped = engine.run(
+        "MATCH (b:B) WHERE b.v = 3 AND b.name = 'node-7' "
+        "RETURN count(*) AS c"
+    )
+    kinds = {type(op) for op in _plan_operators(dropped.plan)}
+    assert not kinds & {lg.IndexScan, lg.IndexRangeScan, lg.IndexOrderedScan}
+    assert dropped.values("c") == [1]
 
 
 def test_order_provided_scan_deletes_the_sort():
@@ -260,6 +274,7 @@ def test_order_provided_scan_with_ties_and_mixed_types():
         assert actual == rows, (mode, actual, rows)
 
 
+@pytest.mark.smoke
 def test_harness_is_not_vacuous():
     """At least the obvious point lookup must actually take the index."""
     engine = CypherEngine(indexed_fixture_graph())

@@ -697,6 +697,7 @@ class TestEngineObservability:
         assert record["entry"] == "label scan :L"
         assert record["actual_rows"] == 12
 
+    @pytest.mark.smoke
     def test_create_index_invalidates_cached_plans(self):
         graph = small_graph()
         engine = CypherEngine(graph)

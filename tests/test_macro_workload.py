@@ -75,6 +75,7 @@ def test_scale_controls_counts():
     assert graph.node_count() == expected_nodes
 
 
+@pytest.mark.smoke
 def test_emission_modes_byte_identical():
     """interpreter / row / batch / CSV ingest: one store, four paths."""
     ds = ldbc_social(scale=SCALE, seed=SEED)
@@ -130,6 +131,7 @@ def driven_engine():
     return engine, dataset_handles(ds)
 
 
+@pytest.mark.smoke
 def test_tiny_driver_run_loses_nothing():
     engine, handles = driven_engine()
     driver = MacroWorkload(
@@ -151,6 +153,7 @@ def test_tiny_driver_run_loses_nothing():
     ).values("t") == [result.committed]
 
 
+@pytest.mark.smoke
 def test_serial_replay_reproduces_concurrent_store():
     engine, handles = driven_engine()
     baseline = engine.graph.copy()

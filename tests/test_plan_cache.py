@@ -43,6 +43,7 @@ from repro.functions import default_registry
 from repro.graph.snapshot import SnapshotGraph
 from repro.graph.store import MemoryGraph
 from repro.planner import execute_plan, execute_plan_batched
+from repro.planner import logical as lg
 from repro.planner.physical import PIPELINE_STATS
 from repro.planner.planning import (
     footprint_counts,
@@ -52,7 +53,7 @@ from repro.planner.planning import (
 )
 from repro.parser import Parser, parse_query, tokenize
 from repro.runtime.cancel import CancelToken
-from repro.selftest import _plan_enters_index, graph_state
+from repro.selftest import graph_state
 from repro.semantics.table import Table
 from repro.values.base import NodeId
 
@@ -89,11 +90,25 @@ def cached_plan(engine, text):
     return engine._plan_cache[text][3]
 
 
+def _plan_enters_index(plan):
+    """True when the plan provably uses a property-index access path."""
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        if isinstance(
+            op, (lg.IndexScan, lg.IndexRangeScan, lg.IndexOrderedScan)
+        ):
+            return True
+        stack.extend(op._children())
+    return False
+
+
 # ---------------------------------------------------------------------------
 # What does not evict
 # ---------------------------------------------------------------------------
 
 class TestPlansSurviveCommits:
+    @pytest.mark.smoke
     def test_read_and_update_plans_survive_foreign_commits(self):
         engine = seeded_engine()
         engine.run(READ, {"v": 1})
@@ -163,6 +178,7 @@ class TestPlansSurviveCommits:
 # ---------------------------------------------------------------------------
 
 class TestEviction:
+    @pytest.mark.smoke
     @pytest.mark.parametrize("ddl", [
         lambda engine: engine.create_index("A", "v"),
         lambda engine: engine.drop_index("B", "w"),
@@ -477,6 +493,7 @@ def reachable_from(root, stop):
 
 @pytest.mark.parametrize("mode", ["row", "batch"])
 class TestParkedPipelineEqualsFreshCompile:
+    @pytest.mark.smoke
     def test_second_run_takes_the_parked_pipeline(self, mode):
         engine = seeded_engine(indexed=True)
         before = dict(PIPELINE_STATS)
@@ -490,6 +507,7 @@ class TestParkedPipelineEqualsFreshCompile:
         }
         assert parked(engine, POINT, "batch" if mode == "row" else "row") is None
 
+    @pytest.mark.smoke
     def test_a_write_between_runs_is_seen(self, mode):
         """Fails on the row engine without the memo reset: its property
         memo compares NodeId identity and the scan hands out the same
@@ -501,6 +519,7 @@ class TestParkedPipelineEqualsFreshCompile:
         assert engine.run(SOLO, mode=mode).records == [{"v": 2}]
         assert parked(engine, SOLO, mode) is not None
 
+    @pytest.mark.smoke
     def test_unbound_after_bound_raises(self, mode):
         engine = seeded_engine(indexed=True)
         assert engine.run(POINT, {"v": 3}, mode=mode).records == [{"v": 3}]
@@ -510,6 +529,7 @@ class TestParkedPipelineEqualsFreshCompile:
             engine.run(POINT, None, mode=mode)
         assert engine.run(POINT, {"v": 5}, mode=mode).records == [{"v": 5}]
 
+    @pytest.mark.smoke
     def test_error_mid_stream_then_clean_rerun(self, mode):
         text = "UNWIND $xs AS x RETURN x * 2 AS y"
         engine = CypherEngine(MemoryGraph())
@@ -1071,6 +1091,7 @@ class TestLiftPolicy:
         assert _entries(engine) - 1 == entries, engine._plan_cache.keys()
         return results
 
+    @pytest.mark.smoke
     def test_a_where_comparison_shares_one_entry(self):
         one, two = self.both(
             "MATCH (n:N) WHERE n.x = 1 RETURN n.x AS x",
@@ -1273,6 +1294,7 @@ class TestLiftPolicy:
 
 
 class TestShapeCacheBounds:
+    @pytest.mark.smoke
     def test_many_literals_of_one_shape_occupy_one_entry(self):
         engine = TestLiftPolicy.engine()
         for value in range(300):
@@ -1393,6 +1415,7 @@ class TestShapeKeysEverywhere:
         info = engine.plan_cache_info()
         assert info["entries"] == info["shapes"] == 3  # CREATE + the two
 
+    @pytest.mark.smoke
     def test_sessions_hit_the_shape_entry_inside_a_transaction(self):
         engine = TestLiftPolicy.engine()
         read = "MATCH (n:N) WHERE n.x = %d RETURN count(*) AS c"

@@ -12,6 +12,7 @@ from-scratch rebuild (maintenance is only worth having if nobody can
 tell it from recomputation).
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro import CypherEngine
@@ -88,6 +89,7 @@ class TestReachabilityReads:
         assert plain.table.same_bag(indexed.table), query
 
 
+@pytest.mark.smoke
 class TestReachabilityUpdates:
     """Maintenance must be indistinguishable from a rebuild."""
 
@@ -132,6 +134,7 @@ BOUND_PAIR = (
 )
 
 
+@pytest.mark.smoke
 def test_harness_is_not_vacuous():
     """The obvious bound-pair traversal must actually take the probe."""
     graph = reachability_fixture_graph()

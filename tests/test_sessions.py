@@ -27,7 +27,12 @@ from repro.exceptions import (
 )
 from repro.runtime.engine import CypherEngine
 
-from fuzztools import fixture_graph, graph_state, assert_indexes_consistent
+from fuzztools import (
+    READ_CORPUS,
+    assert_indexes_consistent,
+    fixture_graph,
+    graph_state,
+)
 
 
 def indexed_engine():
@@ -278,9 +283,8 @@ class TestSnapshotIsolation:
             )
             assert list(pinned.table) == list(reference.table)
 
+    @pytest.mark.smoke
     def test_snapshot_agrees_with_frozen_clone_across_corpus(self):
-        from repro.selftest import READ_CORPUS
-
         engine = CypherEngine(fixture_graph())
         frozen = CypherEngine(fixture_graph())
         with engine.session() as reader:

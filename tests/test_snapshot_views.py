@@ -398,6 +398,7 @@ class TestDirtyViewsKeepIndexesAndPlans:
     def engine(self):
         return CypherEngine(padded(fuzztools.INDEXED_GRAPH))
 
+    @pytest.mark.smoke
     def test_dirty_reads_name_their_index_entry(self):
         engine = self.engine()
         oracle = CypherEngine(engine.graph.copy())
@@ -567,6 +568,7 @@ class TestWritesUnderAPinPreserveEntitiesOnly:
 class TestReleasedSnapshots:
     QUERY = "MATCH (n:P) RETURN count(*) AS c"
 
+    @pytest.mark.smoke
     def test_session_close_releases_the_snapshot(self):
         engine = CypherEngine(MemoryGraph())
         session = engine.session()

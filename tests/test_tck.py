@@ -7,7 +7,16 @@ from repro.tck import TckRunner, parse_feature
 from repro.tck.scenarios import ALL_FEATURES
 
 
-@pytest.mark.parametrize("name", sorted(ALL_FEATURES.keys()))
+#: The features ``python -m repro.cli selftest`` runs: coverage, morsel
+#: boundaries, writes and index-backed predicates.
+SMOKE_FEATURES = ("match_basic", "aggregation", "batching", "updates", "indexes")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.smoke)
+    if name in SMOKE_FEATURES else name
+    for name in sorted(ALL_FEATURES)
+])
 def test_feature_suite(name):
     TckRunner().run_feature(ALL_FEATURES[name])
 

@@ -25,30 +25,7 @@ from repro.exceptions import (
 )
 from repro.graph.builder import GraphBuilder
 from repro.graph.store import MemoryGraph
-from repro.values.ordering import canonical_key
-
-
-def graph_state(graph):
-    """A canonical, id-inclusive snapshot of a graph's full contents."""
-    nodes = sorted(
-        (
-            node.value,
-            tuple(sorted(graph.labels(node))),
-            canonical_key(graph.properties(node)),
-        )
-        for node in graph.nodes()
-    )
-    rels = sorted(
-        (
-            rel.value,
-            graph.src(rel).value,
-            graph.tgt(rel).value,
-            graph.rel_type(rel),
-            canonical_key(graph.properties(rel)),
-        )
-        for rel in graph.relationships()
-    )
-    return nodes, rels
+from repro.selftest import graph_state
 
 
 def _seed_graph():
