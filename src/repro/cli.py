@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import shlex
 import sys
 
 from repro.exceptions import CypherError
@@ -784,12 +783,8 @@ def selftest_main(argv=None):
     tests_dir = _repo_dir("tests")
     if tests_dir is None:
         return 2
-    # The repository root goes on pytest's path, so the test modules'
-    # ``tests.conftest`` imports resolve from any working directory.
-    root = shlex.quote(os.path.dirname(tests_dir))
     code = _run_pytest(
-        ["-q", "-p", "no:cacheprovider", "-m", "smoke",
-         "-o", "pythonpath=" + root, tests_dir],
+        ["-q", "-p", "no:cacheprovider", "-m", "smoke", tests_dir],
         REPRO_COVERAGE="0",
     )
     if code == 0:

@@ -81,9 +81,9 @@ Property indexes (added for the index-accelerated access paths):
   to ``true`` is always returned;
 * :attr:`MemoryGraph.schema_version` is the **schema epoch**: it moves
   when the set of property or reachability indexes may have changed
-  (the four DDL calls, :meth:`restore_from`) and never on a data
-  commit, so the engine's plan cache can tell "an index this plan names
-  may be gone" apart from "some rows changed".
+  (the four DDL calls) and never on a data commit, so the engine's plan
+  cache can tell "an index this plan names may be gone" apart from
+  "some rows changed".
 
 Write transactions (added for the slotted write pipeline):
 
@@ -121,7 +121,12 @@ robustness layer):
   facades over one spanning :class:`StoreTransaction`, so the change
   buffer crosses statement boundaries and the single version bump lands
   at session commit; writes outside the session are locked out with
-  :class:`TransactionError` while that transaction is open;
+  :class:`TransactionError` while that transaction is open.  The
+  engine's schema guard runs every schema-checked updating statement in
+  such a scope (the caller's, or a one-statement scope of its own), so
+  a statement it refuses unwinds through
+  :meth:`_StatementTransaction.rollback` alone — the store's one
+  rollback mechanism;
 * :meth:`pin_version` freezes the current version copy-on-write: every
   raw mutator first preserves the pre-image of each node, relationship
   and adjacency list it touches into each active pin
@@ -1621,6 +1626,11 @@ class MemoryGraph(PropertyGraph):
     def exit_session_scope(self):
         self._session_scope = None
 
+    @property
+    def in_session_scope(self):
+        """True while some owner's statement runs in a session scope."""
+        return self._session_scope is not None
+
     def active_session_transaction(self, owner):
         """The spanning transaction ``owner`` opened, if any."""
         if (
@@ -1656,10 +1666,7 @@ class MemoryGraph(PropertyGraph):
         """Drop one reference; the pin unregisters at zero."""
         pin.refs -= 1
         if pin.refs == 0:
-            try:
-                self._pins.remove(pin)
-            except ValueError:
-                pass  # already rebased onto a frozen copy by restore_from
+            self._pins.remove(pin)
             held = pin.preimages()
             for kind, count in held.items():
                 self._released_preimages[kind] += count
@@ -2288,62 +2295,20 @@ class MemoryGraph(PropertyGraph):
     def schema_version(self):
         """The schema epoch: moves only when the index set may have changed.
 
-        Bumped by the four index DDL calls and :meth:`restore_from` —
-        never by a data commit.  A cached plan may name an index, so the
-        engine's plan cache evicts on any mismatch; everything else a
-        plan depends on is statistics, which it validates by drift.
+        Bumped by the four index DDL calls — never by a data commit, a
+        rollback or a refused statement.  A cached plan may name an
+        index, so the engine's plan cache evicts on any mismatch;
+        everything else a plan depends on is statistics, which it
+        validates by drift.
         The same counter guards a plan's parked pipeline, whose closures
         hold index *objects*: every path that replaces one (DDL, a
-        deferred ingest's drop and re-create, ``restore_from``) moves
-        it; undo replays mutate the existing objects in place.
+        deferred ingest's drop and re-create) moves it; undo replays
+        mutate the existing objects in place.
         """
         return self._schema_version
 
-    def restore_from(self, snapshot):
-        """Replace this graph's entire contents with ``snapshot``'s.
-
-        Used for transactional rollback (e.g. schema enforcement undoing
-        a violating update) while keeping this object's identity, so
-        engines and catalogs holding references stay valid.
-
-        Active version pins are **rebased** onto a frozen copy of the
-        pre-restore state: their copy-on-write deltas reference that
-        state, so layering them over the replaced live structures would
-        show a chimera.  Refused while a session transaction is open —
-        its undo log would dangle into the replaced structures.
-        """
-        if self._active_transaction is not None:
-            raise TransactionError(
-                "cannot restore a graph while a session transaction is open"
-            )
-        donor = snapshot.copy()
-        if self._pins:
-            frozen = self.copy()
-            for pin in self._pins:
-                pin.base = frozen
-            self._pins = []
-        self._next_node_id = donor._next_node_id
-        self._next_rel_id = donor._next_rel_id
-        self._node_labels = donor._node_labels
-        self._node_properties = donor._node_properties
-        self._rel_endpoints = donor._rel_endpoints
-        self._rel_types = donor._rel_types
-        self._rel_properties = donor._rel_properties
-        self._outgoing = donor._outgoing
-        self._incoming = donor._incoming
-        self._outgoing_by_type = donor._outgoing_by_type
-        self._incoming_by_type = donor._incoming_by_type
-        self._label_index = donor._label_index
-        self._type_index = donor._type_index
-        self._indexes_by_label = donor._indexes_by_label
-        self._reachability_indexes = donor._reachability_indexes
-        self._scan_cache = {}
-        self._column_cache = {}
-        self._version += 1
-        self._schema_version += 1
-
     def copy(self):
-        """An independent deep copy (used by MERGE rollback and tests)."""
+        """An independent deep copy, for callers that want a second store."""
         clone = MemoryGraph()
         clone._version = self._version
         clone._next_node_id = self._next_node_id
@@ -2491,9 +2456,10 @@ class StoreTransaction:
       invalidated per statement, not per mutation.
 
     :meth:`abandon` finalises after an error: already-applied changes
-    stay (matching the interpreter's partial-failure behaviour — the
-    engine's schema snapshot handles real rollback) and the version is
-    still bumped so no cache survives a half-applied statement.
+    stay (matching the interpreter's partial-failure behaviour; a
+    schema-checked statement runs in a session scope instead and
+    unwinds its own undo entries) and the version is still bumped so no
+    cache survives a half-applied statement.
     """
 
     __slots__ = (
@@ -2723,8 +2689,9 @@ class StoreTransaction:
         """Undo only the entries recorded past ``mark`` (one statement).
 
         Used by :class:`_StatementTransaction` when a single statement
-        inside a session is cancelled: that statement's changes unwind
-        atomically while the session's earlier statements stay applied.
+        inside a session scope is cancelled or refused by the schema:
+        that statement's changes unwind atomically while the session's
+        earlier statements stay applied.
         """
         if self._undo is None:
             raise TransactionError(
@@ -2795,8 +2762,8 @@ class _StatementTransaction:
       applied changes (the engine's partial-failure semantics);
     * :meth:`rollback` unwinds exactly this statement's undo entries
       (recorded past the watermark captured here), so a cancelled
-      write inside a session disappears atomically while earlier
-      statements survive.
+      write inside a session, or one the engine's schema guard refuses,
+      disappears atomically while earlier statements survive.
     """
 
     __slots__ = ("_parent", "_mark", "_counters")

@@ -264,10 +264,11 @@ def execute_plan(
     commits after the last row (single version bump); an error mid-way
     finalises the transaction instead, so already-applied changes are
     still accounted for — matching the reference executor's
-    partial-failure behaviour (real rollback is the engine's schema
-    snapshot).  ``access_log`` (a caller-owned list) turns on access-path
-    profiling: every scan operator records its entry choice, estimated
-    and actual row counts.
+    partial-failure behaviour (a schema-checked statement runs in a
+    session scope, and the engine's guard unwinds its undo entries).
+    ``access_log`` (a caller-owned list) turns on access-path profiling:
+    every scan operator records its entry choice, estimated and actual
+    row counts.
     """
     def compile_plan(slots):
         context = ExecutionContext(

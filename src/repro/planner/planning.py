@@ -20,8 +20,9 @@ RETURN / UNION, variable-length patterns, aggregation, named paths
 (assembled in-pipeline by ``ProjectPath``), and all three of Section 8's
 configurable morphisms — edge isomorphism, node isomorphism and
 homomorphism — via the morphism-parameterised uniqueness kernel.
-Comprehensions, quantifiers and pattern predicates compile to
-scratch-slot closures (:mod:`repro.semantics.compile`).  On the write
+List comprehensions, quantifiers and ``reduce`` compile to
+scratch-slot closures (:mod:`repro.semantics.compile`); pattern-shaped
+expressions evaluate through the reference matcher.  On the write
 side: CREATE / MERGE / SET / REMOVE / DELETE plan to slotted write
 operators behind an explicit ``Eager`` barrier (Cypher's writes must not
 be visible to the writing clause's own reads; the barrier finishes the

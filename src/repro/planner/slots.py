@@ -17,7 +17,7 @@ for fallback expression evaluation (:meth:`SlotMap.to_record`).
 
 Besides plan variables, the layout reserves *scratch slots* for every
 name an expression binds internally — comprehension / quantifier /
-``reduce`` variables and the fresh variables of pattern comprehensions.
+``reduce`` variables.
 The expression compiler writes the inner value into the scratch slot,
 evaluates the compiled body, and restores the previous value, so inner
 scopes shadow outer bindings exactly as the tree walker's nested records
@@ -252,14 +252,13 @@ def collect_plan_names(plan):
 def expression_scratch_names(expression):
     """Names an expression binds in inner scopes, in discovery order.
 
-    Comprehension / quantifier / ``reduce`` variables plus the free
-    variables of pattern comprehensions, pattern predicates and EXISTS
-    subqueries (at runtime those not already bound become fresh
-    bindings).  Each needs a slot so the compiled closures can shadow
-    and restore without resizing rows.
+    Comprehension / quantifier / ``reduce`` variables.  Each needs a
+    slot so the compiled closures can shadow and restore without
+    resizing rows.  Pattern-shaped expressions evaluate through the
+    reference Evaluator over a record, so their free variables need
+    none.
     """
     from repro.ast import expressions as ex
-    from repro.ast.patterns import free_variables
     from repro.ast.visitor import walk
 
     names = []
@@ -269,8 +268,4 @@ def expression_scratch_names(expression):
         elif isinstance(node, ex.Reduce):
             names.append(node.accumulator)
             names.append(node.variable)
-        elif isinstance(node, (ex.PatternComprehension, ex.PatternPredicate)):
-            names.extend(free_variables((node.pattern,)))
-        elif isinstance(node, ex.ExistsSubquery):
-            names.extend(free_variables(tuple(node.pattern)))
     return names

@@ -222,31 +222,25 @@ class CypherEngine:
         under.
         """
         return self._run_on(
-            self.graph, self.graph, query_text, parameters, mode, profile,
-            timeout, deadline, cancel, read_only,
+            self.graph, query_text, parameters, mode, profile, timeout,
+            deadline, cancel, read_only,
         )
 
     def _run_on(
-        self, graph, planned_on, query_text, parameters=None, mode=None,
-        profile=False, timeout=None, deadline=None, cancel=None,
-        read_only=False,
+        self, graph, query_text, parameters=None, mode=None, profile=False,
+        timeout=None, deadline=None, cancel=None, read_only=False,
     ):
         """:meth:`run` with the executing graph made explicit.
 
         The one entry :meth:`run` and snapshot readers share.  ``graph``
         is what the operators read: the engine's store, or a
         :class:`~repro.graph.snapshot.SnapshotGraph` view of one of its
-        versions.  ``planned_on`` is the graph whose index set and
-        statistics decide the plan.  A view of the engine's own store
-        passes the store itself — plans embed no graph data and the
-        view's index set is the store's, so the shared plan cache and
-        its validation against the live store serve it unchanged.  Any
-        other ``planned_on`` (a view rebased onto a frozen copy by
-        ``restore_from``) plans per statement and leaves the cache
-        alone.
+        versions.  Plans are always made on the engine's store: plans
+        embed no graph data and a view's index set is the store's, so
+        the shared plan cache and its validation against the live store
+        serve a view unchanged.
         """
         mode = self.mode if mode is None else _checked_mode(mode)
-        shared = planned_on is self.graph
         access_log = [] if profile else None
         cancellation = Cancellation.build(timeout, deadline, cancel)
         if cancellation is not None:
@@ -255,7 +249,7 @@ class CypherEngine:
             # in-flight checks would let a short statement slip through.
             cancellation.poll()
         key, lifted, tokens, query = query_text, None, None, None
-        if shared and mode != "interpreter":
+        if mode != "interpreter":
             cached = self._cached_plan(query_text)
             if cached is None:
                 # Only now is the text lexed: a miss either finds its
@@ -288,7 +282,7 @@ class CypherEngine:
                     query = Parser(tokens, lift=True).parse_query()
                 query, updating = self._analyse(query)
                 plan = plan_query(
-                    query, planned_on, morphism=self.morphism,
+                    query, self.graph, morphism=self.morphism,
                     parameters=lifted,
                 )
             except CypherError:
@@ -308,7 +302,7 @@ class CypherEngine:
             )
         if plan is None:
             try:
-                plan = plan_query(query, planned_on, morphism=self.morphism)
+                plan = plan_query(query, self.graph, morphism=self.morphism)
             except UnsupportedFeature as unsupported:
                 if mode != "auto":
                     raise
@@ -320,8 +314,7 @@ class CypherEngine:
                 )
         else:
             parameters = _merged(parameters, lifted)
-        if shared:
-            self._remember_plan(key, plan, updating)
+        self._remember_plan(key, plan, updating)
         return self._execute_planned(
             graph, plan, parameters, updating, mode, access_log, cancellation,
         )
@@ -690,23 +683,52 @@ class CypherEngine:
         )
 
     def _schema_guard(self, updating):
-        """Snapshot/validate/rollback around an updating execution."""
+        """Validate an updating statement; unwind it alone on failure."""
         if self.schema is None or not updating:
             return contextlib.nullcontext()
+        return self._validated_statement()
 
-        @contextlib.contextmanager
-        def guard():
-            snapshot = self.graph.copy()
-            yield
-            violations = self.schema.validate(self.graph)
-            if violations:
-                self.graph.restore_from(snapshot)
-                raise ConstraintViolation(
-                    "update rolled back; schema violations: %s"
-                    % "; ".join(str(violation) for violation in violations)
-                )
+    @contextlib.contextmanager
+    def _validated_statement(self):
+        """One schema-checked statement, unwound through its undo log.
 
-        return guard()
+        The statement runs in a session scope: the caller's, inside an
+        explicit session, or else a one-statement scope opened here.
+        Either way every write it makes — the interpreter's per-clause
+        transactions, the planner's — lands in the scope's
+        always-recording spanning transaction.  After the statement the
+        schema is validated; a scope of our own then commits (one
+        version bump).  On a violation, or any exception, exactly the
+        statement's undo entries replay and the error propagates: no
+        version or schema-epoch bump, and an explicit session's earlier
+        statements stay for its commit or rollback.
+        """
+        graph = self.graph
+        owner = None if graph.in_session_scope else object()
+        if owner is not None:
+            graph.enter_session_scope(owner)
+        try:
+            statement = graph.write_transaction()
+            try:
+                yield
+                violations = self.schema.validate(graph)
+                if violations:
+                    raise ConstraintViolation(
+                        "update rolled back; schema violations: %s"
+                        % "; ".join(str(violation) for violation in violations)
+                    )
+            except BaseException:
+                statement.rollback()
+                raise
+            if owner is not None:
+                graph.active_session_transaction(owner).commit()
+        finally:
+            if owner is not None:
+                # Open only if the statement failed or its commit did.
+                spanning = graph.active_session_transaction(owner)
+                if spanning is not None:
+                    spanning.rollback()
+                graph.exit_session_scope()
 
     # -- plan cache ------------------------------------------------------
 
@@ -718,10 +740,10 @@ class CypherEngine:
         ``key`` is an exact text or a shape key (see ``_plan_cache``);
         the caller counts the statement's one miss.  A hit skips
         parsing, semantic checks, rewriting and planning (update plans
-        carry their ``updating`` flag so the schema snapshot still
-        happens).  While the store's version stands
-        still that is a dict lookup and one comparison.  When it moved
-        — a foreign commit, the statement's own, index DDL, a restore —
+        carry their ``updating`` flag so the schema guard still runs).
+        While the store's version stands still that is a dict lookup and
+        one comparison.  When it moved — a foreign commit, the
+        statement's own, index DDL —
         the entry is revalidated by the rule stated on ``_plan_cache``:
         evict on a schema-epoch mismatch or a >2x drift of a footprint
         counter, otherwise re-stamp to the current version and hit.

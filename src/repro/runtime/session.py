@@ -24,7 +24,7 @@ queueing.
 
 from __future__ import annotations
 
-from repro.exceptions import TransactionError, UnsupportedFeature
+from repro.exceptions import TransactionError
 
 
 class Session:
@@ -94,12 +94,6 @@ class Session:
         self._admit()
         if self._in_transaction:
             raise TransactionError("transaction already begun on this session")
-        if self.engine.schema is not None:
-            raise UnsupportedFeature(
-                "schema-validated engines do not support explicit "
-                "transactions: the schema guard snapshots around each "
-                "auto-committed statement"
-            )
         self._in_transaction = True
         return self
 
@@ -205,9 +199,7 @@ class Snapshot:
     the store has diverged.  The view answers with the live store's
     indexes, delta-corrected, so a dirty pin costs a live read plus
     O(|entities mutated since the pin|) and never re-plans a cached
-    text.  A pin rebased by ``restore_from`` (its base is a frozen copy,
-    no longer the engine's store) plans each statement against its own
-    view instead.
+    text.
 
     Once the pin is released — the session closed, or the transaction
     a transactional snapshot belonged to ended — mutations are no
@@ -233,7 +225,7 @@ class Snapshot:
         pin = self.pin
         if pin.released:
             raise TransactionError("snapshot released")
-        if pin.clean and pin.base is self.session.graph:
+        if pin.clean:
             return self.session.graph
         if self._view is None:
             from repro.graph.snapshot import SnapshotGraph
@@ -245,16 +237,9 @@ class Snapshot:
         """Run a read-only statement against the pinned version."""
         graph = self.graph
         engine = self.session.engine
-        live = engine.graph
-        if graph is live:
+        if graph is engine.graph:
             engine.snapshot_clean_reads += 1
         else:
             engine.snapshot_dirty_reads += 1
         options["read_only"] = True
-        return engine._run_on(
-            graph,
-            live if self.pin.base is live else graph,
-            query_text,
-            parameters,
-            **options,
-        )
+        return engine._run_on(graph, query_text, parameters, **options)

@@ -15,21 +15,16 @@ of rows, so :class:`ExpressionCompiler` performs that work once per plan:
   the corresponding ``Evaluator`` method.
 
 Constructs that bind *inner* variables — list comprehensions,
-quantifiers, ``reduce``, pattern comprehensions — compile to *scratch
-slots*: the inner name is allocated a slot up front (see
+quantifiers, ``reduce`` — compile to *scratch slots*: the inner name is
+allocated a slot up front (see
 :func:`repro.planner.slots.collect_plan_names`), the compiled closure
 writes each candidate value into it, evaluates the compiled body, and
 restores the previous value, so shadowing behaves exactly like the tree
-walker's nested records.  Pattern comprehensions compile a *native*
-single-path enumerator (same emit order and bag as the reference
-matcher, structural analysis hoisted to compile time) whose var-length
-segments prune through a declared reachability index when the far
-endpoint is correlated to an outer binding; pattern predicates and
-EXISTS subqueries still enumerate through the reference matcher, but
-all three evaluate their WHERE/projection bodies as compiled closures
-over scratch slots, so no construct tree-walks per row any more.  An unknown node type still falls back to the Evaluator
-over a converted record, preserving expressiveness for future AST
-growth.  Aggregate calls are compiled separately by the physical
+walker's nested records.  Pattern-shaped expressions (pattern
+predicates, EXISTS subqueries, pattern comprehensions) and any other
+uncovered node type fall back to the Evaluator over a converted record:
+the reference matcher is the only one, and the row compiler keeps no
+copy of it.  Aggregate calls are compiled separately by the physical
 ``Aggregate`` operator; reaching one here raises, exactly as the tree
 walker does outside WITH/RETURN.
 """
@@ -835,289 +830,6 @@ class ExpressionCompiler:
 
         return fold
 
-    # -- patterns in expressions (matcher + compiled bodies) -----------------
-
-    def _pattern_binder(self, pattern_tuple):
-        """Shared machinery for pattern-shaped expressions.
-
-        Returns ``(match, names, slots)``: a ``row -> bag of bindings``
-        closure over the reference matcher, plus the pattern's free
-        variables and their scratch slots.  Names already bound in the
-        row constrain the match (the matcher sees them through the
-        record); the rest come back as fresh bindings to install.
-        """
-        from repro.ast.patterns import free_variables
-        from repro.semantics.matching import match_pattern_tuple
-
-        names = tuple(free_variables(pattern_tuple))
-        slots = tuple(self.slots.add(name) for name in names)
-        evaluator = self.evaluator
-        graph = self.graph
-        morphism = evaluator.morphism
-        to_record = self.slots.to_record
-
-        def match(row):
-            return match_pattern_tuple(
-                pattern_tuple, graph, to_record(row), evaluator, morphism
-            )
-
-        return match, names, slots
-
-    def _pattern_predicate(self, node):
-        match, _names, _slots = self._pattern_binder((node.pattern,))
-
-        def test(row):
-            return bool(match(row))
-
-        return test
-
-    def _exists_subquery(self, node):
-        match, names, slots = self._pattern_binder(tuple(node.pattern))
-        if node.where is None:
-
-            def exists(row):
-                return bool(match(row))
-
-            return exists
-        where = self.compile_predicate(node.where)
-
-        def exists_filtered(row):
-            matches = match(row)
-            if not matches:
-                return False
-            saved = [row[slot] for slot in slots]
-            try:
-                for bindings in matches:
-                    for name, slot in zip(names, slots):
-                        if name in bindings:
-                            row[slot] = bindings[name]
-                    if where(row):
-                        return True
-            finally:
-                for slot, value in zip(slots, saved):
-                    row[slot] = value
-            return False
-
-        return exists_filtered
-
-    def _compile_path_enumerator(self, pattern):
-        """Native single-path enumerator for pattern comprehensions.
-
-        Mirrors the reference matcher's emit-at-every-admissible-stop
-        DFS (:func:`repro.semantics.matching.match_pattern_tuple`) for
-        one path pattern — same candidate order, same bag — but drives
-        the graph directly: the structural work (segment splitting,
-        range resolution, uniqueness policy) happens once at compile
-        time, and a var-length segment whose far endpoint is already
-        bound can be pruned through a declared reachability index.  A
-        subtree that cannot reach the bound endpoint can never satisfy
-        the stop condition, hence never emits, so skipping it preserves
-        both the bag and its order.
-        """
-        from repro.ast import patterns as pt
-        from repro.ast.patterns import free_variables
-        from repro.semantics.matching import (
-            _binding_matches,
-            _node_satisfies,
-            _rel_binding_value,
-            _rel_properties_satisfied,
-            _steps_from,
-        )
-        from repro.semantics.morphism import UniquenessKernel
-        from repro.values.path import Path
-
-        graph = self.graph
-        evaluator = self.evaluator
-        morphism = evaluator.morphism
-        kernel = UniquenessKernel(morphism)
-        to_record = self.slots.to_record
-        free = tuple(free_variables((pattern,)))
-        elements = pattern.elements
-        node_patterns = elements[0::2]
-        rel_patterns = elements[1::2]
-        segments = tuple(
-            (rho, node_patterns[position + 1]) + rho.resolved_range()
-            for position, rho in enumerate(rel_patterns)
-        )
-        first = node_patterns[0]
-        probe_getter = getattr(graph, "reachability_index_for", None)
-        forbids_rels = morphism.forbids_repeated_relationships
-        forbids_nodes = morphism.forbids_repeated_nodes
-
-        def enumerate_bindings(row):
-            base_record = to_record(row)
-            bound = dict(base_record)
-            used_rels = set()
-            results = []
-
-            def segment(seg_index, current, path_nodes, path_rels):
-                if seg_index == len(segments):
-                    finish(path_nodes, path_rels)
-                    return
-                rho, chi_next, low, high = segments[seg_index]
-                # Same kernel the planner's VarLengthExpand consults,
-                # resolved at the same moment the matcher would.
-                high = kernel.traversal_cap(high)
-                prune = None
-                if (
-                    high is None
-                    and rho.length is not None
-                    and rho.direction != pt.UNDIRECTED
-                    and probe_getter is not None
-                    and chi_next.name is not None
-                ):
-                    target = bound.get(chi_next.name)
-                    if isinstance(target, NodeId):
-                        index = probe_getter(rho.resolved_types)
-                        if index is not None:
-                            reachable = index.reachable
-                            if rho.direction == pt.LEFT_TO_RIGHT:
-                                prune = lambda node: reachable(node, target)
-                            else:
-                                prune = lambda node: reachable(target, node)
-
-                def walk(steps_taken, node, seg_rels, seg_nodes):
-                    if steps_taken >= low and _node_satisfies(
-                        graph, evaluator, base_record, chi_next, node, bound
-                    ):
-                        stop_here(node, seg_rels, seg_nodes)
-                    if high is not None and steps_taken >= high:
-                        return
-                    for rel, next_node in _steps_from(graph, rho, node):
-                        if forbids_rels and rel in used_rels:
-                            continue
-                        if not _rel_properties_satisfied(
-                            graph, evaluator, base_record, rho, rel
-                        ):
-                            continue
-                        if forbids_nodes and (
-                            next_node in path_nodes
-                            or next_node in seg_nodes
-                        ):
-                            continue
-                        if prune is not None and not prune(next_node):
-                            continue
-                        used_rels.add(rel)
-                        seg_rels.append(rel)
-                        seg_nodes.append(next_node)
-                        walk(steps_taken + 1, next_node, seg_rels, seg_nodes)
-                        seg_nodes.pop()
-                        seg_rels.pop()
-                        used_rels.discard(rel)
-
-                def stop_here(node, seg_rels, seg_nodes):
-                    undo = []
-                    if rho.name is not None:
-                        value = _rel_binding_value(rho, seg_rels)
-                        if rho.name in bound:
-                            if not _binding_matches(bound[rho.name], value):
-                                return
-                        else:
-                            bound[rho.name] = value
-                            undo.append(rho.name)
-                    if (
-                        chi_next.name is not None
-                        and chi_next.name not in bound
-                    ):
-                        bound[chi_next.name] = node
-                        undo.append(chi_next.name)
-                    try:
-                        segment(
-                            seg_index + 1,
-                            node,
-                            path_nodes + seg_nodes,
-                            path_rels + seg_rels,
-                        )
-                    finally:
-                        for name in undo:
-                            del bound[name]
-
-                if prune is not None and not prune(current):
-                    return
-                walk(0, current, [], [])
-
-            def finish(path_nodes, path_rels):
-                undo = []
-                if pattern.name is not None:
-                    path_value = Path(tuple(path_nodes), tuple(path_rels))
-                    if pattern.name in bound:
-                        if bound[pattern.name] != path_value:
-                            return
-                    else:
-                        bound[pattern.name] = path_value
-                        undo.append(pattern.name)
-                results.append(
-                    {
-                        name: bound[name]
-                        for name in free
-                        if name not in base_record
-                    }
-                )
-                for name in undo:
-                    del bound[name]
-
-            if first.name is not None and first.name in bound:
-                start_value = bound[first.name]
-                candidates = (
-                    [start_value]
-                    if isinstance(start_value, NodeId)
-                    and graph.has_node(start_value)
-                    else []
-                )
-            else:
-                candidates = graph.nodes()
-            for start in candidates:
-                if not _node_satisfies(
-                    graph, evaluator, base_record, first, start, bound
-                ):
-                    continue
-                install = first.name is not None and first.name not in bound
-                if install:
-                    bound[first.name] = start
-                segment(0, start, [start], [])
-                if install:
-                    del bound[first.name]
-            return results
-
-        return enumerate_bindings
-
-    def _pattern_comprehension(self, node):
-        from repro.ast.patterns import free_variables
-
-        match = self._compile_path_enumerator(node.pattern)
-        names = tuple(free_variables((node.pattern,)))
-        slots = tuple(self.slots.add(name) for name in names)
-        where = (
-            self.compile_predicate(node.where)
-            if node.where is not None
-            else None
-        )
-        projection = self.compile(node.projection)
-
-        def comprehend(row):
-            matches = match(row)
-            result = []
-            if not matches:
-                return result
-            append = result.append
-            saved = [row[slot] for slot in slots]
-            try:
-                for bindings in matches:
-                    # dom(u') is the same for every match, so stale
-                    # values from the previous iteration never leak.
-                    for name, slot in zip(names, slots):
-                        if name in bindings:
-                            row[slot] = bindings[name]
-                    if where is not None and not where(row):
-                        continue
-                    append(projection(row))
-            finally:
-                for slot, value in zip(slots, saved):
-                    row[slot] = value
-            return result
-
-        return comprehend
-
 
 _ALL_BOOL = {bool}
 _ALL_INT = {int}
@@ -1684,7 +1396,4 @@ _COMPILERS = {
     ex.ListComprehension: ExpressionCompiler._list_comprehension,
     ex.QuantifiedPredicate: ExpressionCompiler._quantified,
     ex.Reduce: ExpressionCompiler._reduce,
-    ex.PatternPredicate: ExpressionCompiler._pattern_predicate,
-    ex.ExistsSubquery: ExpressionCompiler._exists_subquery,
-    ex.PatternComprehension: ExpressionCompiler._pattern_comprehension,
 }

@@ -32,8 +32,9 @@ import types
 
 import pytest
 
-from repro import CypherEngine
 from repro.datasets.paper import figure1_graph, figure4_graph, self_loop_graph
+
+from fuzztools import run_both
 
 # ---------------------------------------------------------------------------
 # Coverage floor (tier-1 config; see module docstring)
@@ -401,23 +402,6 @@ def self_loop():
 def read_mode(request):
     """Parametrizes read-query tests over both execution paths."""
     return request.param
-
-
-def run_both(graph, query, parameters=None):
-    """Run a read query on both paths and assert they agree.
-
-    Returns the interpreter-path result (row order of the reference
-    semantics).  The assertion is bag equality — duplicates included,
-    since the paper's semantics is explicitly bag-based.
-    """
-    engine = CypherEngine(graph)
-    interpreted = engine.run(query, parameters=parameters, mode="interpreter")
-    planned = engine.run(query, parameters=parameters, mode="planner")
-    assert interpreted.table.same_bag(planned.table), (
-        "interpreter and planner disagree on %r:\n%s\nvs\n%s"
-        % (query, interpreted.records, planned.records)
-    )
-    return interpreted
 
 
 @pytest.fixture

@@ -48,6 +48,9 @@ The module exposes:
   and :func:`literal_sibling` rewrites a text into another of the same
   shape — what the golden lexer file and the auto-parameterisation
   tests sweep.
+* :func:`run_both` runs one read on the interpreter and the planner and
+  asserts the two bags agree (``conftest``'s ``dual_run`` fixture hands
+  it out too).
 """
 
 import re
@@ -55,6 +58,7 @@ import re
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import CypherEngine
 from repro.graph.builder import GraphBuilder
 from repro.selftest import graph_state  # noqa: F401 — re-exported
 from repro.semantics.morphism import (
@@ -68,6 +72,23 @@ MORPHISMS = {
     "node": NODE_ISOMORPHISM,
     "homomorphism": HOMOMORPHISM,
 }
+
+
+def run_both(graph, query, parameters=None):
+    """Run a read query on both paths and assert they agree.
+
+    Returns the interpreter-path result (row order of the reference
+    semantics).  The assertion is bag equality — duplicates included,
+    since the paper's semantics is explicitly bag-based.
+    """
+    engine = CypherEngine(graph)
+    interpreted = engine.run(query, parameters=parameters, mode="interpreter")
+    planned = engine.run(query, parameters=parameters, mode="planner")
+    assert interpreted.table.same_bag(planned.table), (
+        "interpreter and planner disagree on %r:\n%s\nvs\n%s"
+        % (query, interpreted.records, planned.records)
+    )
+    return interpreted
 
 
 def fixture_graph():
@@ -285,9 +306,9 @@ REACHABILITY_QUERY_TEMPLATES = [
     "MATCH (a)-[r:R*1..3]->(b) RETURN size(r) AS n ORDER BY n",
     "MATCH (a {name: %(a)r}) MATCH (a)-[r:R*]->(b {name: %(b)r}) "
     "RETURN count(*) AS c",
-    # Correlated pattern comprehensions: the native enumerator must
-    # preserve the matcher's emission order (the lists are compared
-    # element-wise), with and without the index pruning its walks.
+    # Correlated pattern comprehensions: the lists are compared
+    # element-wise, so every executor must keep the reference matcher's
+    # emission order, with and without a reachability index declared.
     "MATCH (a {name: %(a)r}), (b {name: %(b)r}) "
     "RETURN size([(a)-[:R*]->(b) | 1]) AS n",
     "MATCH (a {name: %(a)r}), (b {name: %(b)r}) "

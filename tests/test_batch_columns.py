@@ -422,7 +422,7 @@ class TestLabelAlignedColumns:
             session.commit()
         self._check(graph, engine.run)
 
-    def test_restore_from_and_copy_start_cold(self):
+    def test_a_copy_starts_cold(self):
         graph = self._graph()
         engine = CypherEngine(graph)
         self._check(graph, engine.run)
@@ -430,14 +430,6 @@ class TestLabelAlignedColumns:
         clone = graph.copy()
         assert not clone._column_cache
         self._check(clone, CypherEngine(clone).run)
-        donor = self._graph()
-        CypherEngine(donor).run("MATCH (n:L) SET n.v = n.v + 50")
-        graph.restore_from(donor)
-        assert not graph._column_cache
-        self._check(graph, engine.run)
-        assert engine.run(self.READ, {"x": 50}, mode="batch").records == [
-            {"c": 12, "s": sum(50 + i % 5 for i in range(12))}
-        ]
 
     def test_a_stale_scan_list_is_refused(self):
         graph = self._graph()

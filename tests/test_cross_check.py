@@ -14,7 +14,8 @@ from repro.datasets.citations import citation_network
 from repro.datasets.paper import figure1_graph, figure4_graph
 from repro.datasets.social import social_graph
 from repro.graph.store import MemoryGraph
-from tests.conftest import run_both
+
+from fuzztools import run_both
 
 QUERY_CORPUS = [
     "MATCH (n) RETURN n",

@@ -238,15 +238,14 @@ class TestTypeSegmentedAdjacency:
         assert list(graph.outgoing(a, {"R"})) == []
         assert graph.degree(a, "out", rel_type="R") == 0
 
-    def test_copy_and_restore_keep_segments(self, graph):
+    def test_copy_keeps_segments(self, graph):
         a, b = graph.create_node(), graph.create_node()
         rel = graph.create_relationship(a, b, "R")
         clone = graph.copy()
         assert list(clone.outgoing(a, {"R"})) == [rel]
         graph.delete_relationship(rel)
-        graph.restore_from(clone)
-        assert list(graph.outgoing(a, {"R"})) == [rel]
-        assert graph.degree(b, "in", rel_type="R") == 1
+        assert list(clone.outgoing(a, {"R"})) == [rel]
+        assert clone.degree(b, "in", rel_type="R") == 1
 
     def test_cardinality_hooks_match_indexes(self, graph):
         a = graph.create_node(("Person",))
@@ -340,10 +339,9 @@ class TestSelfLoopDeletion:
 
 
 class TestIndexAliasing:
-    """``copy()`` / ``restore_from`` must never alias index internals.
+    """``copy()`` must never alias index internals.
 
-    Regression guard for PR 6: rollback and snapshot correctness both
-    assume a copied graph's indexes are independent — a shared segment
+    A copied graph's indexes must be independent — a shared segment
     list or postings set would let mutations on one graph corrupt the
     other's index silently (reads would drift from a rebuild).
     """
@@ -372,20 +370,3 @@ class TestIndexAliasing:
         original.create_node(["L"], {"v": 77})
         assert clone.index_snapshot("L", "v") == before
 
-    def test_restore_from_detaches_from_the_donor(self):
-        graph = self.make_indexed()
-        donor = graph.copy()
-        graph.restore_from(donor)
-        graph.create_node(["L"], {"v": 123})
-        assert donor.index_lookup("L", "v", 123) == []
-        assert graph.index_lookup("L", "v", 123) != []
-
-    def test_restored_index_equals_a_rebuild(self):
-        graph = self.make_indexed()
-        pristine = graph.copy()
-        graph.create_node(["L"], {"v": 5})
-        graph.restore_from(pristine)
-        rebuilt = graph.copy()
-        assert graph.index_snapshot("L", "v") == rebuilt.index_snapshot(
-            "L", "v"
-        )

@@ -6,7 +6,7 @@ Four layers, mirroring the subsystem's vertical slice:
   (creates, bulk creates, SET/REMOVE/merge/replace, label changes,
   deletes, transactions), probe semantics on the nasty values (NaN,
   int-vs-float buckets, mixed-type segments, unsupported range bounds),
-  and clone/restore behaviour;
+  and clone behaviour;
 * **statistics / cost** — NDV and entry counters flowing into
   selectivities, including the regression test for the stale-selectivity
   bug class: the chosen entry point must flip when NDV does;
@@ -297,7 +297,7 @@ class TestStoreMaintenance:
         graph.adopt_node(NodeId(41), ("L",), {"v": 6})
         assert graph.index_lookup("L", "v", 6) == [NodeId(41)]
 
-    def test_copy_and_restore_preserve_indexes(self):
+    def test_copy_preserves_indexes(self):
         graph = small_graph()
         graph.create_index("L", "v")
         clone = graph.copy()
@@ -305,10 +305,6 @@ class TestStoreMaintenance:
         assert clone.index_snapshot("L", "v") == graph.index_snapshot(
             "L", "v"
         )
-        snapshot = graph.copy()
-        graph.create_node(("L",), {"v": 0})
-        graph.restore_from(snapshot)
-        assert graph.index_statistics() == {("L", "v"): (4, 12)}
 
 
 class TestProbeSemantics:

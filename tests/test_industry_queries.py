@@ -8,7 +8,8 @@ import pytest
 
 from repro.datasets.datacenter import datacenter_graph
 from repro.datasets.fraud import fraud_graph
-from tests.conftest import run_both
+
+from fuzztools import run_both
 
 NETWORK_QUERY = (
     "MATCH (svc:Service)<-[:DEPENDS_ON*]-(dep:Service) "

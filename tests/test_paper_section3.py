@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from tests.conftest import run_both
+from fuzztools import run_both
 
 
 def bag(result, *columns):

@@ -1,7 +1,7 @@
 """The plan cache's validity rule, and that stale plans stay correct.
 
 A cached plan is evicted by exactly two things: the store's schema
-epoch moving (index DDL, ``restore_from``) and a >2x drift of a label or
+epoch moving (index DDL) and a >2x drift of a label or
 relationship-type count the plan was costed on.  Commits, rollbacks and
 a statement's own writes only move the data version, which costs the
 next lookup a re-read of the plan's O(1) footprint counters.
@@ -184,10 +184,9 @@ class TestEviction:
         lambda engine: engine.drop_index("B", "w"),
         lambda engine: engine.create_reachability_index(["R"]),
         lambda engine: engine.drop_reachability_index(["S"]),
-        lambda engine: engine.graph.restore_from(engine.graph.copy()),
     ], ids=[
         "create_index", "drop_index", "create_reachability_index",
-        "drop_reachability_index", "restore_from",
+        "drop_reachability_index",
     ])
     def test_schema_epoch_evicts_every_plan(self, ddl):
         engine = seeded_engine()
@@ -606,13 +605,12 @@ class TestParkedPipelineValidity:
             engine.drop_index("C", "k", "name"),
             engine.create_index("C", "k", "name"),
         ),
-        lambda engine: engine.graph.restore_from(engine.graph.copy()),
         lambda engine: engine.ingest(
             [("more.csv", [":ID(N),:LABEL,k:int,name", "x,C,1,late"])],
             defer_indexes=True,
         ),
         lambda engine: rolled_back_write(engine),
-    ], ids=["drop_create", "restore_from", "deferred_ingest", "rollback"])
+    ], ids=["drop_create", "deferred_ingest", "rollback"])
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_a_replaced_index_object_is_never_read_again(self, replace, mode):
         """The covering scan's closures hold the index object itself."""

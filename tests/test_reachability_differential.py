@@ -266,7 +266,7 @@ def test_probe_visible_in_profile_on_both_engines():
 
 
 def test_pattern_comprehensions_agree_with_and_without_index():
-    """The native comprehension enumerator prunes without changing lists."""
+    """A reachability index never changes a pattern comprehension's list."""
     for query in [
         BOUND_PAIR + "RETURN size([(a)-[:R*]->(b) | 1]) AS n",
         BOUND_PAIR + "RETURN [p = (a)-[:R*]->(b) | length(p)] AS lens",

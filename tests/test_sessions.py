@@ -23,7 +23,6 @@ from repro.exceptions import (
     CypherSyntaxError,
     EngineOverloadedError,
     TransactionError,
-    UnsupportedFeature,
 )
 from repro.runtime.engine import CypherEngine
 
@@ -213,23 +212,16 @@ class TestSingleWriter:
                 second.snapshot()
             first.rollback()
 
-    def test_restore_from_refused_during_transaction(self):
-        engine = CypherEngine(fixture_graph())
-        donor = fixture_graph()
-        with engine.session() as session:
-            session.begin()
-            session.run("CREATE (:X)")
-            with pytest.raises(TransactionError):
-                engine.graph.restore_from(donor)
-            session.rollback()
-
-    def test_schema_engines_refuse_explicit_transactions(self):
+    def test_schema_engines_allow_explicit_transactions(self):
         from repro.schema import Schema
 
         engine = CypherEngine(fixture_graph(), schema=Schema())
         with engine.session() as session:
-            with pytest.raises(UnsupportedFeature):
-                session.begin()
+            session.begin()
+            assert session.in_transaction
+            session.run("CREATE (:X)")
+            session.commit()
+        assert engine.run("MATCH (x:X) RETURN count(*) AS c").value() == 1
 
 
 class TestSnapshotIsolation:

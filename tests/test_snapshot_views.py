@@ -14,8 +14,8 @@ step.
 
 The second half proves properties by inspection rather than timing: a
 dirty read names its index entry, costs the shared plan cache nothing,
-follows index DDL, survives ``restore_from``, and a write under a live
-pin preserves entities, never labels.
+follows index DDL, and a write under a live pin preserves entities,
+never labels.
 """
 
 import io
@@ -466,28 +466,6 @@ class TestDirtyViewsKeepIndexesAndPlans:
             assert entries_of(after) == ["label scan :A"]
             assert engine.plan_cache_info()["evicted_schema"] == evicted + 1
             assert oracle.run(POINT, {"v": 1}).table.same_bag(after.table)
-
-    def test_rebased_pin_still_answers_pin_time_state(self):
-        engine = self.engine()
-        graph = engine.graph
-        oracle = CypherEngine(graph.copy())
-        elsewhere = MemoryGraph()
-        elsewhere.create_node(("A",), {"v": 1, "name": "restored"})
-        for text, parameters in WARM_TEXTS:
-            engine.run(text, parameters)
-        with engine.session() as session:
-            snapshot = dirty_snapshot(engine, session)
-            graph.restore_from(elsewhere)
-            assert snapshot.pin.base is not graph
-            before = engine.plan_cache_info()
-            for text, parameters in WARM_TEXTS:
-                for mode in ("row", "batch", "interpreter"):
-                    got = snapshot.run(text, parameters, mode=mode)
-                    want = oracle.run(text, parameters, mode=mode)
-                    assert got.records == want.records
-            # Planned against its own view: the shared cache never sees it.
-            assert engine.plan_cache_info() == before
-        assert engine.run(POINT, {"v": 1}).records == [{"n": "restored"}]
 
     def test_reachability_probe_plan_degrades_to_the_walk(self):
         """A deleted edge would make the live index under-approximate."""
