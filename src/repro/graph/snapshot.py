@@ -27,7 +27,10 @@ store plus O(|delta|):
   over a private index of the touched nodes' pin-time property maps.
   Plans therefore carry over unchanged between the live store and a
   view of it — a dirty pin keeps its index entries and its cached
-  plans;
+  plans.  Both halves are exact for a range probe within one
+  comparable segment, so the merge is too: the store's exactness
+  contract, on which a plan without a residual range Filter relies,
+  holds of the view;
 * the bulk column APIs take the base store's fast path whenever the
   batch does not intersect the delta.
 

@@ -104,7 +104,9 @@ class ColumnHistogram:
         below = float(cums[position - 1])
         if segment == "num" and values[position] != values[position - 1]:
             span = values[position] - values[position - 1]
-            into = (value - values[position - 1]) / span
+            # Distinct neighbours can still span 0.0: an int past 2**53
+            # beside the float it rounds to.
+            into = (value - values[position - 1]) / span if span else 0.0
             if 0.0 < into < 1.0:
                 below += into * (cums[position] - cums[position - 1])
         return below

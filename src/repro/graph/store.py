@@ -75,10 +75,18 @@ Property indexes (added for the index-accelerated access paths):
   batch execution enumerate identically) and sizes them through
   :meth:`index_statistics` (NDV + entry counts feeding
   :class:`~repro.graph.statistics.GraphStatistics`);
-* index reads may **over-approximate** (a returned node need not satisfy
-  the predicate — the planner always keeps the residual Filter/property
-  check) but never under-approximate: a node whose predicate evaluates
-  to ``true`` is always returned;
+* index reads never under-approximate — a node whose predicate
+  evaluates to ``true`` is always returned — and **range probes are
+  exact**: a range (or ``STARTS WITH``) probe whose bounds lie in one
+  comparable segment (numbers sans NaN, strings, booleans) returns
+  exactly the nodes :func:`~repro.values.comparison.compare` says the
+  range is true of, so the planner drops those conjuncts from the
+  residual Filter (a bound outside the segments answers ``None`` and
+  the caller scans the label *and* applies the range itself).
+  Equality probes on lists and maps still over-approximate (``equals``
+  is unknown with nested nulls) and keep their residual.
+  :class:`~repro.graph.snapshot.SnapshotGraph`'s delta-corrected
+  probes keep the same contract;
 * :attr:`MemoryGraph.schema_version` is the **schema epoch**: it moves
   when the set of property or reachability indexes may have changed
   (the four DDL calls) and never on a data commit, so the engine's plan
@@ -208,7 +216,7 @@ class _PropertyIndex:
     those segments.  Values outside the segments (lists, maps,
     temporals) live in the hash half only; a range probe bounded by one
     of those reports "unsupported" and the caller falls back to the
-    label scan (the residual predicate still decides).  The same
+    label scan, narrowed to the nodes the range is true of.  The same
     child-tables drive :meth:`ordered_ids`, the index-provided-ordering
     enumeration behind Sort elimination.
 

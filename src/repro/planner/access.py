@@ -7,11 +7,19 @@ This module turns a WHERE tree into per-variable :class:`Sargable`
 candidates; :mod:`repro.planner.planning` then asks the cost model
 whether entering through a ``(label, key)`` index beats the label scan.
 
-Pushdown is sound because the planner **never removes the predicate**:
-the full WHERE stays as the residual Filter (and the inline property
-map stays in the scan's node check), so an index may over-approximate —
-return candidates the predicate rejects — without changing results.
-What pushdown *does* change is which rows the residual ever sees, so a
+An index scan is sound because it never *under*-approximates, and it
+is exact wherever the store promises exactness (see
+:mod:`repro.graph.store`): a range probe within one comparable segment
+returns exactly the nodes the comparison is true of.  So the residual
+Filter is the WHERE minus the conjuncts the chosen scan answers exactly
+(:func:`served_conjuncts`, :func:`residual`): the ``low``/``high``
+conjuncts of a single-key range scan, and ``IS NOT NULL`` on any of an
+index's key columns (a node has an entry only when every key column is
+non-null).  Everything else — equality and ``IN`` probes (list and map
+values over-approximate), ``STARTS WITH``, composite ranges, a second
+bound on the same side — stays in the residual Filter, and the inline
+property map stays in the scan's node check.
+What pushdown changes is which rows the residual ever sees, so a
 conjunct is only extracted, and the surrounding WHERE only accepted,
 when skipping the pruned rows cannot suppress an error the reference
 path would have raised.  :func:`infallible` is the conservative
@@ -28,7 +36,7 @@ same statement-level behaviour a production planner exhibits.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.ast import expressions as ex
@@ -53,6 +61,8 @@ class Sargable:
     expressions with inclusivity flags; one side may be open) or
     ``"prefix"`` (prefix expression in ``value``).  ``size_hint`` is the
     plan-time length of an ``IN`` list literal, when known.
+    ``conjuncts`` are the WHERE conjuncts the candidate came from (two
+    for a merged range, none for an inline-map entry).
     """
 
     variable: str
@@ -64,6 +74,7 @@ class Sargable:
     high: Optional[object] = None
     high_inclusive: bool = True
     size_hint: Optional[int] = None
+    conjuncts: tuple = field(default=(), compare=False, repr=False)
 
     def describe(self):
         if self.kind == "eq":
@@ -177,6 +188,13 @@ def _property_operand(expression):
 
 def _extract_one(conjunct):
     """The :class:`Sargable` form of one conjunct, or None."""
+    sargable = _sargable_of(conjunct)
+    if sargable is None:
+        return None
+    return replace(sargable, conjuncts=(conjunct,))
+
+
+def _sargable_of(conjunct):
     if isinstance(conjunct, ex.Comparison):
         if len(conjunct.operands) != 2:
             return None
@@ -250,16 +268,16 @@ def _merge_ranges(sargables):
             continue
         existing = merged[position]
         if existing.low is None and sargable.low is not None:
-            merged[position] = Sargable(
-                existing.variable, existing.key, "range",
-                low=sargable.low, low_inclusive=sargable.low_inclusive,
-                high=existing.high, high_inclusive=existing.high_inclusive,
+            merged[position] = replace(
+                existing, low=sargable.low,
+                low_inclusive=sargable.low_inclusive,
+                conjuncts=existing.conjuncts + sargable.conjuncts,
             )
         elif existing.high is None and sargable.high is not None:
-            merged[position] = Sargable(
-                existing.variable, existing.key, "range",
-                low=existing.low, low_inclusive=existing.low_inclusive,
-                high=sargable.high, high_inclusive=sargable.high_inclusive,
+            merged[position] = replace(
+                existing, high=sargable.high,
+                high_inclusive=sargable.high_inclusive,
+                conjuncts=existing.conjuncts + sargable.conjuncts,
             )
         # Both sides already bound: the extra conjunct stays residual.
     return merged
@@ -313,6 +331,60 @@ def collect_witnesses(predicate):
         if subject is not None:
             witnesses.setdefault(subject[0], set()).add(subject[1])
     return witnesses
+
+
+def served_conjuncts(predicate, variable, keys, low=None, high=None):
+    """The conjuncts of ``predicate`` an index scan answers exactly.
+
+    The scan binds ``variable`` from an index over ``keys``; ``low`` /
+    ``high`` are its range bounds (None for an equality scan).  Served
+    are ``variable.k IS NOT NULL`` for every ``k`` in ``keys`` — an
+    index entry exists only when every key column is non-null — and,
+    for a single-key range scan, the conjuncts its merged range came
+    from, recognised by the scan carrying that range's very bound
+    expressions.  Nothing is served from a WHERE that fails
+    :func:`infallible`.
+    """
+    if predicate is None or not infallible(predicate):
+        return []
+    columns = {(variable, key) for key in keys}
+    served = [
+        conjunct
+        for conjunct in conjuncts_of(predicate)
+        if isinstance(conjunct, ex.IsNotNull)
+        and _property_operand(conjunct.operand) in columns
+    ]
+    if len(keys) == 1 and (low is not None or high is not None):
+        for sargable in collect_sargable(predicate).get(variable, ()):
+            if (
+                sargable.kind == "range"
+                and sargable.key == keys[0]
+                and sargable.low is low
+                and sargable.high is high
+            ):
+                served.extend(sargable.conjuncts)
+    return served
+
+
+def residual(predicate, served):
+    """``predicate`` without the ``served`` conjuncts (by identity).
+
+    The predicate itself when nothing is served, None when nothing is
+    left, else the AND of the remaining conjuncts in their order.
+    """
+    served_ids = {id(conjunct) for conjunct in served}
+    if not served_ids:
+        return predicate
+    kept = [
+        conjunct for conjunct in conjuncts_of(predicate)
+        if id(conjunct) not in served_ids
+    ]
+    if not kept:
+        return None
+    remaining = kept[0]
+    for conjunct in kept[1:]:
+        remaining = ex.BinaryLogic("AND", remaining, conjunct)
+    return remaining
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ per-morsel cost amortised over N rows:
   (:meth:`~repro.graph.store.MemoryGraph.has_labels_column`);
 * filters and projections evaluate *column-compiled* expression closures
   (:class:`~repro.semantics.compile.ColumnCompiler`) — one call per
-  morsel, with int fast-path loops inside;
+  morsel, with int fast-path loops inside — and a filter hands on a
+  *selection* over its input's columns instead of copying them;
 * aggregation hands each argument column to its accumulator whole
   (:meth:`~repro.functions.aggregates.Aggregate.include_column`: a
   non-distinct ``count`` tallies nulls and an all-int ``sum`` is the
@@ -49,11 +50,18 @@ per-morsel cost amortised over N rows:
   new rows instead of pushing row objects through a heap: same ties as
   Sort + Limit, O(k + morsel) rows held.
 
-A batch is the pair ``(n, cols)``: ``cols[slot]`` is either a list of
-``n`` values or ``None`` when the slot is unbound across the whole batch
-(the supported operators bind uniformly, so a column never mixes bound
-and unbound rows — ``MISSING`` appears only in scratch rows materialised
-for fallback expressions).
+A batch is the triple ``(n, cols, sel)``: ``cols[slot]`` is either a
+list of values or ``None`` when the slot is unbound across the whole
+batch (the supported operators bind uniformly, so a column never mixes
+bound and unbound rows — ``MISSING`` appears only in scratch rows
+materialised for fallback expressions).  ``sel`` is ``None`` when the
+batch is dense — every column holds its ``n`` rows — and otherwise the
+ascending positions of its rows in the *base* columns ``cols``, with
+``n == len(sel)``.  Only the subset operators (Filter, NodeCheck,
+Distinct) emit a selection, and they copy nothing to do it; Aggregate
+reads base columns it can read without evaluating anything anew and
+gathers just those (:class:`_Rows`); every other operator takes its
+input dense through :func:`_gather`, the module's one gather.
 
 **Coverage is a contract, not best effort.**  :func:`plan_supports_batch`
 names exactly the operators this engine claims; the engine picks batch
@@ -189,7 +197,8 @@ def execute_plan_batched(
     field_slots = pipeline.field_slots
     rows = []
     append = rows.append
-    for n, cols in pipeline.source(None):
+    for n, cols, sel in pipeline.source(None):
+        cols = _gather(cols, sel)
         field_cols = [cols[slot] for slot in field_slots]
         for index in range(n):
             record = {}
@@ -231,9 +240,23 @@ def _bound_columns(cols):
     return [(slot, col) for slot, col in enumerate(cols) if col is not None]
 
 
-#: The operators' row-selection kernel — one implementation, shared with
-#: the column compiler's masked AND/OR (see semantics/compile.py).
-_select = select_columns
+def _gather(cols, indices):
+    """The columns of the rows at ``indices``; ``cols`` itself for None.
+
+    The one gather in this module: an operator that needs its input
+    dense passes the batch's selection, and Expand, Sort, Top, Unwind
+    and the var-length walks pass their own row indices.  The kernel is
+    shared with the column compiler's masked AND/OR.
+    """
+    return cols if indices is None else select_columns(cols, indices)
+
+
+def _selected(n, cols, keep):
+    """The batch of ``cols``' rows at ``keep`` (ascending, non-empty):
+    dense when every row survived, else a selection — nothing copied."""
+    if len(keep) == n:
+        return n, cols, None
+    return len(keep), cols, keep
 
 
 def _materialize(cols, bound, index, width):
@@ -260,7 +283,7 @@ def _compile_init(op, ctx):
     width = len(ctx.slots)
 
     def run(argument):
-        yield 1, [None] * width
+        yield 1, [None] * width, None
 
     return run
 
@@ -276,7 +299,8 @@ def _compile_scan(op, ctx, source_of, granted_label=None, published=None):
     fill = _compile_batch_cover_fill(op, ctx)
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             bound = _bound_columns(cols)
             row = [MISSING] * width if ok is not None else None
             for index in range(n):
@@ -297,7 +321,7 @@ def _compile_scan(op, ctx, source_of, granted_label=None, published=None):
                     out[slot] = chunk
                     if fill is not None:
                         fill(out, chunk)
-                    yield len(chunk), out
+                    yield len(chunk), out, None
 
     return run
 
@@ -319,9 +343,9 @@ def _profiled_batch_scan(ctx, op, entry, run, **tallies):
     log.append(record)
 
     def counted(argument):
-        for n, cols in run(argument):
-            record["actual_rows"] += n
-            yield n, cols
+        for batch in run(argument):
+            record["actual_rows"] += batch[0]
+            yield batch
 
     return counted
 
@@ -391,7 +415,8 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
 
     def run(argument):
         morsel = min(FIRST_MORSEL_SIZE, morsel_size)
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             bound = _bound_columns(cols)
             row = [MISSING] * width
             for index in range(n):
@@ -414,7 +439,7 @@ def _compile_probe_scan(op, ctx, candidates_of, entry):
                     out[slot] = chunk
                     if fill is not None:
                         fill(out, chunk)
-                    yield len(chunk), out
+                    yield len(chunk), out, None
 
     return _profiled_batch_scan(ctx, op, entry, run)
 
@@ -473,7 +498,8 @@ def _compile_node_check(op, ctx):
     width = len(ctx.slots)
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             col = cols[slot]
             if col is None:
                 continue  # unbound for the whole batch: nothing survives
@@ -494,10 +520,7 @@ def _compile_node_check(op, ctx):
                         keep.append(index)
             if not keep:
                 continue
-            if len(keep) == n:
-                yield n, cols
-            else:
-                yield len(keep), _select(cols, keep)
+            yield _selected(n, cols, keep)
 
     return run
 
@@ -540,7 +563,8 @@ def _compile_expand(op, ctx):
     has_labels_column = ctx.graph.has_labels_column
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             source_col = cols[from_slot]
             if source_col is None:
                 continue
@@ -592,12 +616,12 @@ def _compile_expand(op, ctx):
             if len(origins) == n and origins == list(range(n)):
                 out = list(cols)  # one relationship per row, none dropped
             else:
-                out = _select(cols, origins)
+                out = _gather(cols, origins)
             if rel_slot is not None:
                 out[rel_slot] = rels
             if not into and to_slot is not None:
                 out[to_slot] = targets
-            yield len(origins), out
+            yield len(origins), out, None
 
     return run
 
@@ -659,7 +683,8 @@ def _compile_var_length_expand(op, ctx):
     )
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             source_col = cols[from_slot]
             if source_col is None:
                 continue
@@ -768,12 +793,12 @@ def _compile_var_length_expand(op, ctx):
             for start in range(0, total, morsel):
                 block = emitted[start:start + morsel]
                 indices = [entry[0] for entry in block]
-                out = _select(cols, indices)
+                out = _gather(cols, indices)
                 if rel_slot is not None:
                     out[rel_slot] = [list(entry[3]) for entry in block]
                 if not into and to_slot is not None:
                     out[to_slot] = [entry[2] for entry in block]
-                yield len(block), out
+                yield len(block), out, None
 
     return run
 
@@ -836,7 +861,8 @@ def _compile_reachability_probe(op, ctx):
         return reachable(target, node)
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             source_col = cols[from_slot]
             if source_col is None:
                 continue
@@ -947,10 +973,10 @@ def _compile_reachability_probe(op, ctx):
             for start in range(0, total, morsel):
                 block = emitted[start:start + morsel]
                 indices = [entry[0] for entry in block]
-                out = _select(cols, indices)
+                out = _gather(cols, indices)
                 if rel_slot is not None:
                     out[rel_slot] = [list(entry[3]) for entry in block]
-                yield len(block), out
+                yield len(block), out, None
 
     log = ctx.access_log
     if log is None:
@@ -969,9 +995,9 @@ def _compile_reachability_probe(op, ctx):
     log.append(record)
 
     def counted(argument):
-        for n, cols in run(argument):
-            record["actual_rows"] += n
-            yield n, cols
+        for batch in run(argument):
+            record["actual_rows"] += batch[0]
+            yield batch
 
     return counted
 
@@ -985,14 +1011,12 @@ def _compile_filter(op, ctx):
     selection = ctx.columns.compile_selection(op.predicate)
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             keep = selection(n, cols)
             if not keep:
                 continue
-            if len(keep) == n:
-                yield n, cols
-            else:
-                yield len(keep), _select(cols, keep)
+            yield _selected(n, cols, keep)
 
     return run
 
@@ -1005,14 +1029,15 @@ def _compile_project(op, ctx):
     )
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             # All items read the input columns; writes land in the copy,
             # so aliases may shadow inputs without corruption.
             computed = [(slot, compiled(n, cols)) for slot, compiled in items]
             out = list(cols)
             for slot, column in computed:
                 out[slot] = column
-            yield n, out
+            yield n, out, None
 
     return run
 
@@ -1023,12 +1048,13 @@ def _compile_strip(op, ctx):
     width = len(ctx.slots)
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             out = [None] * width
             for slot in keep:
                 col = cols[slot]
                 out[slot] = col if col is not None else [None] * n
-            yield n, out
+            yield n, out, None
 
     return run
 
@@ -1081,7 +1107,8 @@ def _compile_distinct(op, ctx):
     def run(argument):
         seen = set()
         add = seen.add
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             key_cols = [
                 _canonical_column(cols[slot])
                 if cols[slot] is not None
@@ -1100,10 +1127,7 @@ def _compile_distinct(op, ctx):
                     keep.append(index)
             if not keep:
                 continue
-            if len(keep) == n:
-                yield n, cols
-            else:
-                yield len(keep), _select(cols, keep)
+            yield _selected(n, cols, keep)
 
     return run
 
@@ -1150,6 +1174,57 @@ def _aggregate_outputs(ctx, aggregates):
             needs_records = True
         outputs.append((slot, expression, kind, arg_fns))
     return outputs, needs_records
+
+
+class _Rows:
+    """One input batch as Aggregate reads it: columns over its rows.
+
+    A dense batch evaluates each expression as it is.  Under a
+    selection, an expression whose ``base`` door reads it off the base
+    columns without evaluating anything anew — a variable, a memo-hit or
+    label-aligned ``variable.key`` (see
+    :class:`~repro.semantics.compile.ColumnCompiler`) — is read there
+    and gathered by ``sel``; anything else evaluates over the gathered
+    batch, built once.  No expression runs on a row outside the
+    selection that it had not already run on.
+    """
+
+    __slots__ = ("n", "cols", "sel", "_dense")
+
+    def __init__(self, n, cols, sel):
+        self.n = n
+        self.cols = cols
+        self.sel = sel
+        self._dense = cols if sel is None else None
+
+    def dense(self):
+        """The batch's rows as plain columns (gathered once)."""
+        if self._dense is None:
+            self._dense = _gather(self.cols, self.sel)
+        return self._dense
+
+    def _base(self, compiled):
+        if self.sel is None:
+            return None
+        base = getattr(compiled, "base", None)
+        return None if base is None else base(self.cols)
+
+    def column(self, compiled):
+        """``compiled``'s column over the batch's rows."""
+        base = self._base(compiled)
+        if base is not None:
+            return list(map(base.__getitem__, self.sel))
+        return compiled(self.n, self.dense())
+
+    def include(self, state, compiled):
+        """``state.include_column(self.column(compiled))``, handing a
+        base column over ungathered (``count`` tallies its nulls at the
+        selected positions and gathers nothing)."""
+        base = self._base(compiled)
+        if base is not None:
+            state.include_selected(base, self.sel)
+        else:
+            state.include_column(compiled(self.n, self.dense()))
 
 
 def _compile_aggregate(op, ctx):
@@ -1200,7 +1275,7 @@ def _compile_aggregate(op, ctx):
                         evaluate_aggregate_item(expression, records, evaluator)
                     )
             out[slot] = column
-        return len(order), out
+        return len(order), out, None
 
     if not grouping:
         # Global aggregation: no keys at all — count(*) adds batch sizes,
@@ -1211,20 +1286,21 @@ def _compile_aggregate(op, ctx):
         def run_global(argument):
             states = new_states()
             records = [] if needs_records else None
-            for n, cols in child(argument):
+            for n, cols, sel in child(argument):
+                rows = _Rows(n, cols, sel)
                 for position, (_s, _e, kind, arg_fns) in enumerate(outputs):
                     if kind == "count":
                         states[position] += n
                     elif kind == "simple":
-                        states[position].include_column(arg_fns[0](n, cols))
+                        rows.include(states[position], arg_fns[0])
                     elif kind == "pair":
                         include_pair = states[position].include_pair
                         for value, percentile in zip(
-                            arg_fns[0](n, cols), arg_fns[1](n, cols)
+                            rows.column(arg_fns[0]), rows.column(arg_fns[1])
                         ):
                             include_pair(value, percentile)
                 if needs_records:
-                    collect_records(cols, n, records)
+                    collect_records(rows.dense(), n, records)
             yield finish([()], {(): ([], states, records)})
 
         return run_global
@@ -1254,8 +1330,9 @@ def _compile_aggregate(op, ctx):
         counts = Counter()
         order = []
         append_key = order.append
-        for n, cols in child(argument):
-            key_cols = [compiled(n, cols) for _slot, compiled in grouping]
+        for n, cols, sel in child(argument):
+            rows = _Rows(n, cols, sel)
+            key_cols = [rows.column(compiled) for _slot, compiled in grouping]
             keyed = [_canonical_column(column) for column in key_cols]
             if single_key:
                 keys = keyed[0]
@@ -1275,7 +1352,7 @@ def _compile_aggregate(op, ctx):
                 ]
                 groups.update(zip(fresh, map(first_seen.__getitem__, fresh)))
                 if count_argument is not None:
-                    counted_col = count_argument(n, cols)
+                    counted_col = rows.column(count_argument)
                     if None in counted_col:
                         keys = [
                             key
@@ -1285,7 +1362,7 @@ def _compile_aggregate(op, ctx):
                 counts.update(keys)
                 continue
             if single_simple:
-                argument_col = outputs[0][3][0](n, cols)
+                argument_col = rows.column(outputs[0][3][0])
                 for index, key in enumerate(keys):
                     entry = groups.get(key)
                     if entry is None:
@@ -1300,10 +1377,12 @@ def _compile_aggregate(op, ctx):
                     entry[1][0].include(argument_col[index])
                 continue
             arg_cols = [
-                tuple(fn(n, cols) for fn in arg_fns) if arg_fns else ()
+                tuple(rows.column(fn) for fn in arg_fns) if arg_fns else ()
                 for _slot, _expression, _kind, arg_fns in outputs
             ]
-            bound = _bound_columns(cols) if needs_records else None
+            if needs_records:
+                cols = rows.dense()
+                bound = _bound_columns(cols)
             for index, key in enumerate(keys):
                 entry = groups.get(key)
                 if entry is None:
@@ -1339,7 +1418,7 @@ def _compile_aggregate(op, ctx):
                 ):
                     out[slot] = list(column)
             out[outputs[0][0]] = [counts[key] for key in groups]
-            yield len(groups), out
+            yield len(groups), out, None
         elif order:
             yield finish(order, groups)
 
@@ -1377,7 +1456,9 @@ def _compile_sort(op, ctx):
     width = len(ctx.slots)
 
     def run(argument):
-        batches = list(child(argument))
+        batches = [
+            (n, _gather(cols, sel)) for n, cols, sel in child(argument)
+        ]
         if not batches:
             return
         n, cols = _concat(batches, width)
@@ -1387,7 +1468,7 @@ def _compile_sort(op, ctx):
         for compiled, ascending in reversed(keys):
             keyed = _sort_keys(compiled(n, cols))
             order.sort(key=keyed.__getitem__, reverse=not ascending)
-        yield n, _select(cols, order)
+        yield n, _gather(cols, order), None
 
     return run
 
@@ -1432,7 +1513,8 @@ def _compile_top(op, ctx):
         held = []     # the retained best (sorted) first, then arrivals
         retained = 0  # rows of held[0] that survived an earlier truncation
         rows = 0
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             held.append((n, cols + [_sort_keys(fn(n, cols)) for fn in key_fns]))
             rows += n
             if rows > k + max(k, morsel):
@@ -1440,7 +1522,7 @@ def _compile_top(op, ctx):
                 rows = retained = held[0][0]
         if held:
             n, cols = best_of(held, retained, k)
-            yield n, cols[:width]
+            yield n, cols[:width], None
 
     def best_of(held, retained, k):
         """The first k of ``held`` in sort order, as one wide batch."""
@@ -1452,7 +1534,7 @@ def _compile_top(op, ctx):
         stats["pushed"] += sum(map(retained.__le__, order))
         if len(order) > stats["heap_max"]:
             stats["heap_max"] = len(order)
-        return len(order), _select(cols, order)
+        return len(order), _gather(cols, order)
 
     return run
 
@@ -1464,19 +1546,21 @@ def _compile_skip(op, ctx):
 
     def run(argument):
         remaining = _bound_value(count, slots, "SKIP")
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
             if remaining >= n:
                 remaining -= n
                 continue
+            cols = _gather(cols, sel)
             if remaining:
                 offset = remaining
                 remaining = 0
                 yield (
                     n - offset,
                     [None if c is None else c[offset:] for c in cols],
+                    None,
                 )
             else:
-                yield n, cols
+                yield n, cols, None
 
     return run
 
@@ -1490,17 +1574,19 @@ def _compile_limit(op, ctx):
         budget = _bound_value(count, slots, "LIMIT")
         if budget == 0:
             return
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             if n < budget:
                 budget -= n
-                yield n, cols
+                yield n, cols, None
             elif n == budget:
-                yield n, cols
+                yield n, cols, None
                 return
             else:
                 yield (
                     budget,
                     [None if c is None else c[:budget] for c in cols],
+                    None,
                 )
                 return
 
@@ -1513,7 +1599,8 @@ def _compile_unwind(op, ctx):
     slot = ctx.slots[op.alias]
 
     def run(argument):
-        for n, cols in child(argument):
+        for n, cols, sel in child(argument):
+            cols = _gather(cols, sel)
             values = expression(n, cols)
             origins = []
             flat = []
@@ -1527,9 +1614,9 @@ def _compile_unwind(op, ctx):
                     flat.append(value)
             if not flat:
                 continue
-            out = _select(cols, origins)
+            out = _gather(cols, origins)
             out[slot] = flat
-            yield len(flat), out
+            yield len(flat), out, None
 
     return run
 

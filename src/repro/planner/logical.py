@@ -101,11 +101,14 @@ class IndexScan(Operator):
     is the sought-value expression, evaluated once per driving row
     (so a probe over an outer variable is an index nested-loop join);
     with ``many`` it must evaluate to a list and the scan probes each
-    element (``IN``).  The scan **over-approximates**: it returns every
-    node whose stored value *may* satisfy the predicate, and the
-    un-removed residual (the node pattern's property check and the
-    clause's WHERE Filter) makes the final call — null/type semantics
-    are therefore exactly the label-scan path's.
+    element (``IN``).  The scan **over-approximates** (list and map
+    probes): it returns every node whose stored value *may* satisfy the
+    predicate, and the residual (the node pattern's property check and
+    the clause's WHERE Filter, which keeps every equality conjunct)
+    makes the final call — null/type semantics are therefore exactly
+    the label-scan path's.  Only ``IS NOT NULL`` on a key column leaves
+    the Filter: every candidate has an index entry, so every key column
+    non-null.
     """
 
     child: Operator
@@ -159,10 +162,12 @@ class IndexRangeScan(Operator):
     """Bind nodes from the index's sorted half: range or prefix probes.
 
     ``low``/``high`` are bound expressions (either may be None for a
-    half-open range); ``prefix`` serves ``STARTS WITH`` instead.  Bounds
-    whose runtime type the sorted structure cannot serve (lists,
-    temporals) degrade to the label scan list *inside* the operator —
-    still correct, because the residual predicate stays in the plan.
+    half-open range); ``prefix`` serves ``STARTS WITH`` instead.  The
+    scan is **exact** (:mod:`repro.graph.store`'s contract), so on a
+    single-key index the conjuncts ``low`` and ``high`` came from leave
+    the residual Filter.  Bounds whose runtime type the sorted structure
+    cannot serve (lists, maps, temporals) degrade to the label scan list
+    narrowed to the nodes the range is true of, *inside* the operator.
     Enumeration is index-ordered (value, then node id), identically on
     the row and batch engines.
     """

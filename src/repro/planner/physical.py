@@ -50,7 +50,13 @@ from repro.semantics.expressions import Evaluator
 from repro.semantics.morphism import EDGE_ISOMORPHISM, UniquenessKernel
 from repro.semantics.table import Table
 from repro.values.base import NodeId, RelId
-from repro.values.comparison import equals
+from repro.values.comparison import (
+    equals,
+    greater,
+    greater_equal,
+    less,
+    less_equal,
+)
 from repro.values.ordering import canonical_key, sort_key
 from repro.values.path import Path
 
@@ -620,11 +626,13 @@ def _index_probe(ctx, op):
 def _index_range_probe(ctx, op):
     """``(row -> candidate ids, entry label)`` for an IndexRangeScan.
 
-    A null bound means the comparison can never be true, so the row
-    contributes nothing; a bound outside the sorted segments (list,
-    temporal) degrades to the cached label scan list for that row — the
-    residual predicate still decides, so the degradation is invisible
-    except in speed.  Shared by both engines, like :func:`_index_probe`.
+    Exact, so the planner may drop the range conjuncts from the residual
+    Filter: a null bound means the comparison can never be true, so the
+    row contributes nothing; a bound outside the sorted segments (list,
+    map, temporal) makes the store answer ``None``, and the label scan
+    list narrowed to the nodes the range is true of stands in for that
+    row (:func:`_range_fallback`) — slower, never different.  Shared by
+    both engines, like :func:`_index_probe`.
     """
     graph = ctx.graph
     label, key = op.label, op.key
@@ -638,30 +646,74 @@ def _index_range_probe(ctx, op):
             return index_prefix(label, key, prefix(row))
 
         return candidates, "index prefix :%s(%s)" % (label, key)
+    bounds = _range_bounds(ctx, op)
+    index_range = graph.index_range
+    fallback = _range_fallback(graph, label, (key,), key)
+
+    def candidates(row):
+        values = bounds(row)
+        if values is None:
+            return ()
+        ids = index_range(label, key, *values)
+        return ids if ids is not None else fallback(values)
+
+    return candidates, "index range :%s(%s)" % (label, key)
+
+
+def _range_bounds(ctx, op):
+    """``row -> (low, low_inclusive, high, high_inclusive)`` of a range
+    scan, or None when a bound is null (the range is true of nothing)."""
     low = ctx.compile(op.low) if op.low is not None else None
     high = ctx.compile(op.high) if op.high is not None else None
     low_inclusive = op.low_inclusive
     high_inclusive = op.high_inclusive
-    index_range = graph.index_range
-    label_ids = graph.label_scan_ids
 
-    def candidates(row):
+    def bounds(row):
         low_value = high_value = None
         if low is not None:
             low_value = low(row)
             if low_value is None:
-                return ()
+                return None
         if high is not None:
             high_value = high(row)
             if high_value is None:
-                return ()
-        ids = index_range(
-            label, key, low_value, low_inclusive,
-            high_value, high_inclusive,
-        )
-        return ids if ids is not None else label_ids(label)
+                return None
+        return low_value, low_inclusive, high_value, high_inclusive
 
-    return candidates, "index range :%s(%s)" % (label, key)
+    return bounds
+
+
+def _range_fallback(graph, label, keys, column):
+    """``bounds -> ids``: the label scan narrowed to the index's answer.
+
+    Stands in for a range probe whose bounds leave the store's sorted
+    segments: the label's nodes, id-ordered, with every key column
+    non-null (the nodes the index holds) and ``compare``'s verdict true
+    against each bound on ``column``.  The planner drops those bounds,
+    and ``IS NOT NULL`` on a key, from the residual Filter, so this is
+    where they are checked.
+    """
+    label_ids = graph.label_scan_ids
+    node_property = graph.node_property
+    others = tuple(key for key in keys if key != column)
+
+    def fallback(bounds):
+        low, low_inclusive, high, high_inclusive = bounds
+        low_test = greater_equal if low_inclusive else greater
+        high_test = less_equal if high_inclusive else less
+        kept = []
+        for node in label_ids(label):
+            value = node_property(node, column)
+            if low is not None and low_test(value, low) is not True:
+                continue
+            if high is not None and high_test(value, high) is not True:
+                continue
+            if any(node_property(node, key) is None for key in others):
+                continue
+            kept.append(node)
+        return kept
+
+    return fallback
 
 
 def _composite_range_probe(ctx, op):
@@ -669,14 +721,13 @@ def _composite_range_probe(ctx, op):
 
     Null anywhere in the equality prefix, or a null bound, is never
     true — the row contributes nothing.  A bound outside the sorted
-    segments degrades to the label scan list exactly like the
-    single-key form (the residual still decides).
+    segments degrades to the narrowed label scan exactly like the
+    single-key form (the residual still checks the equality prefix).
     """
     graph = ctx.graph
     label, keys = op.label, op.index_keys
     probes = tuple(ctx.compile(probe) for probe in op.prefix_probes)
     seek = graph.index_seek_range
-    label_ids = graph.label_scan_ids
     keys_text = ",".join(keys)
     consumed = len(probes)
     if op.prefix is not None:
@@ -691,26 +742,17 @@ def _composite_range_probe(ctx, op):
         return candidates, "index prefix :%s(%s) eq(%d)" % (
             label, keys_text, consumed,
         )
-    low = ctx.compile(op.low) if op.low is not None else None
-    high = ctx.compile(op.high) if op.high is not None else None
-    low_inclusive = op.low_inclusive
-    high_inclusive = op.high_inclusive
+    bounds = _range_bounds(ctx, op)
+    fallback = _range_fallback(graph, label, keys, keys[consumed])
 
     def candidates(row):
-        low_value = high_value = None
-        if low is not None:
-            low_value = low(row)
-            if low_value is None:
-                return ()
-        if high is not None:
-            high_value = high(row)
-            if high_value is None:
-                return ()
+        values = bounds(row)
+        if values is None:
+            return ()
         ids = seek(
-            label, keys, tuple(probe(row) for probe in probes),
-            low_value, low_inclusive, high_value, high_inclusive,
+            label, keys, tuple(probe(row) for probe in probes), *values
         )
-        return ids if ids is not None else label_ids(label)
+        return ids if ids is not None else fallback(values)
 
     return candidates, "index range :%s(%s) eq(%d)" % (
         label, keys_text, consumed,

@@ -9,10 +9,12 @@ otherwise — then traverse with Expand steps; chains are ordered
 greedily by estimated entry cardinality, and for each chain both
 endpoints are costed and the cheaper one chosen (a compact stand-in
 for IDP's bottom-up join-order search, which degenerates to exactly
-this on path-shaped join graphs).  Index pushdown never removes a
-predicate: the WHERE survives as the residual Filter, so the access
-path only narrows where rows are *found*, never what they must
-satisfy.
+this on path-shaped join graphs).  Index pushdown removes a predicate
+only where the chosen scan answers it exactly (a single-key range's
+bounds, ``IS NOT NULL`` on an index key — see
+:func:`~repro.planner.access.served_conjuncts`); the rest of the WHERE
+survives as the residual Filter, so the access path never changes what
+a row must satisfy.
 
 The planner covers the *entire* standard language — reads and updates.
 On the read side: MATCH / OPTIONAL MATCH / WHERE / WITH / UNWIND /
@@ -285,9 +287,10 @@ class _PlanBuilder:
 
     def _plan_match(self, clause, plan):
         # Sargable conjuncts of this MATCH's WHERE steer access-path
-        # and chain-order choices; the WHERE itself always stays as the
-        # residual Filter below, so the extraction never changes what a
-        # row must satisfy — only how candidate rows are found.
+        # and chain-order choices; the residual Filter is the WHERE
+        # minus what the chosen index scans answer exactly, so the
+        # extraction never changes what a row must satisfy — only how
+        # candidate rows are found.
         sargables = access.collect_sargable(clause.where)
         witnesses = access.collect_witnesses(clause.where)
         if clause.optional:
@@ -295,20 +298,17 @@ class _PlanBuilder:
             inner = self._plan_pattern_tuple(
                 argument, clause.pattern, sargables, witnesses
             )
-            if clause.where is not None:
-                inner = lg.Filter(inner, clause.where, fields=inner.fields)
+            inner = _residual_filter(inner, argument, clause.where)
             pad = tuple(
                 name for name in inner.fields if name not in plan.fields
             )
             return lg.OptionalApply(
                 plan, inner, pad_names=pad, fields=plan.fields + pad
             )
-        plan = self._plan_pattern_tuple(
+        matched = self._plan_pattern_tuple(
             plan, clause.pattern, sargables, witnesses
         )
-        if clause.where is not None:
-            plan = lg.Filter(plan, clause.where, fields=plan.fields)
-        return plan
+        return _residual_filter(matched, plan, clause.where)
 
     def _usable_sargables(self, variable, sargables, bound):
         """The variable's sargable conjuncts whose probes are in scope.
@@ -832,6 +832,13 @@ class _PlanBuilder:
             )
         if replacement is None:
             return plan
+        if chain and isinstance(chain[-1], lg.Filter):
+            # The MATCH's Filter sits right on the scan: drop what the
+            # ordered scan now answers exactly (IS NOT NULL on its keys).
+            bottom = chain.pop()
+            predicate = _trimmed(bottom.predicate, replacement)
+            if predicate is not None:
+                chain.append(replace(bottom, predicate=predicate))
         node = replacement
         for op in reversed(chain):
             node = replace(op, child=node)
@@ -873,6 +880,35 @@ class _PlanBuilder:
             scan.node_pattern, fields=scan.fields,
             estimated_rows=float(stats.indexed_entries(scan.label, best)),
         )
+
+
+def _trimmed(predicate, scan):
+    """``predicate`` minus the conjuncts index ``scan`` answers exactly."""
+    return access.residual(predicate, access.served_conjuncts(
+        predicate, scan.variable, scan.all_keys,
+        getattr(scan, "low", None), getattr(scan, "high", None),
+    ))
+
+
+def _residual_filter(plan, below, where):
+    """The residual ``Filter`` of a MATCH's WHERE over its pattern plan.
+
+    ``below`` is the plan the pattern was planned on: every index scan
+    between it and ``plan`` was chosen for this clause, and the
+    conjuncts those scans answer exactly leave the Filter — which goes
+    altogether when nothing is left.
+    """
+    if where is None:
+        return plan
+    predicate = where
+    node = plan
+    while node is not below:
+        if isinstance(node, (lg.IndexScan, lg.IndexRangeScan)):
+            predicate = _trimmed(predicate, node)
+            if predicate is None:
+                return plan
+        node = node.child
+    return lg.Filter(plan, predicate, fields=plan.fields)
 
 
 def _fuse_top_k(plan):

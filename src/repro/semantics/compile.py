@@ -847,6 +847,21 @@ def _const_column(value):
     return const_column
 
 
+def _base_of(slot):
+    """A variable column's ``base`` door: ``cols -> column or None``.
+
+    Column closures may carry ``base``, read by the batch Aggregate under
+    a selection (:mod:`repro.planner.batch`): the closure's column over
+    a batch's *base* rows, obtained without evaluating the expression on
+    any row it has not run on — or None when that is not possible.
+    """
+
+    def base(cols):
+        return cols[slot] if slot is not None else None
+
+    return base
+
+
 def select_columns(cols, indices):
     """A new column array restricted to ``indices`` (in that order).
 
@@ -896,11 +911,16 @@ class ColumnCompiler:
       column's type set once and, all-int against an int, compares in C;
     * a WHERE whose root can only yield true/false/null selects by
       ``compress`` (:meth:`compile_selection`);
+    * a variable column, and a memoised ``variable.key`` column, carry a
+      ``base`` door: ``cols -> column or None``, the column over a
+      batch's base rows when it can be had without evaluating anything
+      anew (the variable's column; a memo hit over these very columns or
+      a label-aligned slice) — what the batch Aggregate gathers by a
+      Filter's selection instead of gathering the whole batch;
     * AND/OR short-circuit *by column*: the right operand is evaluated
       only on the sub-batch the left side did not decide, which keeps
       the row path's "never evaluates the pruned side" error semantics
-      (a left column that decides nowhere — the second half of a range
-      predicate above an index range scan — hands the right column
+      (a left column that decides nowhere hands the right column
       through after one type check);
 
     Everything else — comprehensions, CASE, pattern predicates, any
@@ -1024,6 +1044,7 @@ class ColumnCompiler:
                 raise CypherSemanticError("variable not in scope: %s" % name)
             return col
 
+        var_column.base = _base_of(slot)
         return var_column
 
     # -- properties ---------------------------------------------------------
@@ -1042,6 +1063,7 @@ class ColumnCompiler:
 
     def _build_property_access(self, node, memoise):
         subject = self.compile(node.subject)
+        subject_base = getattr(subject, "base", None)
         key = node.key
         bulk = getattr(self.graph, "node_property_column", None)
         aligned = getattr(self.graph, "label_property_column", None)
@@ -1062,17 +1084,23 @@ class ColumnCompiler:
                 "cannot access property %r on %r" % (key, value)
             )
 
-        def prop_column(n, cols):
-            values = subject(n, cols)
+        def aligned_slice(values, n):
             for chunk, start, ids, label, served in label_morsels:
                 if values is chunk:
                     # A label scan's own morsel: a slice of the store's
                     # aligned column, while the store vouches for it.
                     column = aligned(label, key, ids)
                     if column is None:
-                        break
+                        return None
                     served[key] = served.get(key, 0) + 1
                     return column[start:start + n]
+            return None
+
+        def prop_column(n, cols):
+            values = subject(n, cols)
+            column = aligned_slice(values, n)
+            if column is not None:
+                return column
             if bulk is not None:
                 try:
                     return bulk(values, key)
@@ -1102,7 +1130,21 @@ class ColumnCompiler:
             memo[0] = memo[2] = None
             memo[1] = -1
 
+        def base_column(cols):
+            # Nothing is evaluated here: the column is a memo hit over
+            # these very columns, or a slice of the label-aligned column
+            # (which cannot raise) — else None.
+            values = subject_base(cols)
+            if values is None:
+                return None
+            n = len(values)
+            if cols is memo[0] and n == memo[1]:
+                return memo[2]
+            return aligned_slice(values, n)
+
         self.rows.memo_resets.append(reset)
+        if subject_base is not None:
+            memoised_column.base = base_column
         return memoised_column
 
     # -- arithmetic and comparisons -----------------------------------------

@@ -6,8 +6,10 @@ entry — creates, SETs, REMOVEs, label changes, deletes — and (b) the
 planner's cost model picks the index access path wherever it wins.  The
 TCK runner then executes each scenario on the interpreter (which never
 looks at an index), the auto/batch path and the forced row path: any
-divergence means the access path changed semantics, which is exactly
-what the residual-predicate design forbids.
+divergence means the access path changed semantics.  Range conjuncts a
+single-key range scan answers, and ``IS NOT NULL`` on an index key,
+never reach a residual Filter — the scan's answer must be exact on its
+own — so the range scenarios also witness that exactness contract.
 
 The nasty corners the paper's three-valued logic creates are all pinned:
 ``= null`` matches nothing (not even null-valued properties), a missing

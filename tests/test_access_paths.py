@@ -220,3 +220,183 @@ class TestInlineSargables:
         found = access.inline_sargables(node_pattern, "n")
         assert [s.key for s in found] == ["a", "b"]
         assert all(s.kind == "eq" for s in found)
+
+
+class TestServedConjuncts:
+    """What a chosen index scan answers exactly leaves the residual."""
+
+    def test_merged_range_records_its_conjuncts(self):
+        predicate = where("n.a >= 1 AND n.b = 2 AND n.a < 5 AND n.a < 9")
+        first, _equality, second, third = access.conjuncts_of(predicate)
+        (merged, _eq) = sorted(
+            sargables("n.a >= 1 AND n.b = 2 AND n.a < 5 AND n.a < 9"),
+            key=lambda s: s.kind != "range",
+        )
+        assert merged.conjuncts == (first, second)
+        assert third not in merged.conjuncts
+
+    def test_range_and_is_not_null_are_served(self):
+        predicate = where("n.a >= 1 AND n.a < 5 AND n.a IS NOT NULL "
+                          "AND n.b IS NOT NULL AND m.a IS NOT NULL")
+        (merged,) = collect_sargable(predicate)["n"]
+        served = access.served_conjuncts(
+            predicate, "n", ("a",), merged.low, merged.high
+        )
+        assert len(served) == 3
+        left = access.residual(predicate, served)
+        assert access.conjuncts_of(left) == access.conjuncts_of(predicate)[3:]
+        # A composite scan serves IS NOT NULL on every key, no range.
+        composite = access.served_conjuncts(
+            predicate, "n", ("a", "b"), merged.low, merged.high
+        )
+        assert len(composite) == 2
+
+    def test_other_bounds_are_not_served(self):
+        predicate = where("n.a >= 1 AND n.a < 5")
+        (merged,) = collect_sargable(predicate)["n"]
+        other = where("n.a >= 1 AND n.a < 5")
+        (foreign,) = collect_sargable(other)["n"]
+        # Same text, different expressions: not the chosen scan's bounds.
+        assert access.served_conjuncts(
+            predicate, "n", ("a",), foreign.low, foreign.high
+        ) == []
+        assert access.served_conjuncts(
+            predicate, "n", ("a",), merged.low, None
+        ) == []
+
+    def test_fallible_where_serves_nothing(self):
+        predicate = where("n.a >= 1 AND n.a IS NOT NULL AND n.b = 1 / 0")
+        assert access.served_conjuncts(predicate, "n", ("a",)) == []
+
+    def test_residual_of_nothing_served_is_the_predicate(self):
+        predicate = where("n.a >= 1 AND n.b < 2")
+        assert access.residual(predicate, []) is predicate
+        assert access.residual(
+            predicate, access.conjuncts_of(predicate)
+        ) is None
+
+
+def _social_engine():
+    from repro import CypherEngine
+    from repro.graph.store import MemoryGraph
+
+    graph = MemoryGraph()
+    people = [
+        graph.create_node(("Person",), {"id": "p%d" % i}) for i in range(300)
+    ]
+    for i in range(60):
+        post = graph.create_node(
+            ("Post",), {"id": i, "creationDate": 1000 + i, "length": i % 9}
+        )
+        graph.create_relationship(post, people[i % 5], "HAS_CREATOR")
+    graph.create_index("Post", "creationDate")
+    graph.create_index("Person", "id")
+    return CypherEngine(graph)
+
+
+def _operators(plan):
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        yield op
+        stack.extend(op._children())
+
+
+def _filters(result):
+    return [
+        op.predicate for op in _operators(result.plan)
+        if type(op).__name__ == "Filter"
+    ]
+
+
+class TestResidualPlans:
+    WINDOW = {"lo": 1010, "hi": 1030}
+
+    @pytest.mark.parametrize("query", [
+        # posts_in_window
+        "MATCH (m:Post) WHERE m.creationDate >= $lo AND "
+        "m.creationDate < $hi RETURN count(m) AS n",
+        # top_posters
+        "MATCH (m:Post)-[:HAS_CREATOR]->(p:Person) "
+        "WHERE m.creationDate >= $lo AND m.creationDate < $hi "
+        "RETURN p.id AS id, count(m) AS n ORDER BY n DESC, id LIMIT 10",
+        # the same window under OPTIONAL MATCH
+        "OPTIONAL MATCH (m:Post) WHERE m.creationDate >= $lo AND "
+        "m.creationDate < $hi RETURN count(m) AS n",
+    ])
+    def test_window_templates_plan_without_a_filter(self, query):
+        engine = _social_engine()
+        result = engine.run(query, self.WINDOW)
+        kinds = {type(op).__name__ for op in _operators(result.plan)}
+        assert "IndexRangeScan" in kinds, result.plan.describe()
+        assert not _filters(result), result.plan.describe()
+        reference = engine.run(query, self.WINDOW, mode="interpreter")
+        assert reference.table.same_bag(result.table)
+
+    def test_latest_posts_drops_is_not_null_over_the_ordered_scan(self):
+        engine = _social_engine()
+        result = engine.run(
+            "MATCH (m:Post) WHERE m.creationDate IS NOT NULL "
+            "RETURN m.id AS id, m.creationDate AS created "
+            "ORDER BY created DESC LIMIT $k", {"k": 3},
+        )
+        kinds = {type(op).__name__ for op in _operators(result.plan)}
+        assert "IndexOrderedScan" in kinds, result.plan.describe()
+        assert not _filters(result), result.plan.describe()
+        assert result.values("id") == [59, 58, 57]
+
+    def test_leftover_same_side_bound_stays_residual(self):
+        engine = _social_engine()
+        result = engine.run(
+            "MATCH (m:Post) WHERE m.creationDate >= $lo AND "
+            "m.creationDate >= $hi RETURN count(m) AS n", self.WINDOW,
+        )
+        (predicate,) = _filters(result)
+        assert predicate.operands[1].name == "hi"
+        assert result.values("n") == [30]
+
+    def test_other_conjuncts_stay_residual(self):
+        engine = _social_engine()
+        result = engine.run(
+            "MATCH (m:Post) WHERE m.creationDate >= $lo AND "
+            "m.length > 3 AND m.creationDate < $hi "
+            "AND m.id IS NOT NULL RETURN count(m) AS n", self.WINDOW,
+        )
+        (predicate,) = _filters(result)
+        assert len(access.conjuncts_of(predicate)) == 2
+        assert result.values("n") == [10]
+
+    def test_a_fallible_where_keeps_its_filter(self):
+        engine = _social_engine()
+        result = engine.run(
+            "MATCH (m:Post) WHERE m.creationDate >= $lo AND "
+            "m.creationDate < $hi AND m.length / 1 >= 0 "
+            "RETURN count(m) AS n", self.WINDOW,
+        )
+        (predicate,) = _filters(result)
+        assert len(access.conjuncts_of(predicate)) == 3
+        assert result.values("n") == [20]
+
+    def test_starts_with_and_composite_ranges_stay_residual(self):
+        from repro import CypherEngine
+        from repro.graph.store import MemoryGraph
+
+        graph = MemoryGraph()
+        for i in range(40):
+            graph.create_node(("A",), {"s": "k%02d" % i, "g": i % 2, "v": i})
+        graph.create_index("A", "s")
+        graph.create_index("A", "g", "v")
+        engine = CypherEngine(graph)
+        prefix = engine.run(
+            "MATCH (a:A) WHERE a.s STARTS WITH 'k1' RETURN count(a) AS n"
+        )
+        assert len(_filters(prefix)) == 1, prefix.plan.describe()
+        assert prefix.values("n") == [10]
+        composite = engine.run(
+            "MATCH (a:A) WHERE a.g = 1 AND a.v >= 10 AND a.v < 20 "
+            "RETURN count(a) AS n"
+        )
+        kinds = {type(op).__name__ for op in _operators(composite.plan)}
+        assert "IndexRangeScan" in kinds, composite.plan.describe()
+        assert len(_filters(composite)) == 1, composite.plan.describe()
+        assert composite.values("n") == [5]

@@ -12,12 +12,15 @@ Berkholz et al.'s "answering queries under updates" regime: maintenance
 is only worth having if nobody can tell it from recomputation).
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
 from repro import CypherEngine
 from repro.planner import logical as lg
 from repro.planner.batch import plan_supports_batch
+from repro.temporal.types import Date
 
 from fuzztools import (
     COMPOSITE_INDEXED_GRAPH,
@@ -299,3 +302,207 @@ def test_no_sargable_query_falls_back_to_interpreter():
             query, result.fallback_reason
         )
         assert result.execution_mode == "batch", query
+
+
+class TestRangeExactness:
+    """A single-key range scan answers its conjuncts exactly.
+
+    The planner drops a chosen range scan's ``low``/``high`` conjuncts,
+    and ``IS NOT NULL`` on its key, from the residual Filter, so the
+    scan alone must return exactly the nodes ``compare`` says the range
+    is true of — over every kind of stored value and every kind of
+    bound, through every executor and every view of the store.
+    """
+
+    #: Stored values: numbers around the float-precision edge (2**53 and
+    #: its int neighbours beside an equal float), infinities, NaN, -0.0,
+    #: strings, Booleans, lists, temporals, and a missing property.
+    VALUES = (
+        0, 1, 1, -1, 2.5, -0.0, float("inf"), float("-inf"), float("nan"),
+        2 ** 53, 2 ** 53 + 1, float(2 ** 53), 2 ** 53 - 1,
+        "", "a", "ab", "b", True, False, False, None, [1], [1, 2], [],
+        Date(2020, 6, 1), Date(2021, 6, 1),
+    )
+
+    #: Bounds of every kind: null and NaN (true of nothing), numbers,
+    #: strings and Booleans (one segment each), a list and a temporal
+    #: (outside the sorted segments: the label-scan fallback).
+    BOUNDS = (
+        None, float("nan"), float("-inf"), -1, 0, 1, 2.5, 2 ** 53,
+        2 ** 53 + 1, float(2 ** 53), float("inf"), "", "a", "b", False,
+        True, [1], Date(2020, 6, 1),
+    )
+
+    SHAPES = (
+        "n.v > $lo", "n.v >= $lo", "$hi > n.v", "n.v <= $hi",
+        "n.v >= $lo AND n.v < $hi", "n.v > $lo AND n.v <= $hi",
+        "n.v IS NOT NULL AND n.v < $hi",
+    )
+
+    def _graph(self):
+        from repro.graph.store import MemoryGraph
+
+        graph = MemoryGraph()
+        for i, value in enumerate(self.VALUES):
+            properties = {"i": i}
+            if value is not None:
+                properties["v"] = value
+            graph.create_node(("X",), properties)
+        graph.create_index("X", "v")
+        return graph
+
+    @staticmethod
+    def _query(shape):
+        return "MATCH (n:X) WHERE %s RETURN n.i AS i" % shape
+
+    @staticmethod
+    def _ids(result):
+        return sorted(record["i"] for record in result.records)
+
+    def _parameters(self, shape):
+        names = [name for name in ("lo", "hi") if "$" + name in shape]
+        for values in product(self.BOUNDS, repeat=len(names)):
+            yield dict(zip(names, values))
+
+    def _assert_unfiltered_range_scan(self, result):
+        kinds = {type(op) for op in _plan_operators(result.plan)}
+        assert lg.IndexRangeScan in kinds, result.plan.describe()
+        assert lg.Filter not in kinds, result.plan.describe()
+
+    def test_every_value_and_bound_on_every_executor(self):
+        graph = self._graph()
+        engines = {
+            size: CypherEngine(graph, morsel_size=size) for size in (1, 4, 256)
+        }
+        reference = CypherEngine(graph)
+        for shape in self.SHAPES:
+            query = self._query(shape)
+            self._assert_unfiltered_range_scan(
+                reference.run(query, {"lo": 0, "hi": 1})
+            )
+            for parameters in self._parameters(shape):
+                want = self._ids(
+                    reference.run(query, parameters, mode="interpreter")
+                )
+                got = self._ids(reference.run(query, parameters, mode="row"))
+                assert got == want, (query, parameters, "row")
+                for size, engine in engines.items():
+                    result = engine.run(query, parameters, mode="batch")
+                    assert result.execution_mode == "batch"
+                    assert self._ids(result) == want, (
+                        query, parameters, "batch", size,
+                    )
+
+    @pytest.mark.smoke
+    def test_the_fallback_filters(self):
+        """A bound outside the sorted segments scans the label, and the
+        scan itself keeps only the nodes the range is true of — no
+        Filter above it would."""
+        engine = CypherEngine(self._graph())
+        for shape, parameters, expected in (
+            ("n.v >= $lo", {"lo": [1]}, [21, 22]),
+            ("n.v > $lo AND n.v <= $hi", {"lo": [], "hi": [1, 2]}, [21, 22]),
+            ("n.v < $hi", {"hi": Date(2021, 6, 1)}, [24]),
+        ):
+            query = self._query(shape)
+            for mode in ("interpreter", "row", "batch"):
+                result = engine.run(query, parameters, mode=mode)
+                assert self._ids(result) == expected, (query, mode)
+            self._assert_unfiltered_range_scan(result)
+
+    def test_pinned_snapshot_after_writes_across_the_bound(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        checks = [
+            (self._query(shape), parameters)
+            for shape, parameters in (
+                ("n.v >= $lo AND n.v < $hi", {"lo": 0, "hi": 2 ** 53}),
+                ("n.v > $lo", {"lo": "a"}),
+                ("n.v >= $lo", {"lo": [1]}),
+            )
+        ]
+        with engine.session() as session:
+            snapshot = session.snapshot()
+            want = [
+                self._ids(engine.run(query, parameters, mode="interpreter"))
+                for query, parameters in checks
+            ]
+            for write in (
+                "MATCH (n:X) WHERE n.i = 1 SET n.v = 2 ^ 60",
+                "MATCH (n:X) WHERE n.i = 3 SET n.v = 7",
+                "MATCH (n:X) WHERE n.i = 15 SET n.v = 0",
+                "MATCH (n:X) WHERE n.i = 13 SET n.v = 'c'",
+                "MATCH (n:X) WHERE n.i = 16 REMOVE n.v",
+                "MATCH (n:X) WHERE n.i = 22 SET n.v = [0]",
+                "CREATE (:X {i: 99, v: 5})",
+            ):
+                engine.run(write)
+            for (query, parameters), expected in zip(checks, want):
+                for mode in ("row", "batch"):
+                    result = snapshot.run(
+                        query, parameters, mode=mode, profile=True
+                    )
+                    assert self._ids(result) == expected, (query, mode)
+                    assert result.access_paths[0]["entry"].startswith(
+                        "index range"
+                    ), result.access_paths
+                live = self._ids(
+                    engine.run(query, parameters, mode="interpreter")
+                )
+                assert live != expected, "the writes crossed no bound"
+                for mode in ("row", "batch"):
+                    assert self._ids(
+                        engine.run(query, parameters, mode=mode)
+                    ) == live, (query, mode)
+
+    def test_open_session_after_an_uncommitted_set(self):
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        query = self._query("n.v >= $lo AND n.v < $hi")
+        parameters = {"lo": 1, "hi": 3}
+        with engine.session() as session:
+            session.begin()
+            before = self._ids(session.run(query, parameters, mode="batch"))
+            session.run("MATCH (n:X) WHERE n.i = 0 SET n.v = 2")
+            session.run("MATCH (n:X) WHERE n.i = 4 SET n.v = 'x'")
+            want = self._ids(
+                session.run(query, parameters, mode="interpreter")
+            )
+            assert want != before
+            for mode in ("row", "batch"):
+                assert self._ids(
+                    session.run(query, parameters, mode=mode)
+                ) == want, mode
+            session.rollback()
+        assert self._ids(engine.run(query, parameters)) == before
+
+    def test_literal_bound_order_by_limit(self):
+        """The IndexOrderedScan built from a range scan keeps its bound,
+        serves it exactly and needs neither Filter nor Sort."""
+        graph = self._graph()
+        engine = CypherEngine(graph)
+        for query in (
+            "MATCH (n:X) WHERE n.v >= 1 "
+            "RETURN n.v AS v, n.i AS i ORDER BY v LIMIT 6",
+            "MATCH (n:X) WHERE n.v < 9007199254740993 "
+            "RETURN n.v AS v, n.i AS i ORDER BY v DESC LIMIT 5",
+            "MATCH (n:X) WHERE n.v > 'a' AND n.v IS NOT NULL "
+            "RETURN n.v AS v, n.i AS i ORDER BY v LIMIT 3",
+            "MATCH (n:X) WHERE n.v IS NOT NULL "
+            "RETURN n.i AS i ORDER BY n.v DESC LIMIT 4",
+        ):
+            result = engine.run(query)
+            kinds = {type(op) for op in _plan_operators(result.plan)}
+            assert lg.IndexOrderedScan in kinds, result.plan.describe()
+            assert not kinds & {lg.Filter, lg.Sort}, result.plan.describe()
+            want = [
+                tuple(record.values())
+                for record in engine.run(query, mode="interpreter").records
+            ]
+            assert want
+            for mode in ("row", "batch"):
+                got = [
+                    tuple(record.values())
+                    for record in engine.run(query, mode=mode).records
+                ]
+                assert got == want, (query, mode, got, want)
