@@ -7,16 +7,21 @@ batch engine (:mod:`repro.planner.batch`) executes the same plans as
 morsels of slot columns: scans slice chunks off cached scan lists,
 Expand walks whole source columns through ``expand_batch``, filters and
 projections evaluate column-compiled closures once per morsel, and
-aggregation accumulates straight off argument columns.
+aggregation accumulates straight off argument columns.  Keys are
+values: a grouping or ``DISTINCT`` column of ints, strings or ids is its
+own key list, and Sort and Top order an all-int or all-str column by its
+values, so none of those calls ``canonical_key`` or ``sort_key`` per row
+(``test_p7_self_keyed_columns_make_no_key_calls`` counts the calls).
 
 The acceptance floor is 2x on every *pinned* workload (scan, expand and
 aggregation shapes): the batch median must be at most half the row
 median on the same plans.  Top-k and DISTINCT are reported for the
-trajectory without a floor — their cost is dominated by per-row
-``sort_key``/``canonical_key`` computation, which batching cannot
-amortise.  The no-silent-row check doubles as the coverage tripwire for
-the batch operator claim, and every workload is cross-checked for bag
-equality against both the row planner and the interpreter.
+trajectory without a floor — over a mixed-type column their cost is
+per-row ``sort_key``/``canonical_key`` computation, which batching
+cannot amortise.  The no-silent-row check doubles as the coverage
+tripwire for the batch operator claim, and every workload is
+cross-checked for bag equality against both the row planner and the
+interpreter.
 """
 
 import time
@@ -285,6 +290,52 @@ def test_p7_no_python_call_per_value(table_report, pipeline_record):
     assert ratios["id_over_int_lookup"] <= 2.0
     assert ratios["count_n_over_count_star"] <= 1.3
     assert ratios["grouped_topk_row_over_batch"] >= 2.0
+
+
+def test_p7_self_keyed_columns_make_no_key_calls(monkeypatch):
+    """A grouped count under a top-k over an all-str or all-int key calls
+    neither ``sort_key`` nor ``canonical_key``: those values are their
+    own grouping keys and order by themselves.  A mixed column still
+    calls both, once per value."""
+    import repro.planner.batch as batch
+    import repro.values.ordering as ordering
+
+    calls = {"sort_key": 0, "canonical_key": 0}
+
+    def counted(name, function):
+        def wrapper(value):
+            calls[name] += 1
+            return function(value)
+        return wrapper
+
+    for module in (batch, ordering):
+        for name in calls:
+            monkeypatch.setattr(
+                module, name, counted(name, getattr(ordering, name))
+            )
+
+    graph = MemoryGraph()
+    for index in range(2000):
+        graph.create_node(("Item",), {
+            "i": (index * 7) % 97,
+            "s": "k%d" % ((index * 7) % 97),
+            "mixed": index % 5 if index % 2 else float(index % 5),
+        })
+    engine = CypherEngine(graph)
+    made = {}
+    for key in ("s", "i", "mixed"):
+        query = (
+            "MATCH (n:Item) RETURN n.%s AS k, count(*) AS c "
+            "ORDER BY c DESC, k LIMIT 10" % key
+        )
+        engine.run(query, mode="batch")  # plan and compile outside the count
+        calls.update(sort_key=0, canonical_key=0)
+        result = engine.run(query, mode="batch")
+        assert result.execution_mode == "batch"
+        made[key] = dict(calls)
+    assert made["s"] == made["i"] == {"sort_key": 0, "canonical_key": 0}
+    assert made["mixed"]["canonical_key"] >= 2000, made
+    assert made["mixed"]["sort_key"] > 0, made
 
 
 def test_p7_scans_hand_out_columns(table_report, pipeline_record):

@@ -9,11 +9,13 @@ support DISTINCT (the final RETURN needs ``count(DISTINCT p2)``).
 
 The batch engine hands an accumulator whole argument columns through
 :meth:`Aggregate.include_column`.  Its contract: the accumulator ends in
-exactly the state ``for value in values: include(value)`` leaves it in,
-and raises what that loop raises.  The base class *is* that loop; a
+a state equivalent to the one ``for value in values: include(value)``
+leaves it in — the same result, now and after any later calls — and
+raises what that loop raises.  The base class *is* that loop; a
 subclass overrides it only where the column form is provably the same
 arithmetic — non-distinct ``count`` (an ``is None`` tally, no call per
-value) and non-distinct ``sum`` of a column whose values are all ``int`` or
+value), ``count(DISTINCT x)`` (one ``set.update`` of canonical keys)
+and non-distinct ``sum`` of a column whose values are all ``int`` or
 null onto an ``int`` total.  Ints only: integer addition is exact in any
 order, whereas the builtin ``sum`` over floats is compensated from
 CPython 3.12 on and would drift from the interpreter's running ``+=``;
@@ -84,7 +86,9 @@ class Count(Aggregate):
 
     def include_column(self, values):
         if self.distinct:
-            return super().include_column(values)
+            present = [value for value in values if value is not None]
+            self._seen.update(map(canonical_key, present))
+            return
         self._count += len(values) - len(
             [value for value in values if value is None]
         )
@@ -97,7 +101,7 @@ class Count(Aggregate):
         )
 
     def result(self):
-        return self._count
+        return len(self._seen) if self.distinct else self._count
 
 
 class CountStar(Aggregate):

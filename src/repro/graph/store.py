@@ -203,8 +203,8 @@ class _PropertyIndex:
 
     An *entry* exists for a node exactly when **every** key column is
     non-null (Neo4j's composite-index contract), and is keyed by the
-    tuple of per-column :func:`~repro.values.ordering.canonical_key`
-    forms.  The **hash half** maps every canonical *prefix* of an entry
+    tuple of per-column (tag-first) :meth:`_canonical` forms.  The
+    **hash half** maps every canonical *prefix* of an entry
     (lengths 1..depth) to its node-id set, so full-tuple equality and
     prefix-equality probes are O(bucket).  The **sorted half** is
     derived per prefix on first probe and from then on maintained in
@@ -278,12 +278,13 @@ class _PropertyIndex:
 
     @staticmethod
     def _canonical(value):
-        """:func:`canonical_key` with the scalar majority inlined.
+        """The index's own tag-first form of one key value.
 
-        Maintenance runs once per indexed property per write — the
-        int/str/float fast path skips the generic isinstance chain.
-        (``type is`` checks keep bool out of the ``num`` tag, exactly
-        like the generic function.)
+        ``("num", v)`` / ``("str", v)`` / ``("bool", v)`` (``type is``
+        keeps bool out of ``num``): the tag picks the sorted-half segment
+        (:attr:`_SEGMENT_OF`), the payload is what it bisects.  NaN is
+        ``("nan",)``; anything else is :func:`canonical_key`, whose tags
+        name no segment.
         """
         value_type = type(value)
         if value_type is int:

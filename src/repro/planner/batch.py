@@ -45,6 +45,12 @@ per-morsel cost amortised over N rows:
   ``count(*)`` / non-distinct ``count(x)`` is a ``collections.Counter``
   over the morsel's canonical keys — an int per group, no accumulator
   objects;
+* keys are values: a key column of ints, strings and ids is its own
+  list of canonical keys (:func:`_canonical_column`), and Sort and Top
+  order an all-int or all-str column by its values (:func:`_sort_keys`)
+  — no tuple built, hashed or walked per row; other columns key value
+  by value.  A grouping key is ``canonical_key``'s either way, so
+  morsels that hold different types agree;
 * ``ORDER BY … LIMIT k`` (:func:`_compile_top`) keeps the best k rows as
   columns and re-runs Sort's stable ``list.sort`` passes over retained +
   new rows instead of pushing row objects through a heap: same ties as
@@ -81,7 +87,7 @@ final stores over the fuzz corpus.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 
 from repro.ast import expressions as ex
 from repro.ast import patterns as pt
@@ -104,7 +110,7 @@ from repro.planner.slots import SlotMap
 from repro.semantics.compile import MISSING, ColumnCompiler, select_columns
 from repro.semantics.table import Table
 from repro.values.base import NodeId
-from repro.values.ordering import canonical_key, sort_key
+from repro.values.ordering import SELF_KEYED, canonical_key, sort_key
 
 #: Target rows per morsel; engines expose it as the ``morsel_size`` knob.
 #: Big enough to amortise per-batch Python overhead, and past that the
@@ -1059,45 +1065,21 @@ def _compile_strip(op, ctx):
     return run
 
 
-#: The constant heads of an int's and a str's sort and canonical keys,
-#: read off the reference functions so the zipped keys cannot drift.
-_SORT_HEADS = {int: sort_key(0)[:-1], str: sort_key("")[:-1]}
-_CANONICAL_HEADS = {int: canonical_key(0)[:-1], str: canonical_key("")[:-1]}
-
-
-def _homogeneous_keys(column, heads):
-    """Keys of an all-int or all-str column — the value behind a
-    constant head — zipped in C after one type-set check; else None."""
-    kinds = set(map(type, column))
-    head = heads.get(next(iter(kinds))) if len(kinds) == 1 else None
-    if head is None:
-        return None
-    return list(zip(*map(repeat, head), column))
-
-
 def _sort_keys(column):
-    """``[sort_key(value) for value in column]`` (Sort and Top)."""
-    return _homogeneous_keys(column, _SORT_HEADS) or [
-        sort_key(value) for value in column
-    ]
+    """Sort keys for one column (Sort and Top): the column itself when
+    it holds only ints or only strs — their own order is ``sort_key``'s
+    within one type — else ``sort_key`` per value."""
+    if set(map(type, column)) in ({int}, {str}):
+        return column
+    return list(map(sort_key, column))
 
 
 def _canonical_column(column):
-    """Canonical grouping keys for one column (hot scalar cases inlined)."""
-    out = _homogeneous_keys(column, _CANONICAL_HEADS)
-    if out is not None:
-        return out
-    out = []
-    append = out.append
-    for value in column:
-        value_type = type(value)
-        if value_type is int:
-            append(("num", value))
-        elif value_type is str:
-            append(("str", value))
-        else:
-            append(canonical_key(value))
-    return out
+    """Grouping keys for one column: the column itself when every value
+    is its own canonical key, else ``canonical_key`` per value."""
+    if SELF_KEYED.issuperset(map(type, column)):
+        return column
+    return list(map(canonical_key, column))
 
 
 def _compile_distinct(op, ctx):
@@ -1345,12 +1327,18 @@ def _compile_aggregate(op, ctx):
                     values = list(zip(*key_cols))
                 # First-arrival order from dict.fromkeys, each new group's
                 # first-seen key values from the reversed zip (the earliest
-                # row is written last, so it wins).
-                first_seen = dict(zip(reversed(keys), reversed(values)))
+                # row is written last, so it wins) — unless the column is
+                # its own key list, where each key is that value.
                 fresh = [
                     key for key in dict.fromkeys(keys) if key not in groups
                 ]
-                groups.update(zip(fresh, map(first_seen.__getitem__, fresh)))
+                if keys is values:
+                    groups.update(zip(fresh, fresh))
+                else:
+                    first_seen = dict(zip(reversed(keys), reversed(values)))
+                    groups.update(
+                        zip(fresh, map(first_seen.__getitem__, fresh))
+                    )
                 if count_argument is not None:
                     counted_col = rows.column(count_argument)
                     if None in counted_col:
@@ -1476,12 +1464,13 @@ def _compile_sort(op, ctx):
 def _compile_top(op, ctx):
     """``ORDER BY … LIMIT k`` keeping the best k rows *as columns*.
 
-    Arriving morsels (with their ``sort_key`` columns riding along as
-    extra columns, so a row's keys are computed once) queue behind the
-    rows retained so far; when more than ``k + max(k, morsel)`` rows are
+    Arriving morsels (with their raw key values riding along as extra
+    columns, so a row's key expressions run once) queue behind the rows
+    retained so far; when more than ``k + max(k, morsel)`` rows are
     held, and at the end, the queue is concatenated, sorted with the
     same stable least-significant-key-first ``list.sort`` passes as
-    :func:`_compile_sort`, and truncated to k.  Retained rows are
+    :func:`_compile_sort` (each keying its whole column through
+    :func:`_sort_keys`), and truncated to k.  Retained rows are
     earlier arrivals and sit first, so ties break by arrival exactly as
     Sort + Limit does.  Waiting for ``max(k, morsel)`` new rows keeps
     the work linear when k is large (a ``LIMIT`` above the row count
@@ -1515,7 +1504,7 @@ def _compile_top(op, ctx):
         rows = 0
         for n, cols, sel in child(argument):
             cols = _gather(cols, sel)
-            held.append((n, cols + [_sort_keys(fn(n, cols)) for fn in key_fns]))
+            held.append((n, cols + [fn(n, cols) for fn in key_fns]))
             rows += n
             if rows > k + max(k, morsel):
                 held = [best_of(held, retained, k)]
@@ -1529,7 +1518,8 @@ def _compile_top(op, ctx):
         n, cols = _concat(held, wide)
         order = list(range(n))
         for position, descending in passes:
-            order.sort(key=cols[position].__getitem__, reverse=descending)
+            keyed = _sort_keys(cols[position])
+            order.sort(key=keyed.__getitem__, reverse=descending)
         del order[k:]
         stats["pushed"] += sum(map(retained.__le__, order))
         if len(order) > stats["heap_max"]:

@@ -831,9 +831,7 @@ class ExpressionCompiler:
         return fold
 
 
-_ALL_BOOL = {bool}
 _ALL_INT = {int}
-_TERNARY_TYPES = {bool, type(None)}
 
 
 def _const_column(value):
@@ -919,9 +917,7 @@ class ColumnCompiler:
       Filter's selection instead of gathering the whole batch;
     * AND/OR short-circuit *by column*: the right operand is evaluated
       only on the sub-batch the left side did not decide, which keeps
-      the row path's "never evaluates the pruned side" error semantics
-      (a left column that decides nowhere hands the right column
-      through after one type check);
+      the row path's "never evaluates the pruned side" error semantics;
 
     Everything else — comprehensions, CASE, pattern predicates, any
     future node type — reuses the row compiler's closure element-wise
@@ -1276,17 +1272,7 @@ class ColumnCompiler:
         sub_batch = select_columns
 
         def logic_column(n, cols):
-            out = left(n, cols)
-            if set(map(type, out)) == _ALL_BOOL and deciding not in out:
-                # The left side decides nowhere (all true under AND, all
-                # false under OR), so the result is the right column
-                # itself once it is known to hold only Booleans and nulls
-                # (else _as_ternary raises on the first value that is not).
-                right_values = right(n, cols)
-                if not set(map(type, right_values)) <= _TERNARY_TYPES:
-                    list(map(_as_ternary, right_values))
-                return right_values
-            out = [_as_ternary(value) for value in out]
+            out = [_as_ternary(value) for value in left(n, cols)]
             undecided = [
                 index for index, value in enumerate(out) if value is not deciding
             ]

@@ -11,8 +11,17 @@ variant of it:
 
 Within a type, values order naturally (numbers numerically with NaN greater
 than every other number, strings lexicographically, booleans False < True,
-lists/maps lexicographically on their canonical forms).  ``null`` sorts
+lists/maps lexicographically on their sort keys).  ``null`` sorts
 last in ascending order, matching Neo4j's behaviour.
+
+Grouping, DISTINCT and UNION need a hashable canonical form instead:
+equivalent values get equal keys.  Ints, strs, non-NaN floats and ids
+are their own keys (:data:`SELF_KEYED`): Python equality on them *is*
+Cypher equivalence (``1 == 1.0`` with equal hashes, ``-0.0 == 0``; an
+id is the tuple ``("n", 7)`` / ``("r", 7)``).  Booleans (``True == 1``),
+NaN (``NaN != NaN``), null and structured values are tuples headed by a
+tag no id uses, so no tagged key equals a raw one.  The rule reads the
+value alone, so keys agree however rows are batched.
 """
 
 from __future__ import annotations
@@ -71,28 +80,26 @@ def sort_key(value):
     raise TypeError("value %r is not orderable" % (value,))
 
 
-def canonical_key(value):
-    """A hashable canonical form; equal values get equal keys.
+#: Types whose values are their own canonical keys (module docstring).
+SELF_KEYED = frozenset((int, str, NodeId, RelId))
 
-    Used for DISTINCT, UNION de-duplication, grouping keys, and DISTINCT
-    inside aggregates.  Integers and floats that are numerically equal
-    collapse to the same key (Cypher's ``1 = 1.0`` is true); all NaNs
-    collapse together so DISTINCT emits a single NaN.
+
+def canonical_key(value):
+    """A hashable canonical form; equivalent values get equal keys.
+
+    Keys DISTINCT, UNION, grouping, DISTINCT aggregates and uniqueness
+    constraints (module docstring).  All NaNs collapse to one key, so
+    DISTINCT emits a single NaN.
     """
+    value_type = type(value)
+    if value_type in SELF_KEYED:
+        return value
+    if value_type is float:
+        return value if value == value else ("nan",)
     if value is None:
         return ("null",)
-    if isinstance(value, bool):
+    if value_type is bool:
         return ("bool", value)
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and math.isnan(value):
-            return ("nan",)
-        return ("num", value)  # hash(1) == hash(1.0) in Python
-    if isinstance(value, str):
-        return ("str", value)
-    if isinstance(value, NodeId):
-        return ("node", value.value)
-    if isinstance(value, RelId):
-        return ("rel", value.value)
     if isinstance(value, Path):
         return (
             "path",

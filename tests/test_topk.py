@@ -207,10 +207,13 @@ class TestBatchTopAcrossMorsels:
 
 
 class TestKeyColumns:
-    """Sort, Top and grouping keys of an all-int or all-str column are
-    zipped in C behind a constant head; a mixed column takes the
-    per-value ``sort_key`` / ``canonical_key``.  Either way the order,
-    the ties and the groups are the interpreter's."""
+    """Sort and Top order an all-int or all-str column by its values, and
+    a column of self-keyed values (ints, strs, ids) is its own grouping
+    key; any other column takes the per-value ``sort_key`` /
+    ``canonical_key``.  Either way the order, the ties and the groups are
+    the interpreter's — also when morsels of one column hold different
+    types (the ``-then-`` columns change type after eight rows, two
+    morsels at size 4)."""
 
     COLUMNS = {
         "all-int": [5, 3, 5, -1, 3, 2 ** 70, 0, 3, 5, -1, 8],
@@ -218,6 +221,14 @@ class TestKeyColumns:
         "int-float": [5, 2.5, 5, 5.0, -1, float("nan"), 3, 2.5, 0, 3, 3.0],
         "one-ish": [1, 1.0, "1", None, 1, "1", None, 1.0, True, 1, "1"],
         "int-null": [2, None, 1, None, 2, 1, None, 3, 2, 1, None],
+        "int-then-float": [3, 1, 2, 3, 1, 2, 3, 1,
+                           3.0, 1.0, 2.0, 2.0, 1.0, 3.0, 3.0, 2.0],
+        "bool-then-int": [True, False, True, True, False, True, False, True,
+                          1, 0, 1, 1, 0, 1],
+        "str-then-int": ["1", "2", "1", "2", "2", "1", "1", "2",
+                         1, 2, 1, 2, 2, 1],
+        "float-nan": [1.5, 0.0, 2.5, 1.5, 0.0, 2.5, 1.5, 0.0,
+                      float("nan"), -0.0, 1.5, float("nan"), 0, -0.0, 2.5],
     }
     TAILS = [
         "ORDER BY k",
@@ -276,15 +287,55 @@ class TestKeyColumns:
             assert batch.execution_mode == "batch"
             assert repr(batch.records) == repr(want), (returning, morsel_size)
 
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("morsel_size", [1, 4, 256])
+    def test_node_keys_and_union(self, morsel_size):
+        """Nodes repeated across morsels group and count as one; UNION
+        de-duplicates a column that changes type across morsels."""
+        column = self.COLUMNS["str-then-int"] + self.COLUMNS["int-then-float"]
+        graph = self._graph(column)
+        items = list(graph.nodes())
+        for i, source in enumerate(items):
+            for target in (items[i % 3], items[(i * 7) % 5]):
+                graph.create_relationship(source, target, "R")
+        engine = CypherEngine(graph, morsel_size=morsel_size)
+        for query in (
+            "MATCH (:Item)-[:R]->(b) RETURN b, count(*) AS c",
+            "MATCH (:Item)-[:R]->(b) RETURN b.k AS k, b, count(*) AS c",
+            "MATCH (:Item)-[:R]->(b) RETURN count(DISTINCT b) AS c",
+            "MATCH (a:Item)-[:R]->(b) "
+            "RETURN a.k AS k, count(DISTINCT b) AS c",
+            "MATCH (:Item)-[r:R]->() RETURN count(DISTINCT r) AS c",
+            "MATCH (:Item)-[:R]->(b) RETURN DISTINCT b",
+            "MATCH (n:Item) RETURN n.k AS k "
+            "UNION MATCH (:Item)-[:R]->(n) RETURN n.k AS k",
+        ):
+            want = engine.run(query, mode="interpreter").records
+            for mode in ("row", "batch"):
+                got = engine.run(query, mode=mode).records
+                assert repr(got) == repr(want), (query, mode, morsel_size)
+
     def test_zipped_keys_are_the_reference_keys(self):
+        """The column keys order and group exactly as the per-value
+        reference keys: the same stable permutation either way round,
+        and the same equality relation on every pair of rows."""
         from repro.planner.batch import _canonical_column, _sort_keys
         from repro.values.ordering import canonical_key, sort_key
 
-        for column in self.COLUMNS.values():
-            assert _sort_keys(column) == [sort_key(v) for v in column]
-            assert _canonical_column(column) == [
-                canonical_key(v) for v in column
-            ]
+        for name, column in self.COLUMNS.items():
+            keyed, reference = _sort_keys(column), list(map(sort_key, column))
+            for descending in (False, True):
+                got, want = list(range(len(column))), list(range(len(column)))
+                got.sort(key=keyed.__getitem__, reverse=descending)
+                want.sort(key=reference.__getitem__, reverse=descending)
+                assert got == want, (name, descending)
+            keyed = _canonical_column(column)
+            reference = list(map(canonical_key, column))
+            for i in range(len(column)):
+                for j in range(len(column)):
+                    assert (keyed[i] == keyed[j]) == (
+                        reference[i] == reference[j]
+                    ), (name, column[i], column[j])
         assert _sort_keys([]) == [] and _canonical_column([]) == []
 
 

@@ -74,9 +74,12 @@ class TestIdentifiersAreTaggedTuples:
         assert (type_name(NodeId(1)), type_name(RelId(1))) == (
             "Node", "Relationship"
         )
-        assert canonical_key(NodeId(7)) == ("node", 7)
-        assert canonical_key(RelId(7)) == ("rel", 7)
-        assert canonical_key([NodeId(7)]) == ("list", (("node", 7),))
+        # An id is its own canonical key, and keys no other value's.
+        assert canonical_key(NodeId(7)) == NodeId(7)
+        assert canonical_key(RelId(7)) == RelId(7)
+        for other in (RelId(7), ["n", 7], "n7", 7):
+            assert canonical_key(NodeId(7)) != canonical_key(other), other
+        assert canonical_key([NodeId(7)]) != canonical_key([["n", 7]])
         assert equals(NodeId(1), NodeId(1)) is True
         assert equals(NodeId(1), RelId(1)) is False
         assert equals(NodeId(1), ["n", 1]) is False
