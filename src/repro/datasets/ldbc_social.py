@@ -393,7 +393,7 @@ class LdbcDataset:
                             )
             transaction.commit()
         except BaseException:
-            transaction.abandon()
+            transaction.rollback()
             raise
         return graph
 

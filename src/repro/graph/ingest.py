@@ -249,7 +249,7 @@ def ingest_csv(graph, sources, batch_size=1000, defer_indexes=True):
         # only on the table set, not the argument order.
         tables.sort(key=lambda entry: entry[1].kind != "nodes")
 
-        transaction = graph.write_transaction(record_undo=True)
+        transaction = graph.write_transaction()
         id_maps = report.id_maps
         try:
             if defer_indexes:

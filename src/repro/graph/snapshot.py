@@ -807,7 +807,7 @@ class SnapshotGraph(PropertyGraph):
 
     # -- write surface -------------------------------------------------------
 
-    def write_transaction(self, record_undo=False):
+    def write_transaction(self):
         raise TransactionError("snapshot graphs are read-only")
 
     def __repr__(self):

@@ -97,7 +97,7 @@ Write transactions (added for the slotted write pipeline):
 
 * :meth:`write_transaction` returns a :class:`StoreTransaction`, the
   single mutation kernel both the planner's physical write operators and
-  the reference ``updates/executor.py`` drive;
+  the reference ``updates/executor.py`` drive — one per statement;
 * inside a transaction, creates and property/label changes apply to the
   live structures immediately (clause-level snapshot isolation is the
   planner's ``Eager`` barrier's job, and the interpreter materialises
@@ -117,24 +117,27 @@ Write transactions (added for the slotted write pipeline):
 Sessions, rollback, snapshots and fault injection (the transactional
 robustness layer):
 
-* ``write_transaction(record_undo=True)`` makes every raw mutator
-  append an **inverse operation** to an undo log before mutating;
-  :meth:`StoreTransaction.rollback` replays the log in reverse (with
-  recording and fault injection suspended), restores the id counters
-  and clears the scan caches, leaving store *and* property indexes
-  exactly as before the transaction — without a version bump, since the
-  pre-transaction version still describes the restored contents;
+* every open transaction makes every raw mutator append an **inverse
+  operation** to its undo log before mutating, and a statement has one
+  failure path: whatever raises, its opener calls
+  :meth:`StoreTransaction.rollback`, which replays the log in reverse
+  (with recording and fault injection suspended), restores the id
+  counters and clears the scan caches, leaving store *and* property
+  indexes exactly as before the statement — without a version bump,
+  since the pre-statement version still describes the restored
+  contents.  A statement is atomic, whichever executor ran it;
 * inside a **session scope** (see :mod:`repro.runtime.session`),
   :meth:`write_transaction` hands out :class:`_StatementTransaction`
   facades over one spanning :class:`StoreTransaction`, so the change
   buffer crosses statement boundaries and the single version bump lands
   at session commit; writes outside the session are locked out with
-  :class:`TransactionError` while that transaction is open.  The
-  engine's schema guard runs every schema-checked updating statement in
-  such a scope (the caller's, or a one-statement scope of its own), so
-  a statement it refuses unwinds through
-  :meth:`_StatementTransaction.rollback` alone — the store's one
-  rollback mechanism;
+  :class:`TransactionError` while that transaction is open.  A failing
+  statement inside the scope unwinds through
+  :meth:`_StatementTransaction.rollback` alone, so the session's earlier
+  statements stay.  The engine's schema guard runs every schema-checked
+  updating statement in such a scope (the caller's, or a one-statement
+  scope of its own), so validation is one optional step before the
+  commit and a refusal takes the same rollback;
 * :meth:`pin_version` freezes the current version copy-on-write: every
   raw mutator first preserves the pre-image of each node, relationship
   and adjacency list it touches into each active pin
@@ -1584,16 +1587,16 @@ class MemoryGraph(PropertyGraph):
     # which batches the bump into a single commit.
     # ------------------------------------------------------------------
 
-    def write_transaction(self, record_undo=False):
+    def write_transaction(self):
         """The statement-level entry point to the mutation kernel.
 
         Outside a session scope this is one :class:`StoreTransaction`
-        per statement, as before (``record_undo=True`` additionally
-        keeps an undo log so the statement can roll back, e.g. on
-        cancellation).  Inside a session scope, all statements share
-        one spanning, always-recording transaction and receive
-        :class:`_StatementTransaction` facades over it; while that
-        transaction is open, writes outside the session are refused.
+        per statement, recording undo so the statement can roll back.
+        Inside a session scope, all statements share one spanning
+        transaction and receive :class:`_StatementTransaction` facades
+        over it; while that transaction is open, writes outside the
+        session are refused.  Either way the opener commits the
+        statement on success and rolls it back on any exception.
         """
         scope = self._session_scope
         if scope is not None:
@@ -1603,13 +1606,13 @@ class MemoryGraph(PropertyGraph):
                 "a session transaction is open on this graph; commit or "
                 "roll it back before writing outside the session"
             )
-        return StoreTransaction(self, record_undo=record_undo)
+        return StoreTransaction(self)
 
     def _session_transaction(self, owner):
         """The session's spanning transaction, opened on first write."""
         transaction = self._active_transaction
         if transaction is None:
-            transaction = StoreTransaction(self, record_undo=True)
+            transaction = StoreTransaction(self)
             self._active_transaction = transaction
             self._transaction_owner = owner
         elif self._transaction_owner is not owner:
@@ -1850,12 +1853,12 @@ class MemoryGraph(PropertyGraph):
         the loop (index sets take one ``update``, warm scan lists one
         ``extend``).  Ids are allocated in list order, exactly as the
         per-row path would.  A validation failure mid-batch leaves the
-        nodes before it fully created — properties validate before that
-        node's entries land, the id counter is written back per node,
-        and the ``finally`` indexes whatever prefix exists — matching
-        the per-row path's partial-failure state.  ``ids`` is the
-        caller's output list, appended in creation order even when a
-        later row raises, so the transaction's accounting stays exact.
+        nodes before it fully created and indexed (properties validate
+        before that node's entries land; the ``finally`` indexes the
+        prefix), which is the state the one undo entry inverts when the
+        statement rolls back.  ``ids`` is the caller's output list,
+        appended in creation order even when a later row raises, so that
+        entry covers exactly the created prefix.
         """
         self._fault("create_nodes")
         node_labels = self._node_labels
@@ -1963,10 +1966,10 @@ class MemoryGraph(PropertyGraph):
         edge.  Ids are allocated in triple order, exactly as the per-row
         path would.  A validation or endpoint failure mid-batch leaves
         the relationships before it fully created (the ``finally``
-        indexes whatever prefix exists), matching the per-row path's
-        partial-failure state; ``ids`` is the caller's output list,
-        appended in creation order even when a later triple raises, so
-        the single undo entry covers exactly the created prefix.
+        indexes the prefix) for the statement's rollback to invert;
+        ``ids`` is the caller's output list, appended in creation order
+        even when a later triple raises, so the single undo entry covers
+        exactly the created prefix.
         """
         self._fault("create_rels")
         if not isinstance(rel_type, str) or not rel_type:
@@ -2447,9 +2450,8 @@ class StoreTransaction:
     """The single mutation kernel: a change-buffered write transaction.
 
     Both execution paths drive one of these — the planner's physical
-    write operators open one per statement, the reference executor one
-    per update clause — so Cypher's update semantics lives in exactly
-    one place:
+    write operators and the reference executor each open one per
+    statement — so Cypher's update semantics lives in exactly one place:
 
     * **creates and property/label changes** land in the live structures
       immediately (snapshot isolation against the statement's own reads
@@ -2464,11 +2466,10 @@ class StoreTransaction:
       anything changed), so statistics snapshots and scan caches are
       invalidated per statement, not per mutation.
 
-    :meth:`abandon` finalises after an error: already-applied changes
-    stay (matching the interpreter's partial-failure behaviour; a
-    schema-checked statement runs in a session scope instead and
-    unwinds its own undo entries) and the version is still bumped so no
-    cache survives a half-applied statement.
+    Every raw mutator records its inverse in the transaction's undo log
+    first, so the one failure path is :meth:`rollback`: a statement that
+    raises leaves the store, its indexes, the version and the id
+    counters exactly as before it.
     """
 
     __slots__ = (
@@ -2486,15 +2487,13 @@ class StoreTransaction:
         "labels_changed",
     )
 
-    def __init__(self, graph, record_undo=False):
+    def __init__(self, graph):
         self._graph = graph
         self._pending_rel_deletes = {}   # RelId -> None (an ordered set)
         self._pending_node_deletes = {}  # NodeId -> bool (detach)
         self._closed = False
-        self._undo = [] if record_undo else None
+        self._undo = graph._undo = []
         self._begin_counters = (graph._next_node_id, graph._next_rel_id)
-        if record_undo:
-            graph._undo = self._undo
         self.nodes_created = 0
         self.relationships_created = 0
         self.nodes_deleted = 0
@@ -2650,19 +2649,6 @@ class StoreTransaction:
         self._finalize()
         return self
 
-    def abandon(self):
-        """Finalise after an error: drop pending deletes, keep the bump."""
-        self._pending_rel_deletes = {}
-        self._pending_node_deletes = {}
-        self._finalize()
-        return self
-
-    def drop_pending(self):
-        """Discard buffered deletes without closing (statement abandon)."""
-        self._pending_rel_deletes = {}
-        self._pending_node_deletes = {}
-        return self
-
     def rollback(self):
         """Undo every applied change and close.
 
@@ -2671,51 +2657,23 @@ class StoreTransaction:
         scan caches.  No version bump: the pre-transaction version
         still describes the restored contents exactly, so statistics
         snapshots keyed on it stay *correct*, not just safe.
-        Requires ``record_undo=True`` at open.
         """
-        if self._closed:
-            return self
-        if self._undo is None:
-            raise TransactionError(
-                "transaction was opened without undo recording; "
-                "it cannot roll back"
-            )
-        graph = self._graph
-        self._pending_rel_deletes = {}
-        self._pending_node_deletes = {}
-        self._replay_undo(0)
-        graph._next_node_id, graph._next_rel_id = self._begin_counters
-        graph._scan_cache.clear()
-        self._closed = True
-        if graph._undo is self._undo:
-            graph._undo = None
-        if graph._active_transaction is self:
-            graph._active_transaction = None
-            graph._transaction_owner = None
+        if not self._closed:
+            self.rollback_statement(0, self._begin_counters)
+            self._finalize(bump=False)
         return self
 
     def rollback_statement(self, mark, counters):
         """Undo only the entries recorded past ``mark`` (one statement).
 
         Used by :class:`_StatementTransaction` when a single statement
-        inside a session scope is cancelled or refused by the schema:
-        that statement's changes unwind atomically while the session's
-        earlier statements stay applied.
+        inside a session scope fails — raises, is cancelled or is
+        refused by the schema: that statement's changes unwind
+        atomically while the session's earlier statements stay applied.
         """
-        if self._undo is None:
-            raise TransactionError(
-                "transaction was opened without undo recording"
-            )
         graph = self._graph
         self._pending_rel_deletes = {}
         self._pending_node_deletes = {}
-        self._replay_undo(mark)
-        graph._next_node_id, graph._next_rel_id = counters
-        graph._scan_cache.clear()
-        return self
-
-    def _replay_undo(self, mark):
-        graph = self._graph
         undo = self._undo
         graph._undo = None  # inverse ops must not re-record
         injector = graph._fault_injector
@@ -2725,20 +2683,22 @@ class StoreTransaction:
                 graph._apply_undo(undo.pop())
         finally:
             graph._fault_injector = injector
-            if not self._closed:
-                graph._undo = undo
+            graph._undo = undo
+        graph._next_node_id, graph._next_rel_id = counters
+        graph._scan_cache.clear()
+        return self
 
-    def _finalize(self):
+    def _finalize(self, bump=True):
         if self._closed:
             return
         self._closed = True
         graph = self._graph
-        if self._undo is not None and graph._undo is self._undo:
+        if graph._undo is self._undo:
             graph._undo = None
         if graph._active_transaction is self:
             graph._active_transaction = None
             graph._transaction_owner = None
-        if self.changed:
+        if bump and self.changed:
             graph._version += 1
             graph._scan_cache.clear()
 
@@ -2767,12 +2727,11 @@ class _StatementTransaction:
 
     * :meth:`commit` only flushes the statement's buffered deletes —
       the version bump is deferred to the session's commit;
-    * :meth:`abandon` drops the statement's pending deletes, keeping
-      applied changes (the engine's partial-failure semantics);
     * :meth:`rollback` unwinds exactly this statement's undo entries
-      (recorded past the watermark captured here), so a cancelled
-      write inside a session, or one the engine's schema guard refuses,
-      disappears atomically while earlier statements survive.
+      (recorded past the watermark captured here), so a statement that
+      fails inside a session — raises, is cancelled, or is refused by
+      the engine's schema guard — disappears atomically while earlier
+      statements survive.
     """
 
     __slots__ = ("_parent", "_mark", "_counters")
@@ -2861,10 +2820,6 @@ class _StatementTransaction:
 
     def commit(self):
         self._parent.flush()
-        return self
-
-    def abandon(self):
-        self._parent.drop_pending()
         return self
 
     def rollback(self):

@@ -41,7 +41,6 @@ from repro.exceptions import (
     CypherRuntimeError,
     CypherSemanticError,
     CypherTypeError,
-    QueryInterrupted,
 )
 from repro.planner import logical as lg
 from repro.planner.slots import SlotMap
@@ -94,8 +93,7 @@ class ExecutionContext:
         #: A :class:`~repro.runtime.cancel.Cancellation` or None.  When
         #: set, :func:`_compile` wraps every operator with a strided
         #: check — compile-time specialisation, so the cancel-free hot
-        #: path pays nothing — and the write transaction records undo so
-        #: an interrupted statement can roll back atomically.
+        #: path pays nothing.
         self.cancel = cancel
         self.evaluator = Evaluator(
             graph, parameters, functions, morphism or EDGE_ISOMORPHISM
@@ -130,9 +128,7 @@ class ExecutionContext:
         at :func:`execute_plan`'s commit.
         """
         if self._transaction is None:
-            self._transaction = self.graph.write_transaction(
-                record_undo=self.cancel is not None
-            )
+            self._transaction = self.graph.write_transaction()
         return self._transaction
 
     def rebind(self, parameters):
@@ -267,14 +263,12 @@ def execute_plan(
     execution, as every execution used to.
 
     If the plan contains write operators, their shared store transaction
-    commits after the last row (single version bump); an error mid-way
-    finalises the transaction instead, so already-applied changes are
-    still accounted for — matching the reference executor's
-    partial-failure behaviour (a schema-checked statement runs in a
-    session scope, and the engine's guard unwinds its undo entries).
-    ``access_log`` (a caller-owned list) turns on access-path profiling:
-    every scan operator records its entry choice, estimated and actual
-    row counts.
+    commits after the last row (single version bump); any exception —
+    an error, a timeout, a cancellation, a failing commit — rolls it
+    back instead, so the statement is atomic, as in the reference
+    executor.  ``access_log`` (a caller-owned list) turns on access-path
+    profiling: every scan operator records its entry choice, estimated
+    and actual row counts.
     """
     def compile_plan(slots):
         context = ExecutionContext(
@@ -299,19 +293,12 @@ def execute_plan(
                 value = row[slot]
                 record[field] = None if value is MISSING else value
             rows.append(record)
-    except QueryInterrupted:
-        # Cancellation/timeout rolls the statement back *atomically* —
-        # the transaction recorded undo (see ExecutionContext.transaction)
-        # precisely for this path.
+        if context._transaction is not None:
+            context._transaction.commit()
+    except BaseException:
         if context._transaction is not None:
             context._transaction.rollback()
         raise
-    except BaseException:
-        if context._transaction is not None:
-            context._transaction.abandon()
-        raise
-    if context._transaction is not None:
-        context._transaction.commit()
     park_pipeline(plan, "_row_pipeline", pipeline)
     return Table(fields, rows)
 

@@ -40,7 +40,7 @@ from repro.runtime.cancel import Cancellation
 from repro.runtime.result import QueryResult
 from repro.semantics.analysis import check_query
 from repro.semantics.morphism import EDGE_ISOMORPHISM
-from repro.semantics.query import QueryState, run_query
+from repro.semantics.query import QueryState, run_statement
 
 #: The execution modes :class:`CypherEngine` and every ``run`` accept.
 MODES = ("auto", "interpreter", "planner", "row", "batch")
@@ -615,7 +615,7 @@ class CypherEngine:
             ),
         )
         with self._schema_guard(updating):
-            table = run_query(query, state)
+            table = run_statement(query, state)
         return QueryResult(
             table,
             graphs=state.result_graphs,
@@ -694,14 +694,15 @@ class CypherEngine:
 
         The statement runs in a session scope: the caller's, inside an
         explicit session, or else a one-statement scope opened here.
-        Either way every write it makes — the interpreter's per-clause
-        transactions, the planner's — lands in the scope's
-        always-recording spanning transaction.  After the statement the
-        schema is validated; a scope of our own then commits (one
-        version bump).  On a violation, or any exception, exactly the
-        statement's undo entries replay and the error propagates: no
-        version or schema-epoch bump, and an explicit session's earlier
-        statements stay for its commit or rollback.
+        Either way every write it makes lands in the scope's spanning
+        transaction.  Validation is the one step this adds to the
+        statement's path: after the statement the schema is validated,
+        and a scope of our own then commits (one version bump).  On a
+        violation, or any exception, the statement's undo entries replay
+        — the same rollback every failing statement takes — and the
+        error propagates: no version or schema-epoch bump, and an
+        explicit session's earlier statements stay for its commit or
+        rollback.
         """
         graph = self.graph
         owner = None if graph.in_session_scope else object()

@@ -145,10 +145,11 @@ class Session:
 
         Accepts the same keyword options as ``engine.run``
         (``timeout``, ``deadline``, ``cancel``, ``mode``, ``profile``);
-        ``timeout`` defaults to the session's ``default_timeout``.  A
-        statement that fails — including one interrupted by its timeout
-        — unwinds its own changes only; earlier statements of the
-        transaction survive for the eventual commit or rollback.
+        ``timeout`` defaults to the session's ``default_timeout``.  The
+        statement is atomic, like every statement: if it raises — an
+        error, its timeout, a schema refusal — its own changes unwind
+        and earlier statements of the transaction survive for the
+        eventual commit or rollback.
         """
         self._admit()
         if options.get("timeout") is None:

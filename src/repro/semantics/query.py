@@ -4,6 +4,10 @@
 one empty tuple, each clause maps table to table, and UNION [ALL]
 combines the results of two queries on the *same* input table (with ε for
 the duplicate-eliminating variant).
+
+A statement is atomic: :func:`run_statement` commits the write
+transactions its update clauses opened when the query finishes and rolls
+them all back when anything raises.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ class QueryState:
     Holds the current source graph (switchable by Cypher 10's FROM GRAPH),
     the catalog of named graphs, query parameters, the function registry
     and the morphism configuration.  ``result_graphs`` accumulates graphs
-    produced by RETURN GRAPH.
+    produced by RETURN GRAPH.  ``transactions`` holds the statement's
+    write transactions, one per graph it writes.
     """
 
     def __init__(
@@ -40,6 +45,7 @@ class QueryState:
         self.functions = functions
         self.morphism = morphism
         self.result_graphs = {}
+        self.transactions = {}
         self._evaluators = {}
 
     def evaluator(self):
@@ -53,9 +59,43 @@ class QueryState:
             self._evaluators[key] = evaluator
         return evaluator
 
+    def transaction(self):
+        """The statement's write transaction on the *current* graph.
+
+        Opened by the first update clause that writes this graph (keyed
+        like the evaluators, because FROM GRAPH can switch graphs) and
+        closed only by :func:`run_statement`.
+        """
+        key = id(self.graph)
+        transaction = self.transactions.get(key)
+        if transaction is None:
+            transaction = self.graph.write_transaction()
+            self.transactions[key] = transaction
+        return transaction
+
     def switch_graph(self, name, uri=None):
         """FROM GRAPH: make a catalog graph the current source graph."""
         self.graph = self.catalog.resolve(name=name, uri=uri)
+
+
+def run_statement(query, state):
+    """``output(Q, G)`` as one atomic statement.
+
+    Commits every write transaction the query opened (one version bump
+    per written graph) once its table is complete; on any exception
+    rolls them all back, so a failing statement leaves each graph, its
+    indexes, version and id counters exactly as before it.
+    """
+    transactions = state.transactions.values()
+    try:
+        table = run_query(query, state)
+        for transaction in transactions:
+            transaction.commit()
+    except BaseException:
+        for transaction in transactions:
+            transaction.rollback()
+        raise
+    return table
 
 
 def run_query(query, state, table=None):
@@ -92,4 +132,4 @@ def _reorder(row, fields):
 def output(query, graph, parameters=None, morphism=EDGE_ISOMORPHISM):
     """``output(Q, G)``: parse nothing, just run an AST query on a graph."""
     state = QueryState(graph, parameters=parameters, morphism=morphism)
-    return run_query(query, state)
+    return run_statement(query, state)

@@ -15,9 +15,12 @@ Neo4j's documented behaviour for the constructs the paper describes:
 
 All mutation goes through the store's :class:`StoreTransaction` — the
 same change-buffer kernel the planner's physical write operators drive
-(:mod:`repro.planner.physical`) — one transaction per clause here, so
-the version bump and cache invalidation happen once per clause instead
-of once per touched entity.  The per-row logic in this module is the
+(:mod:`repro.planner.physical`) — one transaction per statement, held by
+the query state and committed or rolled back by
+:func:`~repro.semantics.query.run_statement`, so a failing statement
+leaves nothing behind and a successful one bumps the version once.
+Each clause flushes its buffered deletes when it ends, so deletes stay
+two-phase per clause.  The per-row logic in this module is the
 *reference* semantics the slotted write pipeline is cross-checked
 against.
 """
@@ -37,13 +40,9 @@ def apply_update(clause, table, state):
     dispatch = _DISPATCH.get(type(clause))
     if dispatch is None:
         raise CypherSemanticError("not an update clause: %r" % (clause,))
-    transaction = state.graph.write_transaction()
-    try:
-        result = dispatch(clause, table, state, transaction)
-    except BaseException:
-        transaction.abandon()
-        raise
-    transaction.commit()
+    transaction = state.transaction()
+    result = dispatch(clause, table, state, transaction)
+    transaction.flush()
     return result
 
 

@@ -595,10 +595,11 @@ def indexed_update_queries(draw):
     """
     extra = st.sampled_from(
         [
-            "MATCH (a:A) WITH a ORDER BY a.name SET a.v = a.v",
-            "MATCH (a:A) WITH a ORDER BY a.name SET a.v = 'now-a-string'",
-            "MATCH (a:B) WITH a ORDER BY a.name SET a.v = [a.v]",
-            "MATCH (a:C) WITH a ORDER BY a.name SET a:A",
+            "MATCH (a:A) WITH a ORDER BY a.name, id(a) SET a.v = a.v",
+            "MATCH (a:A) WITH a ORDER BY a.name, id(a) "
+            "SET a.v = 'now-a-string'",
+            "MATCH (a:B) WITH a ORDER BY a.name, id(a) SET a.v = [a.v]",
+            "MATCH (a:C) WITH a ORDER BY a.name, id(a) SET a:A",
             "MATCH (a:A) WHERE a.v = 1 REMOVE a:A",
             "UNWIND [0, 1] AS v MERGE (n:A {v: v}) ON MATCH SET n.hit = 1",
             "MATCH (a:A) WHERE a.v IN [0, 1] DETACH DELETE a",
@@ -615,12 +616,15 @@ def indexed_update_queries(draw):
 
 
 #: Driving prefixes with a pinned row order (ids must allocate alike).
+#: The trailing ids make the order total: rows tied on the names (all
+#: null, say) would otherwise come in each executor's own order.
 ordered_node_driver = st.sampled_from(
     [
-        "MATCH (a:A) WITH a ORDER BY a.name ",
-        "MATCH (a:B) WITH a ORDER BY a.name ",
-        "MATCH (a) WITH a ORDER BY a.name ",
-        "MATCH (a:B)-[:R|S]->(x) WITH a ORDER BY a.name, x.name ",
+        "MATCH (a:A) WITH a ORDER BY a.name, id(a) ",
+        "MATCH (a:B) WITH a ORDER BY a.name, id(a) ",
+        "MATCH (a) WITH a ORDER BY a.name, id(a) ",
+        "MATCH (a:B)-[:R|S]->(x) WITH a "
+        "ORDER BY a.name, x.name, id(a), id(x) ",
     ]
 )
 
@@ -682,7 +686,8 @@ def set_remove_queries(draw):
     target = draw(st.sampled_from(["node", "rel"]))
     if target == "rel":
         driver = (
-            "MATCH (x)-[r:R]->(y) WITH x, r, y ORDER BY x.name, y.name "
+            "MATCH (x)-[r:R]->(y) WITH x, r, y "
+            "ORDER BY x.name, y.name, id(r) "
         )
         body = draw(
             st.sampled_from(
@@ -843,11 +848,11 @@ def committed_statements(script):
 def apply_script(engine, script, mode=None):
     """Replay a transaction script through one engine's session API.
 
-    Statement errors don't abort the script: a failing statement keeps
-    its partially applied changes (the engine's documented
-    partial-failure semantics) and the transaction carries on to its
-    commit or rollback — exactly what :func:`committed_statements`'s
-    auto-commit baseline reproduces by also continuing past errors.
+    Statement errors don't abort the script: a failing statement rolls
+    back its own changes (every statement is atomic) and the
+    transaction carries on to its commit or rollback — exactly what
+    :func:`committed_statements`'s auto-commit baseline reproduces by
+    also continuing past errors.
     """
     from repro.exceptions import CypherError
 

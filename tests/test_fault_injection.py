@@ -14,7 +14,10 @@ update corpus's shapes: create, set, remove, merge, delete, label flips
   counters must all be byte-identical to never having run.
 
 Sweeping *k* over every site proves the undo log is correct from any
-interior crash point — not just at statement boundaries.
+interior crash point — not just at statement boundaries.  A second
+sweep runs the workload as auto-committed statements: a crash there
+rolls back only the statement it hit, so the store must equal the one
+the statements before it left.
 """
 
 import pytest
@@ -56,6 +59,20 @@ def run_workload(graph):
         session.commit()
 
 
+def run_autocommitted(graph, mode=None):
+    """The workload as auto-committed statements; returns how many ran.
+
+    Stops at the first statement that raises :class:`InjectedFault`.
+    """
+    engine = CypherEngine(graph)
+    for done, statement in enumerate(WORKLOAD):
+        try:
+            engine.run(statement, mode=mode)
+        except InjectedFault:
+            return done
+    return len(WORKLOAD)
+
+
 def store_fingerprint(graph):
     """Everything rollback must restore: data, indexes, counters."""
     return (
@@ -67,13 +84,13 @@ def store_fingerprint(graph):
     )
 
 
-def trace_sites():
+def trace_sites(run=run_workload):
     """Pass 1: count the mutation sites the workload reaches."""
     graph = indexed_fixture_graph()
     injector = FaultInjector()
     graph.install_fault_injector(injector)
     try:
-        run_workload(graph)
+        run(graph)
     finally:
         graph.install_fault_injector(None)
     return injector
@@ -182,3 +199,52 @@ class TestInjectorMechanics:
         first = FaultInjector()
         assert graph.install_fault_injector(first) is None
         assert graph.install_fault_injector(None) is first
+
+
+def prefix_fingerprints(mode):
+    """``[k]``: the store after only the first *k* statements committed."""
+    graph = indexed_fixture_graph()
+    engine = CypherEngine(graph)
+    prints = [store_fingerprint(graph)]
+    for statement in WORKLOAD:
+        engine.run(statement, mode=mode)
+        prints.append(store_fingerprint(graph))
+    return prints
+
+
+AUTOCOMMIT_TRACE = trace_sites(run_autocommitted)
+INTERPRETER_TRACE = trace_sites(
+    lambda graph: run_autocommitted(graph, "interpreter")
+)
+PREFIXES = {mode: prefix_fingerprints(mode) for mode in (None, "interpreter")}
+
+
+class TestCrashEverySiteAutocommitted:
+    """Without a session, a crash unwinds exactly the statement it hit."""
+
+    def crash(self, ordinal, mode):
+        graph = indexed_fixture_graph()
+        injector = FaultInjector(arm_at=ordinal)
+        graph.install_fault_injector(injector)
+        try:
+            done = run_autocommitted(graph, mode)
+        finally:
+            graph.install_fault_injector(None)
+        assert injector.fired is not None and done < len(WORKLOAD)
+        assert store_fingerprint(graph) == PREFIXES[mode][done], (
+            "crash at site #%d (%s) in statement %d was not unwound"
+            % (ordinal, injector.fired[0], done)
+        )
+        assert_indexes_consistent(graph)
+
+    @pytest.mark.parametrize(
+        "ordinal", range(1, AUTOCOMMIT_TRACE.total + 1)
+    )
+    def test_crash_leaves_the_statements_before_it(self, ordinal):
+        self.crash(ordinal, None)
+
+    @pytest.mark.parametrize("ordinal", (1, INTERPRETER_TRACE.total))
+    def test_interpreter_crash_leaves_the_statements_before_it(
+        self, ordinal
+    ):
+        self.crash(ordinal, "interpreter")

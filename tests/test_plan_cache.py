@@ -412,7 +412,7 @@ class TestHasLabelNodes:
     def test_live_store_including_in_transaction_changes(self):
         graph = MemoryGraph()
         self.agree(graph)
-        transaction = graph.write_transaction(record_undo=True)
+        transaction = graph.write_transaction()
         node = transaction.create_node(["A"], {"v": 1})
         assert graph.has_label_nodes("A")  # visible before the commit
         self.agree(graph)

@@ -20,6 +20,7 @@ The session contract under test (PR 6):
 import pytest
 
 from repro.exceptions import (
+    CypherError,
     CypherSyntaxError,
     EngineOverloadedError,
     TransactionError,
@@ -345,3 +346,69 @@ class TestSessionWithoutTransaction:
             session.run("CREATE (:Solo)")
         assert count_nodes(engine, ":Solo") == 1
         assert engine.graph.version == before + 1
+
+
+#: Statements that write, then raise in a later clause.  The second
+#: writes in two update clauses, so a clause-boundary commit would leave
+#: the ``:A`` behind.
+FAILING_STATEMENTS = (
+    "CREATE (p:Person) WITH p UNWIND [1, 0] AS x RETURN 1 / x AS y",
+    "CREATE (:A) WITH 1 AS one UNWIND [1, 0] AS x CREATE (:B {v: 1 / x})",
+)
+
+ATOMIC_MODES = (
+    "interpreter",
+    pytest.param("auto", marks=pytest.mark.smoke),
+    "row",
+)
+
+
+def store_fingerprint(graph):
+    """Contents, indexes, version, schema epoch and id counters."""
+    return (
+        graph_state(graph),
+        {pair: graph.index_snapshot(*pair) for pair in graph.indexes()},
+        graph.version,
+        graph.schema_version,
+        (graph._next_node_id, graph._next_rel_id),
+    )
+
+
+class TestStatementAtomicity:
+    """A statement that raises leaves the store exactly as before it."""
+
+    @pytest.mark.parametrize("statement", FAILING_STATEMENTS)
+    @pytest.mark.parametrize("mode", ATOMIC_MODES)
+    def test_failed_autocommit_statement_leaves_nothing(
+        self, mode, statement
+    ):
+        engine = indexed_engine()
+        before = store_fingerprint(engine.graph)
+        with pytest.raises(CypherError):
+            engine.run(statement, mode=mode)
+        assert store_fingerprint(engine.graph) == before
+        assert_indexes_consistent(engine.graph)
+
+    @pytest.mark.parametrize("statement", FAILING_STATEMENTS)
+    @pytest.mark.parametrize("mode", ATOMIC_MODES)
+    def test_failed_statement_in_session_keeps_earlier_ones(
+        self, mode, statement
+    ):
+        def transaction(engine, failing):
+            with engine.session() as session:
+                session.begin()
+                session.run("CREATE (:Kept {v: 1})", mode=mode)
+                if failing:
+                    before = store_fingerprint(engine.graph)
+                    with pytest.raises(CypherError):
+                        session.run(statement, mode=mode)
+                    assert store_fingerprint(engine.graph) == before
+                session.run("MATCH (k:Kept) SET k.v = 2", mode=mode)
+                session.commit()
+            return store_fingerprint(engine.graph)
+
+        engine = indexed_engine()
+        baseline = transaction(indexed_engine(), False)
+        assert transaction(engine, True) == baseline
+        assert count_nodes(engine, ":Kept") == 1
+        assert_indexes_consistent(engine.graph)

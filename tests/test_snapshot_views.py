@@ -309,7 +309,7 @@ class TestViewDifferential:
                     try:
                         writer.run(step[1])
                     except CypherError:
-                        pass  # partial changes stay, like apply_script
+                        pass  # the statement rolled back, like apply_script
                 elif step[0] == "commit":
                     writer.commit()
                 else:
@@ -515,7 +515,7 @@ class TestWritesUnderAPinPreserveEntitiesOnly:
                 rel_type: _NoScanSet(rels)
                 for rel_type, rels in graph._type_index.items()
             }
-            transaction = graph.write_transaction(record_undo=True)
+            transaction = graph.write_transaction()
             a = transaction.create_node(("A", "Fresh"), {"v": 1})
             b, c = transaction.create_nodes(("B",), [{"v": 2}, {"v": 3}])
             r = transaction.create_relationship(a, b, "R", {"w": 1})

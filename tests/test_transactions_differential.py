@@ -99,7 +99,7 @@ class TestScriptedSessions:
             try:
                 engine.run(statement)
             except CypherError:
-                # identical partial-failure semantics, statement by
+                # a failing statement is atomic in both, statement by
                 # statement — the state comparison holds them to it
                 pass
         assert graph_state(scripted) == graph_state(baseline), script

@@ -9,7 +9,7 @@ Three layers under test:
   same clause;
 * **store** — :class:`StoreTransaction`: deferred deletes in
   relationship-before-node order, the single version bump per commit,
-  abandon() after errors;
+  rollback() after errors;
 * **engine** — update queries execute on the planner, and a write
   statement invalidates its own cached plan exactly once per execution
   (observable through the hit/miss counters in ``explain_info``).
@@ -284,15 +284,15 @@ class TestStoreTransaction:
         graph.write_transaction().commit()
         assert graph.version == before
 
-    def test_abandon_keeps_applied_changes_and_bumps(self):
+    def test_rollback_discards_applied_changes_without_bump(self):
         graph = MemoryGraph()
         before = graph.version
         transaction = graph.write_transaction()
         node = transaction.create_node(("N",), None)
-        transaction.delete_node(node)  # pending, dropped by abandon
-        transaction.abandon()
-        assert graph.has_node(node)
-        assert graph.version == before + 1
+        transaction.delete_node(node)  # pending, dropped by rollback
+        transaction.rollback()
+        assert not graph.has_node(node)
+        assert graph.version == before
 
     def test_label_scan_correct_inside_transaction(self):
         """Unversioned label changes must not serve stale scan caches."""
@@ -308,10 +308,11 @@ class TestStoreTransaction:
 
     @pytest.mark.parametrize("mode", ["interpreter", "planner"])
     def test_bulk_create_partial_failure_parity(self, mode):
-        """A mid-batch validation error leaves the prefix, both paths.
+        """A mid-batch validation error leaves nothing, both paths.
 
-        The failing row must not leak a phantom half-node or burn the
-        id counter: the next create gets the next free id.
+        The statement is atomic: the created prefix rolls back with the
+        failing row, and no id is burnt — the next create gets the
+        first id.
         """
         engine = CypherEngine(MemoryGraph())
         with pytest.raises(ValueError):
@@ -321,10 +322,9 @@ class TestStoreTransaction:
                 mode=mode,
             )
         graph = engine.graph
-        assert graph.node_count() == 1  # row 1 landed, row 2 did not
-        assert [graph.properties(n) for n in graph.nodes()] == [{"v": 1}]
+        assert graph.node_count() == 0
         engine.run("CREATE (:After)", mode=mode)
-        assert sorted(n.value for n in graph.nodes()) == [1, 2]
+        assert sorted(n.value for n in graph.nodes()) == [1]
 
     def test_delete_value_collects_paths_and_lists(self):
         engine = CypherEngine(_seed_graph())
