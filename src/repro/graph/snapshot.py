@@ -233,6 +233,11 @@ class SnapshotGraph(PropertyGraph):
         self._then_labels = (0, {})
         self._then_types = (0, {})
         self._delta_indexes = {}
+        #: id(plan) -> (plan, {variant: [pipeline]}): the executors park
+        #: a read's pipeline for this view here, not on the plan, so it
+        #: never displaces the live store's; the session clears it when
+        #: it releases the pin.
+        self.parked_pipelines = {}
 
     @property
     def version(self):

@@ -959,13 +959,6 @@ class MemoryGraph(PropertyGraph):
     #: row-wise execution.
     supports_bulk_scans = True
 
-    #: The executors park a plan's compiled pipeline only on a graph that
-    #: declares itself long-lived: an object that keeps its identity
-    #: across statements and moves :attr:`schema_version` whenever it
-    #: replaces an index object (closures hold those).  Per-pin
-    #: ``SnapshotGraph`` views do not declare it.
-    long_lived = True
-
     def __init__(self):
         self._version = 0  # bumped on every mutation; invalidates cached statistics
         self._schema_version = 0  # bumped when the set of indexes may have changed

@@ -97,6 +97,7 @@ from repro.planner.physical import (
     TOPK_STATS,
     acquire_pipeline,
     park_pipeline,
+    _access_record,
     _bound_value,
     _compile_conflicts,
     _compile_node_conflicts,
@@ -105,6 +106,7 @@ from repro.planner.physical import (
     _index_ordered_probe,
     _index_probe,
     _index_range_probe,
+    _reachability_entry,
 )
 from repro.planner.slots import SlotMap
 from repro.semantics.compile import MISSING, ColumnCompiler, select_columns
@@ -190,14 +192,13 @@ def execute_plan_batched(
     def compile_plan(slots):
         context = BatchContext(
             graph, parameters, functions, morphism, slots, morsel_size,
-            access_log, cancel,
+            None if access_log is None else [], cancel,
         )
         return context, _compile(plan, context)
 
     pipeline = acquire_pipeline(
-        plan, "_batch_pipeline", graph, (functions, morphism, morsel_size),
-        parameters, access_log is not None or cancel is not None,
-        compile_plan,
+        plan, graph, ("batch", cancel is not None, access_log is not None),
+        (functions, morphism, morsel_size), parameters, cancel, compile_plan,
     )
     fields = plan.fields
     field_slots = pipeline.field_slots
@@ -212,7 +213,7 @@ def execute_plan_batched(
                 value = col[index] if col is not None else None
                 record[field] = None if value is MISSING else value
             append(record)
-    park_pipeline(plan, "_batch_pipeline", pipeline)
+    park_pipeline(plan, pipeline, access_log)
     return Table(fields, rows)
 
 
@@ -332,21 +333,12 @@ def _compile_scan(op, ctx, source_of, granted_label=None, published=None):
     return run
 
 
-def _profiled_batch_scan(ctx, op, entry, run, **tallies):
+def _profiled_batch_scan(ctx, op, entry, run, variable=None, **tallies):
     """Morsel-level emitted-row counter, matching the row engine's
     (``tallies``: live counters the scan's record also shows)."""
-    log = ctx.access_log
-    if log is None:
+    if ctx.access_log is None:
         return run
-    record = {
-        "operator": type(op).__name__,
-        "variable": op.variable,
-        "entry": entry,
-        "estimated_rows": getattr(op, "estimated_rows", None),
-        "actual_rows": 0,
-        **tallies,
-    }
-    log.append(record)
+    record = _access_record(ctx, op, entry, variable, **tallies)
 
     def counted(argument):
         for batch in run(argument):
@@ -984,28 +976,9 @@ def _compile_reachability_probe(op, ctx):
                     out[rel_slot] = [list(entry[3]) for entry in block]
                 yield len(block), out, None
 
-    log = ctx.access_log
-    if log is None:
-        return run
-    record = {
-        "operator": type(op).__name__,
-        "variable": op.to_variable,
-        "entry": "reachability probe %s (%s)" % (
-            "<any>" if op.index_types is None
-            else ":" + "|".join(op.index_types),
-            "forward" if op.forward else "reverse",
-        ),
-        "estimated_rows": op.estimated_rows,
-        "actual_rows": 0,
-    }
-    log.append(record)
-
-    def counted(argument):
-        for batch in run(argument):
-            record["actual_rows"] += batch[0]
-            yield batch
-
-    return counted
+    return _profiled_batch_scan(
+        ctx, op, _reachability_entry(op), run, op.to_variable
+    )
 
 
 # ---------------------------------------------------------------------------

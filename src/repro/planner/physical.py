@@ -21,8 +21,10 @@ flows:
   is cheap.
 
 The compiled pipeline is kept with the plan object: a cached plan
-compiles on its first execution and every later one is take → bind →
-run → park (:func:`execute_plan`, :func:`acquire_pipeline`).
+compiles on its first read and every later one is take → bind → run →
+park (:func:`execute_plan`, :func:`acquire_pipeline`) — armed, profiled
+and snapshot-view reads included; only an updating statement compiles
+per execution.
 
 Rows convert to dict records only at the Table boundary.  The physical
 semantics of every operator matches the reference interpreter; the
@@ -61,16 +63,14 @@ from repro.values.path import Path
 
 
 #: Observable pipeline counters (plain integer adds at take/park, nothing
-#: per row), over the executions that may keep their pipeline — views,
-#: updates, profiled and cancellable runs always compile and count
-#: nowhere: ``compiled`` counts executions that built their closure tree
-#: (first runs, invalidated and contended takes), ``reused`` the ones
-#: that took the plan's parked pipeline, and ``contended`` the takes
-#: that found the slot of a plan that has one empty — another thread, or
-#: a re-entrant run of the same text, was using it.  ``contended`` is
-#: the number that says whether one slot per plan is enough under real
-#: threads.  The adds are unsynchronised: under threads a count can be
-#: lost, a pipeline never.
+#: per row).  Every planned execution counts once: ``compiled`` if it
+#: built its closure tree (first runs of a variant, invalidated and
+#: contended takes, every update), ``reused`` if it took a parked
+#: pipeline.  ``contended`` counts the takes that found a variant's slot
+#: empty after it had parked once — another thread, or a re-entrant run
+#: of the same text, was using it — and says whether one slot per
+#: variant is enough under real threads.  The adds are unsynchronised:
+#: under threads a count can be lost, a pipeline never.
 PIPELINE_STATS = {"compiled": 0, "reused": 0, "contended": 0}
 
 
@@ -92,8 +92,8 @@ class ExecutionContext:
         self.graph = graph
         #: A :class:`~repro.runtime.cancel.Cancellation` or None.  When
         #: set, :func:`_compile` wraps every operator with a strided
-        #: check — compile-time specialisation, so the cancel-free hot
-        #: path pays nothing.
+        #: check, so the cancel-free hot path pays nothing; a parked armed
+        #: pipeline keeps the object and :meth:`rebind` re-arms it.
         self.cancel = cancel
         self.evaluator = Evaluator(
             graph, parameters, functions, morphism or EDGE_ISOMORPHISM
@@ -105,9 +105,11 @@ class ExecutionContext:
         self.compiler = ExpressionCompiler(
             self.evaluator, self.slots, read_only=read_only
         )
-        #: When profiling, a caller-owned list each scan operator appends
-        #: its access-path record to: ``{"operator", "variable", "entry",
-        #: "estimated_rows", "actual_rows"}``.  None (the default) keeps
+        #: When profiling, the list each scan operator appends its
+        #: access-path record to at compile time: ``{"operator",
+        #: "variable", "entry", "estimated_rows", "actual_rows"}``, plus
+        #: live tallies.  The pipeline owns the records; a run's caller
+        #: gets copies (:func:`park_pipeline`).  None (the default) keeps
         #: the hot path completely free of counting.
         self.access_log = access_log
         self._transaction = None
@@ -131,31 +133,39 @@ class ExecutionContext:
             self._transaction = self.graph.write_transaction()
         return self._transaction
 
-    def rebind(self, parameters):
+    def rebind(self, parameters, cancel=None):
         """Bind a released context to its next execution.
 
         The evaluator's own parameter dict is updated in place — the
         compiled closures hold that dict and read it at run time; it was
         cleared at :meth:`release`, so a ``$p`` this execution leaves
         unbound raises ``ParameterNotBound`` instead of seeing the
-        previous run's value.
+        previous run's value.  An armed context's compiled
+        ``Cancellation`` takes this run's deadline and token.
         """
         if parameters:
             self.evaluator.parameters.update(parameters)
+        if cancel is not None:
+            self.cancel.arm(cancel.deadline, cancel.token)
 
     def release(self):
         """Drop everything the finished execution left in the context.
 
-        Parameters, aggregate overrides and every value memo the
+        Parameters, aggregate overrides, the cancellation's deadline and
+        token, the access records' counts and every value memo the
         compilers registered.  The memo reset is the one rule that is
         about correctness, not memory: the row engine's property memo
         compares ``NodeId`` identity, the store's scan lists hand out
         the same objects run after run, and a write may land between two
-        runs.  After this the context references no row, morsel, column
-        or result of the execution.
+        runs.  After this the context references no row, morsel, column,
+        token or result of the execution.
         """
         self.evaluator.parameters.clear()
         self.evaluator.aggregate_values.clear()
+        if self.cancel is not None:
+            self.cancel.arm()
+        for record in self.access_log or ():
+            record["actual_rows"] = 0
         for reset in self.compiler.memo_resets:
             reset()
 
@@ -163,54 +173,73 @@ class ExecutionContext:
 class Pipeline:
     """One plan compiled for one store: context, closure tree, outputs.
 
-    ``key`` is what the pipeline is valid for beyond ``graph`` — None on
-    a pipeline that is never parked.
+    ``variant`` is the slot the pipeline parks in — None on one that is
+    never parked — and ``key`` what it is valid for beyond ``graph``.
     """
 
-    __slots__ = ("graph", "key", "context", "source", "field_slots")
+    __slots__ = ("graph", "variant", "key", "context", "source", "field_slots")
 
-    def __init__(self, graph, key, context, source, field_slots):
+    def __init__(self, graph, variant, key, context, source, field_slots):
         self.graph = graph
+        self.variant = variant
         self.key = key
         self.context = context
         self.source = source
         self.field_slots = field_slots
 
 
+def _parking(plan, graph):
+    """The ``{variant: [pipeline]}`` dict ``plan`` parks in on ``graph``.
+
+    A graph that keeps its own ``parked_pipelines`` (a per-pin
+    ``SnapshotGraph`` view, keyed by plan identity) holds its pipelines
+    itself, so they never displace the ones parked for its live store.
+    Every other graph parks on the plan object, so whatever drops the
+    plan — LRU, schema-epoch or drift eviction — drops the closures with
+    it.
+    """
+    owned = getattr(graph, "parked_pipelines", None)
+    if owned is None:
+        parking = getattr(plan, "_parked", None)
+        if parking is None:
+            parking = {}
+            object.__setattr__(plan, "_parked", parking)
+        return parking
+    entry = owned.get(id(plan))
+    if entry is None:
+        # The entry holds the plan, so its id is not reused while it lives.
+        entry = owned[id(plan)] = (plan, {})
+    return entry[1]
+
+
 def acquire_pipeline(
-    plan, attribute, graph, key, parameters, specialised, compile_plan,
+    plan, graph, variant, key, parameters, cancel, compile_plan,
 ):
-    """Take → bind the plan's parked pipeline, or compile a fresh one.
+    """Take → bind a parked pipeline of ``variant``, or compile a fresh one.
 
-    The plan object owns one slot per engine (``attribute`` names it; a
-    one-element list beside the ``_batch_supported`` and slot-name
-    memos), so whatever drops the plan — LRU, schema-epoch or drift
-    eviction — drops the closures with it, and no other cache or
-    invalidation rule exists.
+    ``variant`` names the slot — the engine, whether the run is armed
+    (``cancel``) and whether it is profiled — or is None for an
+    execution that may not park: an update, whose write operators
+    capture the statement's transaction.  Armed-ness is part of the
+    variant, so an unarmed run never takes a pipeline compiled with
+    cancellation checks; a profiled one keeps its scan records.
 
-    A parked pipeline is valid for exactly the store object it was
+    A parked pipeline is valid for exactly the graph object it was
     compiled against at the schema epoch it was compiled in (closures
     hold index objects; every path that replaces one moves
     ``schema_version``) plus ``key`` — the engine's functions, morphism
-    and whatever else its compile specialises on.  The check runs on
-    every take; a mismatch drops the pipeline and compiles as a first
-    execution would.  Only a graph that declares itself ``long_lived``
-    parks at all: a per-pin ``SnapshotGraph`` view neither takes nor
-    parks, so it never disturbs the pipeline parked for its live store.
-    ``specialised`` executions do not either: profiling and cancellation
-    compile counters and checks *into* the closures, and an update's
-    write operators capture the statement's transaction.
+    and whatever else its compile depends on.  The check runs on every
+    take; a mismatch drops the pipeline and compiles as a first
+    execution would.  Where a variant parks is :func:`_parking`'s rule.
 
-    Take is ``list.pop()`` and park is a slice assignment on the same
-    list, both atomic under the GIL: a concurrent or re-entrant run of
-    the same plan finds the slot empty, compiles its own pipeline and
-    offers it back.  No lock, and no execution ever waits for another.
+    Take is ``list.pop()`` and park replaces the variant's list, both
+    atomic under the GIL: a concurrent or re-entrant run of the same
+    plan finds the slot empty, compiles its own pipeline and offers it
+    back.  No lock, and no execution ever waits for another.
     """
-    if specialised or not getattr(graph, "long_lived", False):
-        key = None
-    else:
+    if variant is not None:
         key = (graph.schema_version,) + key
-        slot = getattr(plan, attribute, None)
+        slot = _parking(plan, graph).get(variant)
         if slot is not None:
             try:
                 pipeline = slot.pop()
@@ -219,30 +248,36 @@ def acquire_pipeline(
             else:
                 if pipeline.graph is graph and pipeline.key == key:
                     PIPELINE_STATS["reused"] += 1
-                    pipeline.context.rebind(parameters)
+                    pipeline.context.rebind(parameters, cancel)
                     return pipeline
-        PIPELINE_STATS["compiled"] += 1
+    PIPELINE_STATS["compiled"] += 1
     slots = SlotMap.from_plan(plan)
     context, source = compile_plan(slots)
     field_slots = [slots[field] for field in plan.fields]
-    return Pipeline(graph, key, context, source, field_slots)
+    return Pipeline(graph, variant, key, context, source, field_slots)
 
 
-def park_pipeline(plan, attribute, pipeline):
-    """Release a pipeline whose execution completed and keep it.
+def park_pipeline(plan, pipeline, access_log):
+    """Finish an execution that completed: report, release, keep.
 
-    Called only after a clean finish: a run that raised keeps nothing,
-    so the next one compiles from scratch exactly as before.  A pipeline
-    acquired for an execution that may not park is simply dropped.
+    ``access_log`` (the caller's list, or None) receives copies of the
+    pipeline's access records, so a result's ``access_paths`` never
+    moves when a later run of the plan executes.  Called only after a
+    clean finish: a run that raised keeps nothing, so the next one
+    compiles from scratch exactly as before.  A pipeline that may not
+    park is simply dropped.
     """
-    if pipeline.key is None:
+    context = pipeline.context
+    if access_log is not None:
+        access_log.extend(
+            {name: value.copy() if type(value) is dict else value
+             for name, value in record.items()}
+            for record in context.access_log
+        )
+    if pipeline.variant is None:
         return
-    pipeline.context.release()
-    slot = getattr(plan, attribute, None)
-    if slot is None:
-        slot = []
-        object.__setattr__(plan, attribute, slot)
-    slot[:] = (pipeline,)
+    context.release()
+    _parking(plan, pipeline.graph)[pipeline.variant] = [pipeline]
 
 
 def execute_plan(
@@ -254,13 +289,13 @@ def execute_plan(
     A warm ``read_only`` execution is **take → bind → run → park**: the
     plan's parked pipeline (slot map, context, closure tree — see
     :func:`acquire_pipeline` for when one is valid) is bound to this
-    call's parameters, drained, released and parked again.  Without one
-    the plan is compiled first, exactly once, by the same
-    :func:`_compile` and drained by the same loop; the two differ only
-    in whether the result is kept.  ``read_only`` is the caller's
+    call's parameters and cancellation, drained, released and parked
+    again.  Without one the plan is compiled first, exactly once, by the
+    same :func:`_compile` and drained by the same loop; the two differ
+    only in whether the result is kept.  ``read_only`` is the caller's
     statement that no operator mutates the store (the engine passes it
     for every non-updating statement); anything else compiles per
-    execution, as every execution used to.
+    execution.
 
     If the plan contains write operators, their shared store transaction
     commits after the last row (single version bump); any exception —
@@ -272,15 +307,16 @@ def execute_plan(
     """
     def compile_plan(slots):
         context = ExecutionContext(
-            graph, parameters, functions, morphism, slots, access_log,
-            cancel, read_only,
+            graph, parameters, functions, morphism, slots,
+            None if access_log is None else [], cancel, read_only,
         )
         return context, _compile(plan, context)
 
     pipeline = acquire_pipeline(
-        plan, "_row_pipeline", graph, (functions, morphism), parameters,
-        access_log is not None or cancel is not None or not read_only,
-        compile_plan,
+        plan, graph,
+        ("row", cancel is not None, access_log is not None)
+        if read_only else None,
+        (functions, morphism), parameters, cancel, compile_plan,
     )
     context = pipeline.context
     fields = plan.fields
@@ -299,7 +335,7 @@ def execute_plan(
         if context._transaction is not None:
             context._transaction.rollback()
         raise
-    park_pipeline(plan, "_row_pipeline", pipeline)
+    park_pipeline(plan, pipeline, access_log)
     return Table(fields, rows)
 
 
@@ -493,24 +529,35 @@ def _compile_node_conflicts(ctx, unique_nodes, unique_segments):
 
 # -- node sources -----------------------------------------------------------
 
-def _profiled_scan(ctx, op, entry, run):
+def _access_record(ctx, op, entry, variable=None, **tallies):
+    """Append ``op``'s access-path record to the context's log.
+
+    ``tallies`` are live counters the record also shows; like
+    ``actual_rows`` they start every run at zero (a tally belongs to a
+    memo its scan resets).
+    """
+    record = {
+        "operator": type(op).__name__,
+        "variable": op.variable if variable is None else variable,
+        "entry": entry,
+        "estimated_rows": getattr(op, "estimated_rows", None),
+        "actual_rows": 0,
+        **tallies,
+    }
+    ctx.access_log.append(record)
+    return record
+
+
+def _profiled_scan(ctx, op, entry, run, variable=None):
     """Wrap a scan in an emitted-row counter when profiling is on.
 
     ``entry`` names the chosen access path (index vs label scan — the
     cost model's observable decision).  Without an access log the run
     closure is returned untouched, so normal executions pay nothing.
     """
-    log = ctx.access_log
-    if log is None:
+    if ctx.access_log is None:
         return run
-    record = {
-        "operator": type(op).__name__,
-        "variable": op.variable,
-        "entry": entry,
-        "estimated_rows": getattr(op, "estimated_rows", None),
-        "actual_rows": 0,
-    }
-    log.append(record)
+    record = _access_record(ctx, op, entry, variable)
 
     def counted(argument):
         for row in run(argument):
@@ -1128,28 +1175,17 @@ def _compile_reachability_probe(op, ctx):
             for out in results:
                 yield out
 
-    log = ctx.access_log
-    if log is None:
-        return run
-    record = {
-        "operator": type(op).__name__,
-        "variable": op.to_variable,
-        "entry": "reachability probe %s (%s)" % (
-            "<any>" if op.index_types is None
-            else ":" + "|".join(op.index_types),
-            "forward" if op.forward else "reverse",
-        ),
-        "estimated_rows": op.estimated_rows,
-        "actual_rows": 0,
-    }
-    log.append(record)
+    return _profiled_scan(
+        ctx, op, _reachability_entry(op), run, op.to_variable
+    )
 
-    def counted(argument):
-        for row in run(argument):
-            record["actual_rows"] += 1
-            yield row
 
-    return counted
+def _reachability_entry(op):
+    """The access-path name a profiled ReachabilityProbe reports."""
+    return "reachability probe %s (%s)" % (
+        "<any>" if op.index_types is None else ":" + "|".join(op.index_types),
+        "forward" if op.forward else "reverse",
+    )
 
 
 def _compile_project_path(op, ctx):

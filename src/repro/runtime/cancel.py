@@ -10,6 +10,13 @@ row).  When a check fires, :class:`~repro.exceptions.QueryTimeout` or
 :class:`~repro.exceptions.QueryCancelled` propagates; the executors
 catch the interruption, roll the statement's write transaction back
 atomically, and re-raise — an interrupted write is as if it never ran.
+
+The checks are compiled into an armed read's pipeline, which is parked
+and taken again like any other: each run re-arms the compiled object
+with its own deadline and token (:meth:`Cancellation.arm`, which also
+restarts the stride), and the release after it disarms it, so a parked
+pipeline holds no token and an earlier run's deadline is never the one
+checked.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ class Cancellation:
     __slots__ = ("deadline", "token", "_countdown")
 
     def __init__(self, deadline=None, token=None):
+        self.arm(deadline, token)
+
+    def arm(self, deadline=None, token=None):
+        """Bind to one statement (no arguments disarm); restart the stride."""
         self.deadline = deadline  # monotonic() timestamp or None
         self.token = token
         self._countdown = CHECK_STRIDE

@@ -204,7 +204,9 @@ class CypherEngine:
         every scan operator's access path — chosen entry (index vs label
         scan), estimated and actual rows — in
         :attr:`QueryResult.access_paths`.  Profiling adds a per-row
-        counter to the scans, so it is off by default.
+        counter to the scans, so it is off by default; a profiled read
+        parks and reuses its own pipeline, and each result holds copies
+        of its run's records.
 
         ``timeout`` (seconds) / ``deadline`` (absolute
         :func:`time.monotonic` timestamp) / ``cancel`` (a
@@ -576,9 +578,10 @@ class CypherEngine:
         """What a plan-cache hit skips *below* the plan, as counters.
 
         A copy of the executors'
-        :data:`~repro.planner.physical.PIPELINE_STATS`: read executions
-        that ``compiled`` their closure tree, that ``reused`` the plan's
-        parked one, and takes that found it in use (``contended``).
+        :data:`~repro.planner.physical.PIPELINE_STATS`: planned
+        executions that ``compiled`` their closure tree (every update
+        does), reads that ``reused`` a parked one, and takes that found
+        their variant's slot in use (``contended``).
         The counters belong to the executors, not to an engine: they
         cover every engine in the process, which is why they are not
         part of :meth:`plan_cache_info`.

@@ -186,8 +186,13 @@ class Session:
         return self._snapshot
 
     def _release_snapshot(self):
-        if self._snapshot is not None:
-            self.graph.release_pin(self._snapshot.pin)
+        snapshot = self._snapshot
+        if snapshot is not None:
+            self.graph.release_pin(snapshot.pin)
+            if snapshot._view is not None:
+                # Its parked pipelines reference the view: drop them now
+                # rather than leave the cycle to the collector.
+                snapshot._view.parked_pipelines.clear()
             self._snapshot = None
 
 

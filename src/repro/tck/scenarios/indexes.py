@@ -164,6 +164,41 @@ Feature: Index-backed predicates
       | 5 |
       | 6 |
 
+  Scenario: an exclusive lower bound drops the bound, integer and float alike
+    Given an empty graph
+    And an index on :N(v)
+    And having executed:
+      '''
+      CREATE (:N {v: 2}), (:N {v: 2.0}), (:N {v: 2.5}), (:N {v: 3}),
+             (:N {v: '3'}), (:N)
+      '''
+    When executing query:
+      '''
+      MATCH (n:N) WHERE n.v > 2 RETURN n.v AS v ORDER BY v
+      '''
+    Then the result should be, in order:
+      | v |
+      | 2.5 |
+      | 3 |
+
+  Scenario: IS NOT NULL on an index key sees exactly the indexed nodes
+    Given an empty graph
+    And an index on :P(age)
+    And having executed:
+      '''
+      CREATE (:P {age: 1}), (:P {age: 'one'}), (:P {age: [1]}), (:P),
+             (:P {name: 'ageless'}), (:Q {age: 2})
+      '''
+    When executing query:
+      '''
+      MATCH (p:P) WHERE p.age IS NOT NULL RETURN p.age AS a ORDER BY a
+      '''
+    Then the result should be, in order:
+      | a |
+      | [1] |
+      | 'one' |
+      | 1 |
+
   Scenario: IN probes each element once, duplicates and nulls included
     Given an empty graph
     And an index on :N(v)

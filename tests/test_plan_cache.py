@@ -21,11 +21,14 @@ the take.
 """
 
 import bisect
+import copy
+import functools
 import gc
 import os
 import re
 import sys
 import threading
+import time
 import types
 import weakref
 
@@ -37,6 +40,7 @@ from repro.exceptions import (
     CypherTypeError,
     ParameterNotBound,
     QueryCancelled,
+    QueryTimeout,
     TransactionError,
 )
 from repro.functions import default_registry
@@ -450,12 +454,18 @@ POINT = "MATCH (a:A) WHERE a.v = $v RETURN a.v AS v"
 COVERED = (
     "MATCH (c:C) WHERE c.k = $k AND c.name IS NOT NULL RETURN c.name AS n"
 )
-SLOTS = {"row": "_row_pipeline", "batch": "_batch_pipeline"}
 
 
-def parked(engine, text, mode):
-    """The pipeline parked on ``text``'s cached plan for ``mode``, or None."""
-    slot = getattr(cached_plan(engine, text), SLOTS[mode], None)
+def parked(engine, text, mode, armed=False, profiled=False, view=None):
+    """The pipeline parked on ``text``'s cached plan for ``mode`` and the
+    (armed, profiled) variant — on the plan, or on a snapshot ``view`` —
+    or None."""
+    plan = cached_plan(engine, text)
+    if view is None:
+        parking = getattr(plan, "_parked", None) or {}
+    else:
+        parking = view.parked_pipelines.get(id(plan), (plan, {}))[1]
+    slot = parking.get((mode, armed, profiled))
     return slot[0] if slot else None
 
 
@@ -669,7 +679,7 @@ class TestParkedPipelineValidity:
 
     def test_updates_compile_per_execution_and_keep_their_semantics(self):
         """A write operator captures its statement's transaction, so an
-        update is never parked — and counts nowhere."""
+        update is never parked — and counts as compiled every time."""
         engine = seeded_engine()
         graph = engine.graph
         fresh = CypherEngine(graph.copy())
@@ -686,7 +696,7 @@ class TestParkedPipelineValidity:
         assert graph.version == version + 1
         assert parked(engine, UPDATE, "row") is None
         assert stats_delta(before) == {
-            "compiled": 0, "reused": 0, "contended": 0,
+            "compiled": 4, "reused": 0, "contended": 0,
         }
 
     def test_second_execution_joins_the_session_transaction_too(self):
@@ -778,22 +788,28 @@ class TestParkedPipelineSharing:
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_profiled_and_cancellable_runs_leave_it_untouched(self, mode):
+        """Profiled and armed runs park their own variants and reuse
+        them; the plain run's parked pipeline is never taken by them."""
         engine = seeded_engine(indexed=True)
         engine.run(POINT, {"v": 3}, mode=mode)
         kept = parked(engine, POINT, mode)
-        before = dict(PIPELINE_STATS)
-        profiled = engine.run(POINT, {"v": 3}, mode=mode, profile=True)
         fresh = CypherEngine(engine.graph.copy()).run(
             POINT, {"v": 3}, mode=mode, profile=True
         )
-        assert profiled.access_paths == fresh.access_paths
-        assert profiled.access_paths[0]["actual_rows"] == 1
-        assert engine.run(
-            POINT, {"v": 3}, mode=mode, timeout=60
-        ).records == [{"v": 3}]
+        before = dict(PIPELINE_STATS)
+        for _run in range(2):
+            profiled = engine.run(POINT, {"v": 3}, mode=mode, profile=True)
+            assert profiled.access_paths == fresh.access_paths
+            assert profiled.access_paths[0]["actual_rows"] == 1
+            assert engine.run(
+                POINT, {"v": 3}, mode=mode, timeout=60
+            ).records == [{"v": 3}]
         assert parked(engine, POINT, mode) is kept
+        assert parked(engine, POINT, mode, profiled=True) is not None
+        assert parked(engine, POINT, mode, armed=True) is not None
+        # Each variant's first run compiles; its second reuses.
         assert stats_delta(before) == {
-            "compiled": 0, "reused": 0, "contended": 0,
+            "compiled": 2, "reused": 2, "contended": 0,
         }
 
         token = CancelToken()
@@ -815,10 +831,13 @@ class TestParkedPipelineSharing:
         with pytest.raises(QueryCancelled):
             engine.run(slow, mode=mode, cancel=token)
         assert parked(engine, slow, mode) is kept
+        assert parked(engine, slow, mode, armed=True) is None
         del calls[:]
         assert len(engine.run(slow, mode=mode).records) == 5000
 
     def test_a_dirty_snapshot_read_parks_nothing(self):
+        """Nothing on the plan: a dirty view parks its pipelines on
+        itself, reuses them, and leaves the live store's untouched."""
         engine = seeded_engine(indexed=True)
         engine.run(POINT, {"v": 3})
         kept = parked(engine, POINT, "batch")
@@ -831,21 +850,184 @@ class TestParkedPipelineSharing:
         view = snapshot.graph
         assert isinstance(view, SnapshotGraph)
         before = dict(PIPELINE_STATS)
-        for mode in ("row", "batch"):
-            got = snapshot.run(POINT, {"v": 3}, mode=mode)
-            assert got.records == [{"v": 3}]             # pin-time answer
+        for _run in range(2):
+            for mode in ("row", "batch"):
+                got = snapshot.run(POINT, {"v": 3}, mode=mode)
+                assert got.records == [{"v": 3}]         # pin-time answer
         assert stats_delta(before) == {
-            "compiled": 0, "reused": 0, "contended": 0,
+            "compiled": 2, "reused": 2, "contended": 0,
         }
         assert parked(engine, POINT, "batch") is kept
         assert parked(engine, POINT, "row") is None
+        for mode in ("row", "batch"):
+            assert parked(engine, POINT, mode, view=view).graph is view
         released = weakref.ref(view)
         session.close()
+        assert view.parked_pipelines == {}  # no cycle left to collect
         del view, snapshot, session, got
         gc.collect()
         assert released() is None
         assert engine.run(POINT, {"v": 3}).records == []
         assert engine.run(POINT, {"v": 300}).records == [{"v": 300}]
+
+
+@functools.lru_cache(maxsize=1)
+def chain_graph():
+    """A 300-node ``(:N {v, u})-[:R {w: 1}]->`` chain, indexed on ``v``
+    and reachability-indexed on ``:R``; never written, only copied."""
+    graph = MemoryGraph()
+    graph.create_index("N", "v")
+    engine = CypherEngine(graph)
+    engine.run("UNWIND range(0, 299) AS i CREATE (:N {v: i, u: i})")
+    engine.run(
+        "UNWIND range(1, 299) AS i MATCH (a:N {v: i - 1}), (b:N {v: i}) "
+        "CREATE (a)-[:R {w: 1}]->(b)"
+    )
+    engine.create_reachability_index(["R"])
+    return graph
+
+
+def chain_engine():
+    """An engine over a copy of :func:`chain_graph`, plus the ``wire``
+    its ``tripwire(x)`` reads: at call ``at`` it cancels ``token``, and
+    every call sleeps ``sleep`` seconds."""
+    wire = {"calls": 0, "at": 0, "token": None, "sleep": 0}
+
+    def tripwire(context, value):
+        wire["calls"] += 1
+        if wire["calls"] == wire["at"]:
+            wire["token"].cancel()
+        if wire["sleep"]:
+            time.sleep(wire["sleep"])
+        return value
+
+    functions = default_registry().copy()
+    functions.register("tripwire", tripwire, min_arity=1, max_arity=1)
+    return CypherEngine(chain_graph().copy(), functions=functions), wire
+
+
+#: One text per cancellation site, every row or walk step paying one
+#: ``tripwire`` call: the per-operator guard, and the per-step checks
+#: inside the variable-length walk and the reachability-probed walk.
+#: No literals, so each text is its own cache key.
+ARMED_SITES = {
+    "operator": (
+        "MATCH (n:N) WHERE tripwire(n.u) >= $first RETURN count(n) AS c"
+    ),
+    "var_length": (
+        "MATCH (a:N {v: $first})-[:R* {w: tripwire($one)}]->(b) "
+        "RETURN count(b) AS c"
+    ),
+    "reachability": (
+        "MATCH (a:N {v: $first}), (b:N {v: $last}) "
+        "MATCH (a)-[:R* {w: tripwire($one)}]->(b) RETURN count(*) AS c"
+    ),
+}
+ARMED = {"first": 0, "one": 1, "last": 299}
+
+#: Profiled texts whose scan records depend on ``$low``: an index range,
+#: a label scan served as column slices on the batch engine, and the two
+#: probed walks.
+PROFILED = [
+    "MATCH (n:N) WHERE n.v >= $low RETURN count(n) AS c",
+    "MATCH (n:N) WHERE n.u >= $low RETURN count(n) AS c",
+    "MATCH (a:N {v: $low})-[:R*]->(b) RETURN count(b) AS c",
+    "MATCH (a:N {v: $low}), (b:N {v: $last}) "
+    "MATCH (a)-[:R*]->(b) RETURN count(*) AS c",
+]
+
+
+class WeakToken(CancelToken):
+    """A token a test can hold a weak reference to."""
+
+
+def armed_run(engine, text, mode, **options):
+    return engine.run(text, ARMED, mode=mode, **options).records
+
+
+@pytest.mark.parametrize("mode", ["row", "batch"])
+class TestArmedAndProfiledRunsRebind:
+    """An armed or profiled read takes its variant's parked pipeline and
+    binds this run's deadline, token and fresh scan records to it."""
+
+    @pytest.mark.parametrize("site", sorted(ARMED_SITES))
+    def test_a_fired_token_is_never_checked_again(self, mode, site):
+        engine, _wire = chain_engine()
+        text = ARMED_SITES[site]
+        want = armed_run(engine, text, mode)
+        assert want and want[0]["c"] > 0
+        first = CancelToken()
+        assert armed_run(engine, text, mode, cancel=first) == want
+        kept = parked(engine, text, mode, armed=True)
+        assert kept is not None and kept.context.cancel.token is None
+        first.cancel()
+        before = dict(PIPELINE_STATS)
+        assert armed_run(engine, text, mode, cancel=CancelToken()) == want
+        assert stats_delta(before)["reused"] == 1
+        assert parked(engine, text, mode, armed=True) is kept
+
+    @pytest.mark.parametrize("site", sorted(ARMED_SITES))
+    def test_a_token_fired_mid_run_cancels_a_reused_pipeline(
+        self, mode, site
+    ):
+        engine, wire = chain_engine()
+        text = ARMED_SITES[site]
+        want = armed_run(engine, text, mode, cancel=CancelToken())
+        wire["calls"], wire["at"], wire["token"] = 0, 150, CancelToken()
+        before = dict(PIPELINE_STATS)
+        with pytest.raises(QueryCancelled):
+            armed_run(engine, text, mode, cancel=wire["token"])
+        assert stats_delta(before)["reused"] == 1
+        assert wire["calls"] < 300
+        # The interrupted run kept nothing; the next armed one compiles.
+        assert parked(engine, text, mode, armed=True) is None
+        assert armed_run(engine, text, mode, cancel=CancelToken()) == want
+
+    @pytest.mark.parametrize("site", sorted(ARMED_SITES))
+    def test_a_deadline_expiring_mid_run_times_out_a_reused_pipeline(
+        self, mode, site
+    ):
+        engine, wire = chain_engine()
+        text = ARMED_SITES[site]
+        armed_run(engine, text, mode, timeout=3600)
+        wire["calls"], wire["sleep"] = 0, 0.001
+        before = dict(PIPELINE_STATS)
+        with pytest.raises(QueryTimeout):
+            armed_run(engine, text, mode, timeout=0.03)
+        assert stats_delta(before)["reused"] == 1
+        assert wire["calls"] < 300
+
+    def test_a_parked_armed_pipeline_holds_no_token(self, mode):
+        engine, _wire = chain_engine()
+        text = ARMED_SITES["var_length"]
+        token = WeakToken()
+        armed_run(engine, text, mode, cancel=token, timeout=3600)
+        cancel = parked(engine, text, mode, armed=True).context.cancel
+        assert cancel.token is None and cancel.deadline is None
+        released = weakref.ref(token)
+        del token
+        assert released() is None
+
+    @pytest.mark.parametrize("text", PROFILED)
+    def test_each_profiled_run_reports_its_own_records(self, mode, text):
+        engine, _wire = chain_engine()
+
+        def profiled(engine, low):
+            return engine.run(
+                text, {"low": low, "last": 299}, mode=mode, profile=True
+            ).access_paths
+
+        first = profiled(engine, 100)
+        reported = copy.deepcopy(first)
+        before = dict(PIPELINE_STATS)
+        second = profiled(engine, 250)
+        assert stats_delta(before)["reused"] == 1
+        assert first == reported
+        for paths, low in ((first, 100), (second, 250)):
+            assert all(path["actual_rows"] > 0 for path in paths)
+            # A live tally (the batch label scan's column_slices) too.
+            assert all(path.get("column_slices", True) for path in paths)
+            assert paths == profiled(chain_engine()[0], low)
 
 
 # ---------------------------------------------------------------------------
