@@ -23,10 +23,8 @@ it is
 
 * the whole value of a property-map entry of a node or relationship
   pattern, or
-* a direct operand of ``= <> < <= > >=`` that has at least one operand
-  no rewrite can fold to a constant (a variable, property access,
-  parameter or function call — otherwise ``WHERE 1 = 1`` would stop
-  folding to ``true``),
+* a direct operand of ``= <> < <= > >=`` (a comparison of two
+  constants, ``WHERE 1 = 1``, lifts like any other),
 
 and only inside a ``MATCH`` / ``OPTIONAL MATCH`` pattern or the
 ``WHERE`` of ``MATCH`` / ``OPTIONAL MATCH`` / ``WITH``.  Everything else
@@ -106,10 +104,6 @@ _EXPRESSION_STOPPERS = frozenset(
     }
 ) | _CLAUSE_STARTERS
 
-
-#: Operand types no rewrite folds to a constant: a comparison holding
-#: one is still a comparison after rewriting, whatever its literals are.
-_UNFOLDABLE = (ex.Variable, ex.PropertyAccess, ex.Parameter, ex.FunctionCall)
 
 #: What a literal token stands for in a skeleton; ``#`` starts neither
 #: an identifier nor an operator, so a mark never equals a token text.
@@ -708,9 +702,7 @@ class Parser:
             operands.append(self._parse_predicated())
         if not operators:
             return first
-        if self._lifting and any(
-            isinstance(operand, _UNFOLDABLE) for operand in operands
-        ):
+        if self._lifting:
             # A Literal that starts at a literal token *is* that token:
             # any postfix would have made it something else.
             for index, start in enumerate(starts):

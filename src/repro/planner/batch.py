@@ -107,6 +107,7 @@ from repro.planner.physical import (
     _index_probe,
     _index_range_probe,
     _reachability_entry,
+    _reachability_pruner,
 )
 from repro.planner.slots import SlotMap
 from repro.semantics.compile import MISSING, ColumnCompiler, select_columns
@@ -624,7 +625,7 @@ def _compile_expand(op, ctx):
     return run
 
 
-def _compile_var_length_expand(op, ctx):
+def _compile_var_length_expand(op, ctx, can_end_at=None):
     """Frontier-BFS batch implementation of ``*m..n`` expansion.
 
     The row engine walks a per-row recursive DFS; here the whole input
@@ -643,6 +644,11 @@ def _compile_var_length_expand(op, ctx):
     Memory trades against the row path: the DFS holds one walk, the BFS
     holds a whole level — bounded by the same traversal cap and
     uniqueness pruning that bound the row engine's result set.
+
+    ``can_end_at`` is the row engine's pruner (see
+    :func:`~repro.planner.physical._compile_var_length_expand`): a
+    driving row whose source cannot reach its bound target never enters
+    the frontier, and a frontier entry that cannot end at it is dropped.
     """
     child = _compile(op.child, ctx)
     slots = ctx.slots
@@ -720,6 +726,12 @@ def _compile_var_length_expand(op, ctx):
                 source = source_col[origin]
                 if not isinstance(source, NodeId):
                     continue
+                if can_end_at is not None:
+                    bound_target = to_col[origin]
+                    if not isinstance(bound_target, NodeId) or not (
+                        can_end_at(source, bound_target)
+                    ):
+                        continue  # no walk from here ends at the target
                 if check_nodes:
                     seeds[origin] = kernel.visited_nodes(
                         unique_node_slots, unique_segment_slots,
@@ -771,6 +783,10 @@ def _compile_var_length_expand(op, ctx):
                         target in seeds[origin] or target in walk_nodes
                     ):
                         continue
+                    if can_end_at is not None and not can_end_at(
+                        target, to_col[origin]
+                    ):
+                        continue
                     child_key = key + (position,)
                     child_rels = walk_rels + (rel,)
                     child_nodes = (
@@ -802,15 +818,13 @@ def _compile_var_length_expand(op, ctx):
 
 
 def _compile_reachability_probe(op, ctx):
-    """Frontier-BFS var-length expansion pruned by a reachability index.
+    """The frontier walk, pruned by a reachability index.
 
-    Same level-synchronous walk and DFS-key emission order as
-    :func:`_compile_var_length_expand`; the index removes frontier
-    entries that provably cannot end at their driving row's bound target
-    (each pruned walk contributes zero emissions, so order and bag are
-    untouched — the walk is the residual verification).  Falls back to
-    the plain frontier walk when the executing graph does not expose the
-    index.
+    The index serving ``op``'s type set certifies which frontier entries
+    can never end at their driving row's bound target (see
+    :func:`~repro.planner.physical._reachability_pruner`); the walk
+    itself stays the residual verification.  When the executing graph
+    does not expose the index this is the plain frontier walk.
     """
     getter = getattr(ctx.graph, "reachability_index_for", None)
     index = (
@@ -818,164 +832,9 @@ def _compile_reachability_probe(op, ctx):
     )
     if index is None:
         return _compile_var_length_expand(op, ctx)
-    child = _compile(op.child, ctx)
-    slots = ctx.slots
-    from_slot = slots[op.from_variable]
-    rel_slot = slots[op.rel_variable] if op.rel_variable is not None else None
-    to_slot = slots[op.to_variable]
-    direction = _direction_of(op.rel_pattern)
-    types = op.rel_pattern.resolved_types
-    conflicts = _compile_conflicts(ctx, op.unique_with)
-    rel_ok = _compile_rel_ok(ctx, op.rel_pattern)
-    node_ok = _compile_node_ok(ctx, op.node_pattern)
-    low = op.low
-    kernel = ctx.kernel
-    morphism = kernel.morphism
-    check_unique = bool(morphism.forbids_repeated_relationships)
-    check_nodes = bool(morphism.forbids_repeated_nodes)
-    unique_node_slots = tuple(slots[name] for name in op.unique_nodes)
-    unique_segment_slots = tuple(
-        (slots[from_name], slots[rel_name])
-        for from_name, rel_name in op.unique_segments
+    run = _compile_var_length_expand(
+        op, ctx, _reachability_pruner(index, op.forward)
     )
-    other_end = ctx.graph.other_end
-    cap = kernel.traversal_cap(op.high)
-    cancel = ctx.cancel
-    expand_batch = ctx.graph.expand_batch
-    width = len(slots)
-    morsel = ctx.morsel_size
-    reachable = index.reachable
-    forward = op.forward
-    need_row = (
-        (check_unique and conflicts is not None)
-        or rel_ok is not None
-        or check_nodes
-        or (node_ok is not None and bool(op.node_pattern.properties))
-    )
-
-    def can_end_at(node, target):
-        if forward:
-            return reachable(node, target)
-        return reachable(target, node)
-
-    def run(argument):
-        for n, cols, sel in child(argument):
-            cols = _gather(cols, sel)
-            source_col = cols[from_slot]
-            if source_col is None:
-                continue
-            to_col = cols[to_slot]
-            if to_col is None:
-                continue  # every comparison against MISSING fails
-            bound = _bound_columns(cols) if need_row else None
-            rows = {}
-
-            def row_of(origin):
-                row = rows.get(origin)
-                if row is None:
-                    rows[origin] = row = _materialize(
-                        cols, bound, origin, width
-                    )
-                return row
-
-            emitted = []
-
-            def emit(origin, key, node, rels):
-                if to_col[origin] != node:
-                    return
-                if node_ok is not None and not node_ok(
-                    node, row_of(origin) if need_row else None
-                ):
-                    return
-                emitted.append((origin, key, node, rels))
-
-            seeds = {}
-            frontier = []
-            for origin in range(n):
-                source = source_col[origin]
-                if not isinstance(source, NodeId):
-                    continue
-                target = to_col[origin]
-                if not isinstance(target, NodeId):
-                    continue  # the emit comparison can never hold
-                if not can_end_at(source, target):
-                    continue  # index-certified: no walk ends at target
-                if check_nodes:
-                    seeds[origin] = kernel.visited_nodes(
-                        unique_node_slots, unique_segment_slots,
-                        row_of(origin), other_end,
-                    )
-                frontier.append((origin, (), source, (), ()))
-            if low == 0:
-                for origin, key, node, rels, _nodes in frontier:
-                    emit(origin, key, node, rels)
-            taken = 0
-            while frontier:
-                if cap is not None and taken >= cap:
-                    break
-                taken += 1
-                origins_, rels_, targets_ = expand_batch(
-                    [entry[2] for entry in frontier], direction, types
-                )
-                next_frontier = []
-                last_parent = -1
-                position = 0
-                for step in range(len(origins_)):
-                    if cancel is not None:
-                        cancel.check()
-                    parent = origins_[step]
-                    if parent != last_parent:
-                        last_parent = parent
-                        position = 0
-                    else:
-                        position += 1
-                    rel = rels_[step]
-                    target = targets_[step]
-                    origin, key, _node, walk_rels, walk_nodes = (
-                        frontier[parent]
-                    )
-                    if check_unique:
-                        if rel in walk_rels:
-                            continue
-                        if conflicts is not None and conflicts(
-                            rel, row_of(origin)
-                        ):
-                            continue
-                    if rel_ok is not None and not rel_ok(
-                        rel, row_of(origin)
-                    ):
-                        continue
-                    if check_nodes and (
-                        target in seeds[origin] or target in walk_nodes
-                    ):
-                        continue
-                    # The probe: drop continuations the index certifies
-                    # can never end at this row's bound target.
-                    if not can_end_at(target, to_col[origin]):
-                        continue
-                    child_key = key + (position,)
-                    child_rels = walk_rels + (rel,)
-                    child_nodes = (
-                        walk_nodes + (target,) if check_nodes else ()
-                    )
-                    if taken >= low:
-                        emit(origin, child_key, target, child_rels)
-                    next_frontier.append(
-                        (origin, child_key, target, child_rels, child_nodes)
-                    )
-                frontier = next_frontier
-            if not emitted:
-                continue
-            emitted.sort()
-            total = len(emitted)
-            for start in range(0, total, morsel):
-                block = emitted[start:start + morsel]
-                indices = [entry[0] for entry in block]
-                out = _gather(cols, indices)
-                if rel_slot is not None:
-                    out[rel_slot] = [list(entry[3]) for entry in block]
-                yield len(block), out, None
-
     return _profiled_batch_scan(
         ctx, op, _reachability_entry(op), run, op.to_variable
     )

@@ -974,7 +974,15 @@ def _compile_expand(op, ctx):
     return run
 
 
-def _compile_var_length_expand(op, ctx):
+def _compile_var_length_expand(op, ctx, can_end_at=None):
+    """Per-row recursive DFS over ``*m..n`` walks, emitted in pre-order.
+
+    ``can_end_at``, a ``(node, target) -> bool`` pruner, is given only
+    when the target is bound (``into``): a driving row whose source
+    cannot reach its target is dropped, and a continuation that cannot
+    end at it is skipped.  A pruned walk would have emitted nothing, so
+    the bag and its order are the unpruned walk's.
+    """
     child = _compile(op.child, ctx)
     slots = ctx.slots
     from_slot = slots[op.from_variable]
@@ -1004,6 +1012,13 @@ def _compile_var_length_expand(op, ctx):
             source = row[from_slot]
             if not isinstance(source, NodeId):
                 continue
+            bound = None
+            if can_end_at is not None:
+                bound = row[to_slot]
+                if not isinstance(bound, NodeId) or not can_end_at(
+                    source, bound
+                ):
+                    continue  # no walk from here ends at the target
             results = []
             visited = (
                 kernel.visited_nodes(
@@ -1026,7 +1041,8 @@ def _compile_var_length_expand(op, ctx):
                     out[to_slot] = node
                 results.append(out)
 
-            def walk(node, taken, rels, used, row=row, visited=visited):
+            def walk(node, taken, rels, used, row=row, visited=visited,
+                     bound=bound):
                 if cancel is not None:
                     # Per-step: the frontier can explode combinatorially
                     # before this operator yields its first row.
@@ -1044,6 +1060,8 @@ def _compile_var_length_expand(op, ctx):
                     if rel_ok is not None and not rel_ok(rel, row):
                         continue
                     if check_nodes and target in visited:
+                        continue
+                    if can_end_at is not None and not can_end_at(target, bound):
                         continue
                     used.add(rel)
                     rels.append(rel)
@@ -1063,15 +1081,13 @@ def _compile_var_length_expand(op, ctx):
 
 
 def _compile_reachability_probe(op, ctx):
-    """Var-length expand pruned by a reachability index.
+    """The var-length walk, pruned by a reachability index.
 
-    Identical DFS and emission order as
-    :func:`_compile_var_length_expand` — the index only removes
-    continuations that provably cannot end at the bound target (emission
-    requires ``node == row[to_slot]``, and pattern edges are a subset of
-    the index's edges, so a pruned subtree contributes zero rows).  When
-    the executing graph does not expose the index (snapshot views, plain
-    stores) this degrades to the plain walk.
+    The index serving ``op``'s type set certifies which nodes can never
+    reach (or be reached by) the bound target; the walk itself stays
+    the residual bound/uniqueness/property verification.  When the
+    executing graph does not expose the index (snapshot views, plain
+    stores) this is the plain walk.
     """
     getter = getattr(ctx.graph, "reachability_index_for", None)
     index = (
@@ -1079,105 +1095,22 @@ def _compile_reachability_probe(op, ctx):
     )
     if index is None:
         return _compile_var_length_expand(op, ctx)
-    child = _compile(op.child, ctx)
-    slots = ctx.slots
-    from_slot = slots[op.from_variable]
-    rel_slot = slots[op.rel_variable] if op.rel_variable is not None else None
-    to_slot = slots[op.to_variable]
-    steps = _compile_steps(ctx.graph, op.rel_pattern)
-    conflicts = _compile_conflicts(ctx, op.unique_with)
-    rel_ok = _compile_rel_ok(ctx, op.rel_pattern)
-    node_ok = _compile_node_ok(ctx, op.node_pattern)
-    low = op.low
-    kernel = ctx.kernel
-    morphism = kernel.morphism
-    check_unique = bool(morphism.forbids_repeated_relationships)
-    check_nodes = bool(morphism.forbids_repeated_nodes)
-    unique_node_slots = tuple(ctx.slots[name] for name in op.unique_nodes)
-    unique_segment_slots = tuple(
-        (ctx.slots[from_name], ctx.slots[rel_name])
-        for from_name, rel_name in op.unique_segments
+    run = _compile_var_length_expand(
+        op, ctx, _reachability_pruner(index, op.forward)
     )
-    other_end = ctx.graph.other_end
-    cap = kernel.traversal_cap(op.high)
-    cancel = ctx.cancel
-    reachable = index.reachable
-    forward = op.forward
-
-    def run(argument):
-        for row in child(argument):
-            source = row[from_slot]
-            if not isinstance(source, NodeId):
-                continue
-            target = row[to_slot]
-            if not isinstance(target, NodeId):
-                continue  # emission compares against a node; nothing can match
-            if forward:
-                if not reachable(source, target):
-                    continue
-            elif not reachable(target, source):
-                continue
-            results = []
-            visited = (
-                kernel.visited_nodes(
-                    unique_node_slots, unique_segment_slots, row, other_end
-                )
-                if check_nodes
-                else None
-            )
-
-            def emit(node, rels, row=row, results=results):
-                if row[to_slot] != node:
-                    return
-                if node_ok is not None and not node_ok(node, row):
-                    return
-                out = row[:]
-                if rel_slot is not None:
-                    out[rel_slot] = list(rels)
-                results.append(out)
-
-            def walk(node, taken, rels, used, row=row, visited=visited,
-                     target=target):
-                if cancel is not None:
-                    cancel.check()
-                if taken >= low:
-                    emit(node, rels)
-                if cap is not None and taken >= cap:
-                    return
-                for rel, nxt in steps(node):
-                    if check_unique and (
-                        rel in used
-                        or (conflicts is not None and conflicts(rel, row))
-                    ):
-                        continue
-                    if rel_ok is not None and not rel_ok(rel, row):
-                        continue
-                    if check_nodes and nxt in visited:
-                        continue
-                    # The probe: skip continuations the index certifies
-                    # can never reach (or be reached by) the target.
-                    if forward:
-                        if not reachable(nxt, target):
-                            continue
-                    elif not reachable(target, nxt):
-                        continue
-                    used.add(rel)
-                    rels.append(rel)
-                    if check_nodes:
-                        visited.add(nxt)
-                    walk(nxt, taken + 1, rels, used)
-                    if check_nodes:
-                        visited.discard(nxt)
-                    rels.pop()
-                    used.discard(rel)
-
-            walk(source, 0, [], set())
-            for out in results:
-                yield out
-
     return _profiled_scan(
         ctx, op, _reachability_entry(op), run, op.to_variable
     )
+
+
+def _reachability_pruner(index, forward):
+    """``(node, target) -> bool``: can a walk through ``node`` end at
+    ``target``?  Forward probes ask the index whether ``node`` reaches
+    ``target``; reverse ones whether ``target`` reaches ``node``."""
+    reachable = index.reachable
+    if forward:
+        return reachable
+    return lambda node, target: reachable(target, node)
 
 
 def _reachability_entry(op):

@@ -2,11 +2,16 @@
 
 "A formal semantics ... allows one to reason about the equivalence of
 queries, and prove correctness of existing or discover new
-optimizations."  This package puts that to work: a small optimizer of
-AST→AST rules, each of which is *provably* equivalence-preserving under
-the Section 4 semantics (the argument is written above each rule), and an
-equivalence test-suite that checks the rewritten query produces the same
-bag as the original on real graphs.
+optimizations."  This package states a few such rewrites as AST→AST
+rules, each *provably* equivalence-preserving under the Section 4
+semantics (the argument is written above each rule).
+
+The rules are laws, not a step of the run path: ``CypherEngine``
+never rewrites a statement.  The tests check ``q ≡ rewrite(q)`` — the
+original and the printed rewrite give the same bag, and the same order
+under ``ORDER BY``, on the interpreter, row and batch executors — over
+hand-written queries and the fuzz corpus; the benchmark
+(``benchmarks/e2e``) times :func:`rewrite_query` as a layer of its own.
 
 Rules shipped:
 

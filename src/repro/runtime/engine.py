@@ -6,8 +6,6 @@ import contextlib
 import threading
 from collections import OrderedDict
 
-from repro.ast import clauses as cl
-from repro.ast import queries as qu
 from repro.exceptions import (
     ConstraintViolation,
     CypherError,
@@ -35,7 +33,6 @@ from repro.planner import (
 from repro.planner.batch import graph_supports_batch
 from repro.planner.physical import PIPELINE_STATS
 from repro.planner.planning import footprint_counts, plan_statistics_footprint
-from repro.rewriter import rewrite_query
 from repro.runtime.cancel import Cancellation
 from repro.runtime.result import QueryResult
 from repro.semantics.analysis import check_query
@@ -60,14 +57,6 @@ def _merged(parameters, lifted):
     merged = dict(parameters)
     merged.update(lifted)
     return merged
-
-
-def _is_updating(query):
-    """True if any clause of the query mutates the graph."""
-    if isinstance(query, qu.UnionQuery):
-        return _is_updating(query.left) or _is_updating(query.right)
-    updating = (cl.Create, cl.Delete, cl.SetClause, cl.RemoveClause, cl.Merge)
-    return any(isinstance(clause, updating) for clause in query.clauses)
 
 
 class CypherEngine:
@@ -113,7 +102,6 @@ class CypherEngine:
         mode="auto",
         morphism=EDGE_ISOMORPHISM,
         functions=None,
-        rewrite=True,
         schema=None,
         morsel_size=None,
         max_sessions=32,
@@ -124,7 +112,6 @@ class CypherEngine:
         self.mode = _checked_mode(mode)
         self.morphism = morphism
         self.functions = functions
-        self.rewrite = rewrite
         self.schema = schema
         self.morsel_size = morsel_size
         self.max_sessions = max_sessions
@@ -169,7 +156,7 @@ class CypherEngine:
         #: the shape; LRU under ``_PLAN_CACHE_LIMIT`` like the plans.
         self._shapes = OrderedDict()
         #: Plan-cache counters (observable via plan_cache_info): a hit
-        #: skips parsing, analysis, rewriting and planning — and, when
+        #: skips parsing, analysis and planning — and, when
         #: the exact text was the key, lexing too.  ``lifted_hits``
         #: counts the hits that arrived through a shape key;
         #: ``revalidated`` those that crossed a version bump; the two
@@ -282,7 +269,7 @@ class CypherEngine:
             try:
                 if query is None:
                     query = Parser(tokens, lift=True).parse_query()
-                query, updating = self._analyse(query)
+                updating = check_query(query)
                 plan = plan_query(
                     query, self.graph, morphism=self.morphism,
                     parameters=lifted,
@@ -294,7 +281,7 @@ class CypherEngine:
                 query = parse_query(
                     query_text if tokens is None else tokens
                 )
-            query, updating = self._analyse(query)
+            updating = check_query(query)
         self._check_read_only(updating, read_only)
         if mode == "interpreter":
             if cancellation is not None:
@@ -392,26 +379,6 @@ class CypherEngine:
                 shapes.popitem(last=False)
         return mask, query
 
-    def _front_end(self, query_text):
-        """``(query, updating)``: parse → check → rewrite, literally.
-
-        What :meth:`explain` and :meth:`explain_info` show and what
-        :meth:`run` falls back to: no literal is lifted here.
-        """
-        return self._analyse(parse_query(query_text))
-
-    def _analyse(self, query):
-        """``(query, updating)``: check → rewrite, as every entry does.
-
-        The one analysis :meth:`run`, :meth:`explain` and
-        :meth:`explain_info` share, so a statement it rejects is
-        rejected identically by all three.
-        """
-        check_query(query)
-        if self.rewrite:
-            query = rewrite_query(query)
-        return query, _is_updating(query)
-
     @staticmethod
     def _check_read_only(updating, read_only):
         if updating and read_only:
@@ -498,16 +465,22 @@ class CypherEngine:
         )
 
     def _plan_for_explain(self, query_text):
-        """``(plan, updating)`` through :meth:`run`'s exact pipeline."""
-        query, updating = self._front_end(query_text)
+        """``(plan, updating)``: parse → check → plan, no literal lifted.
+
+        What :meth:`explain` and :meth:`explain_info` show.  The check is
+        the one analysis :meth:`run` also makes, so a statement it
+        rejects is rejected identically by all three.
+        """
+        query = parse_query(query_text)
+        updating = check_query(query)
         plan = plan_query(query, self.graph, morphism=self.morphism)
         return plan, updating
 
     def explain(self, query_text):
         """The physical plan the planner would run, as indented text.
 
-        Mirrors :meth:`run`'s pipeline (including the rewriter), so the
-        reported plan is the one a run would actually cache and execute.
+        Mirrors :meth:`run`'s pipeline, so the reported plan is the one
+        a run would actually cache and execute.
         """
         plan, _updating = self._plan_for_explain(query_text)
         return plan.describe()
@@ -743,7 +716,7 @@ class CypherEngine:
 
         ``key`` is an exact text or a shape key (see ``_plan_cache``);
         the caller counts the statement's one miss.  A hit skips
-        parsing, semantic checks, rewriting and planning (update plans
+        parsing, semantic checks and planning (update plans
         carry their ``updating`` flag so the schema guard still runs).
         While the store's version stands still that is a dict lookup and
         one comparison.  When it moved — a foreign commit, the

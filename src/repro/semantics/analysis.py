@@ -13,6 +13,9 @@ scope, and rejects:
 * re-declaration conflicts (UNWIND alias or CREATE relationship variable
   already bound).
 
+The same walk says whether the statement updates the graph, which is
+what the engine routes and guards on.
+
 Pattern property expressions are checked against the *driving* scope, per
 the paper's definition (they are evaluated under the assignment u, not
 under bindings introduced by the same pattern).
@@ -29,17 +32,26 @@ from repro.ast.visitor import children
 from repro.exceptions import CypherSemanticError
 
 
+#: The clauses that mutate the graph.
+_UPDATING_CLAUSES = (cl.Create, cl.Delete, cl.SetClause, cl.RemoveClause, cl.Merge)
+
+
 def check_query(query):
-    """Validate a parsed query; raises CypherSemanticError on violations."""
+    """Validate a parsed query; True if any of its clauses updates.
+
+    Raises CypherSemanticError on violations.
+    """
     if isinstance(query, qu.UnionQuery):
-        check_query(query.left)
-        check_query(query.right)
-        return
+        left = check_query(query.left)
+        return check_query(query.right) or left
     if not isinstance(query, qu.SingleQuery):
         raise CypherSemanticError("cannot analyse %r" % (query,))
     scope = set()
+    updating = False
     for clause in query.clauses:
         scope = _check_clause(clause, scope)
+        updating = updating or isinstance(clause, _UPDATING_CLAUSES)
+    return updating
 
 
 # ---------------------------------------------------------------------------

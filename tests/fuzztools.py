@@ -51,6 +51,8 @@ The module exposes:
 * :func:`run_both` runs one read on the interpreter and the planner and
   asserts the two bags agree (``conftest``'s ``dual_run`` fixture hands
   it out too).
+* :func:`assert_rewrite_law` checks ``q ≡ rewrite(q)``: the rewriter is
+  a set of laws the executors must honour, not a step of the run path.
 """
 
 import re
@@ -58,8 +60,10 @@ import re
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CypherEngine
+from repro import CypherEngine, parse_query
+from repro.ast.printer import print_query
 from repro.graph.builder import GraphBuilder
+from repro.rewriter import rewrite_query
 from repro.selftest import graph_state  # noqa: F401 — re-exported
 from repro.semantics.morphism import (
     EDGE_ISOMORPHISM,
@@ -89,6 +93,24 @@ def run_both(graph, query, parameters=None):
         % (query, interpreted.records, planned.records)
     )
     return interpreted
+
+
+def assert_rewrite_law(graph, query):
+    """``query`` and its rewrite, printed, agree on every executor.
+
+    One engine runs both texts in each mode; the results must be the
+    same bag, and the same list when the query orders its rows.
+    """
+    rewritten = print_query(rewrite_query(parse_query(query)))
+    engine = CypherEngine(graph)
+    for mode in ("interpreter", "row", "batch"):
+        original = engine.run(query, mode=mode)
+        result = engine.run(rewritten, mode=mode)
+        assert original.table.same_bag(result.table), (query, rewritten, mode)
+        if "ORDER BY" in query:
+            assert original.records == result.records, (
+                query, rewritten, mode
+            )
 
 
 def fixture_graph():

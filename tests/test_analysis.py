@@ -114,3 +114,16 @@ class TestUnion:
     def test_both_sides_checked(self):
         bad("RETURN 1 AS x UNION RETURN ghost AS x")
         ok("RETURN 1 AS x UNION RETURN 2 AS x")
+
+
+class TestUpdatingFlag:
+    @pytest.mark.parametrize("text, updating", [
+        ("MATCH (n) RETURN n", False),
+        ("CREATE (n)", True),
+        ("MATCH (n) SET n.x = 1 RETURN n", True),
+        ("MATCH (n) DETACH DELETE n", True),
+        ("RETURN 1 AS x UNION RETURN 2 AS x", False),
+        ("RETURN 1 AS x UNION CREATE (n) RETURN 1 AS x", True),
+    ])
+    def test_the_check_says_whether_a_statement_updates(self, text, updating):
+        assert check_query(parse_query(text)) is updating

@@ -222,8 +222,8 @@ class TestExplainSubcommand:
 class TestSelftestSubcommand:
     """``selftest`` is ``pytest -m smoke`` over ``tests/``, exit-mapped."""
 
-    #: Test functions marked ``smoke`` across the suite; a real run
-    #: passes at least one case of each.
+    #: Test functions marked ``smoke`` across the suite, at least; the
+    #: real run's collection counts them.
     MARKED_TESTS = 37
 
     @staticmethod
@@ -278,11 +278,38 @@ class TestSelftestSubcommand:
         assert "error: no tests/ directory" in capsys.readouterr().err
         assert not seen
 
+    #: A narrow ``-k`` slice for the real run: its unmarked cases prove
+    #: the selection is by the ``smoke`` marker, without re-running the
+    #: whole slice the suite has already run in-process.
+    REAL_RUN_SLICE = ("TestStatementAtomicity", "TestSingleWriter")
+
+    #: A pytest plugin the real run loads: before ``-m`` / ``-k``
+    #: deselect anything, it writes every collected case and whether
+    #: ``smoke`` marks it to ``smoke_census.json`` in the working
+    #: directory.
+    CENSUS_PLUGIN = (
+        "import json\n"
+        "import pytest\n"
+        "@pytest.hookimpl(tryfirst=True)\n"
+        "def pytest_collection_modifyitems(items):\n"
+        "    with open('smoke_census.json', 'w') as out:\n"
+        "        json.dump([[item.nodeid, bool(item.get_closest_marker("
+        "'smoke'))] for item in items], out)\n"
+    )
+
     def test_real_run_passes_every_smoke_test(self, tmp_path):
+        import json
+
         import repro
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        (tmp_path / "smoke_census.py").write_text(self.CENSUS_PLUGIN)
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join((src, str(tmp_path))),
+            PYTEST_ADDOPTS="-p smoke_census -k '%s'"
+            % " or ".join(self.REAL_RUN_SLICE),
+        )
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", "selftest"],
             cwd=str(tmp_path), env=env, capture_output=True, text=True,
@@ -291,8 +318,16 @@ class TestSelftestSubcommand:
         out = done.stdout
         assert done.returncode == 0, out[-2000:] + done.stderr[-2000:]
         assert out.splitlines()[-1].startswith("selftest passed")
+        census = json.loads((tmp_path / "smoke_census.json").read_text())
+        marked = {nodeid.split("[")[0] for nodeid, smoke in census if smoke}
+        assert len(marked) >= self.MARKED_TESTS
+        in_slice = [
+            smoke for nodeid, smoke in census
+            if any("::%s::" % name in nodeid for name in self.REAL_RUN_SLICE)
+        ]
+        assert not all(in_slice)  # unmarked cases the marker must drop
         summary = re.search(r"^(\d+) passed.* in ", out, re.MULTILINE)
-        assert summary and int(summary.group(1)) >= self.MARKED_TESTS
+        assert summary and int(summary.group(1)) == sum(in_slice)
         assert "failed" not in summary.group(0)
         assert "error" not in summary.group(0)
 

@@ -32,6 +32,7 @@ from fuzztools import (
     MORPHISMS,
     READ_STRATEGIES,
     UPDATE_STRATEGIES,
+    assert_rewrite_law,
     comprehension_queries,
     create_update_queries,
     delete_queries,
@@ -84,11 +85,7 @@ class TestFuzzedQueries:
     @settings(max_examples=60, deadline=None)
     @given(query=match_queries())
     def test_rewriter_equivalence_on_fuzzed_queries(self, query):
-        raw = CypherEngine(GRAPH, rewrite=False)
-        rewriting = CypherEngine(GRAPH, rewrite=True)
-        original = raw.run(query, mode="interpreter")
-        rewritten = rewriting.run(query, mode="interpreter")
-        assert original.table.same_bag(rewritten.table), query
+        assert_rewrite_law(GRAPH, query)
 
     @settings(max_examples=100, deadline=None)
     @given(query=named_path_queries())

@@ -129,15 +129,21 @@ class TestTrivia:
 # ---------------------------------------------------------------------------
 #
 # ``tests/data/lexer_golden.json`` was recorded from the per-character
-# scanner this lexer replaced (commit 33e82ef), by running this file as a
-# script with that checkout's ``src`` on the path:
-#
-#     PYTHONPATH=<old checkout>/src python tests/test_lexer.py <output path>
-#
-# Each row is ``[text, tokens]`` with tokens ``[kind, text, line, column]``
-# or ``[text, null, [class, message, line, column]]``.  The texts are every
+# scanner this lexer replaced (commit 33e82ef).  Each row is
+# ``[text, tokens]`` with tokens ``[kind, text, line, column]`` or
+# ``[text, null, [class, message, line, column]]``.  The texts are every
 # query in the TCK scenarios, samples of every ``fuzztools`` strategy, and
 # the hand-written edge set below.
+#
+# Running this file as a script extends the file, never re-records it:
+#
+#     PYTHONPATH=<checkout>/src python tests/test_lexer.py [<output path>]
+#
+# keeps every existing row, appends a row, observed with the ``src`` on
+# the path, for each corpus text not yet present, writes the result to
+# ``<output path>`` (default: the golden file itself), and prints how
+# many existing texts that ``src`` would now lex differently.  Use the
+# old checkout's ``src`` to record the scanner's own verdict on new texts.
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "lexer_golden.json")
 
@@ -286,9 +292,15 @@ class TestGoldenConformance:
 
 
 if __name__ == "__main__":
-    corpus = list(dict.fromkeys(_tck_texts() + _fuzz_samples(25) + _EDGE_TEXTS))
-    with open(sys.argv[1], "w", encoding="utf-8") as handle:
-        json.dump([_observe(text) for text in corpus], handle,
+    rows = _golden_rows()
+    known = {row[0] for row in rows}
+    drifted = sum(_observe(row[0]) != row for row in rows)
+    corpus = dict.fromkeys(_tck_texts() + _fuzz_samples(25) + _EDGE_TEXTS)
+    added = [_observe(text) for text in corpus if text not in known]
+    with open(sys.argv[1] if len(sys.argv) > 1 else GOLDEN, "w",
+              encoding="utf-8") as handle:
+        json.dump(rows + added, handle,
                   ensure_ascii=True, separators=(",", ":"))
         handle.write("\n")
-    print("recorded %d texts" % len(corpus))
+    print("kept %d rows, appended %d; %d kept texts lex differently now"
+          % (len(rows), len(added), drifted))

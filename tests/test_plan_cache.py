@@ -1384,12 +1384,14 @@ class TestLiftPolicy:
         )
         assert (one.values("x"), two.values("x")) == ([3], [4])
 
-    def test_constant_comparisons_still_fold(self):
-        engine = self.engine()
-        text = "MATCH (n:N) WHERE 1 = 1 AND n.k = 0 RETURN count(*) AS c"
-        assert "1 = 1" not in engine.run(text).plan.describe()
-        assert engine.run(text.replace("1 = 1", "1 = 2")).value() == 0
-        assert _entries(engine) - 1 == 2
+    def test_a_constant_comparison_lifts_like_any_other(self):
+        one, two = self.both(
+            "MATCH (n:N) WHERE 1 = 1 AND n.k = 0 RETURN count(*) AS c",
+            "MATCH (n:N) WHERE 1 = 2 AND n.k = 0 RETURN count(*) AS c",
+            entries=1,
+        )
+        assert (one.value(), two.value()) == (3, 0)
+        assert one.plan is two.plan
 
     def test_kind_is_part_of_the_shape(self):
         engine = CypherEngine(MemoryGraph())

@@ -9,12 +9,14 @@ made executable).
 
 import pytest
 
-from repro import CypherEngine, parse_expression, parse_query
+from repro import parse_expression, parse_query
 from repro.ast import clauses as cl
 from repro.ast import expressions as ex
 from repro.ast.printer import print_expression, print_query
 from repro.datasets.paper import figure1_graph, figure4_graph
 from repro.rewriter import rewrite_expression, rewrite_query
+
+from fuzztools import assert_rewrite_law
 
 
 class TestConstantFolding:
@@ -152,11 +154,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("graph_factory", [figure1_graph, figure4_graph])
     def test_rewrite_preserves_results(self, query_text, graph_factory):
         graph, _ = graph_factory()
-        raw_engine = CypherEngine(graph, rewrite=False)
-        rewriting_engine = CypherEngine(graph, rewrite=True)
-        original = raw_engine.run(query_text, mode="interpreter")
-        rewritten = rewriting_engine.run(query_text, mode="interpreter")
-        assert original.table.same_bag(rewritten.table), query_text
+        assert_rewrite_law(graph, query_text)
 
     @pytest.mark.parametrize("query_text", EQUIVALENCE_QUERIES)
     def test_rewritten_text_reparses(self, query_text):
