@@ -27,12 +27,6 @@ class SingleQuery(Query):
         if not self.clauses:
             raise ValueError("a query must contain at least one clause")
 
-    @property
-    def returns_rows(self):
-        from repro.ast.clauses import Return
-
-        return bool(self.clauses) and isinstance(self.clauses[-1], Return)
-
 
 @dataclass(frozen=True)
 class UnionQuery(Query):

@@ -9,7 +9,6 @@ implementations should agree on the language, not the storage).
 from __future__ import annotations
 
 from repro.exceptions import EntityNotFound
-from repro.values.base import NodeId, RelId
 
 
 class PropertyGraph:
@@ -221,15 +220,3 @@ class RelationshipView:
         return "({})-[{}:{} {}]->({})".format(
             self.source, self.id, self.type, self.properties, self.target
         )
-
-
-def _require_node_id(value):
-    if not isinstance(value, NodeId):
-        raise TypeError("expected a NodeId, got %r" % (value,))
-    return value
-
-
-def _require_rel_id(value):
-    if not isinstance(value, RelId):
-        raise TypeError("expected a RelId, got %r" % (value,))
-    return value

@@ -22,9 +22,11 @@ store plus O(|delta|):
   deleted, is in ``pin.nodes``; every created or deleted relationship
   is in ``pin.rels``);
 * the **property-index surface** is the base store's: the same index
-  set, statistics and schema epoch, and every probe is the live probe
-  minus the touched nodes, merged in probe order with the same probe
-  over a private index of the touched nodes' pin-time property maps.
+  set, statistics and schema epoch, and every probe — one set for
+  single-key and composite indexes alike, a single-key index being the
+  one-column case — is the live probe minus the touched nodes, merged
+  in probe order with the same probe over a private index of the
+  touched nodes' pin-time property maps.
   Plans therefore carry over unchanged between the live store and a
   view of it — a dirty pin keeps its index entries and its cached
   plans.  Both halves are exact for a range probe within one
@@ -716,12 +718,6 @@ class SnapshotGraph(PropertyGraph):
             )
         return kept
 
-    def index_lookup(self, label, key, value):
-        return self._corrected(
-            label, key, self._pin.base.index_lookup(label, key, value),
-            lambda index: index.lookup(value),
-        )
-
     def index_lookup_many(self, label, key, values):
         return self._corrected(
             label, key, self._pin.base.index_lookup_many(label, key, values),
@@ -733,19 +729,6 @@ class SnapshotGraph(PropertyGraph):
         return self._corrected(
             label, keys, self._pin.base.index_probe(label, keys, values),
             lambda index: index.probe(values),
-        )
-
-    def index_range(self, label, key, low, low_inclusive, high, high_inclusive):
-        return self.index_seek_range(
-            label, key, (), low, low_inclusive, high, high_inclusive
-        )
-
-    def index_prefix(self, label, key, prefix):
-        # Not via index_seek_range: a null prefix matches nothing here,
-        # where a seek without bounds reports "unsupported".
-        return self._corrected(
-            label, key, self._pin.base.index_prefix(label, key, prefix),
-            lambda index: index.prefix_ids(prefix), column=0,
         )
 
     def index_seek_range(

@@ -58,8 +58,9 @@ full list.
 
 Property indexes (added for the index-accelerated access paths):
 
-* :meth:`create_index` declares a per-``(label, property key)`` index;
-  each :class:`_PropertyIndex` keeps a **hash half** (canonical value →
+* :meth:`create_index` declares a ``(label, k1, k2, …)`` index, a
+  single-key one being the one-column case; each
+  :class:`_PropertyIndex` keeps a **hash half** (canonical key →
   ordered node set, serving equality and ``IN`` probes) and a **sorted
   half** (one bisectable list of distinct values per comparable scalar
   segment — numbers, strings, booleans — serving range and prefix
@@ -69,10 +70,11 @@ Property indexes (added for the index-accelerated access paths):
   :class:`StoreTransaction`, which drives those raw halves) updates the
   affected index entries in place, inside the same commit that bumps
   the version; nothing is ever rebuilt on write;
-* the planner consumes the indexes through :meth:`index_lookup` /
-  :meth:`index_lookup_many` / :meth:`index_range` / :meth:`index_prefix`
-  (all returning id-ordered, value-then-id-ordered lists, so row and
-  batch execution enumerate identically) and sizes them through
+* the planner consumes the indexes through :meth:`index_probe` /
+  :meth:`index_lookup_many` / :meth:`index_seek_range` /
+  :meth:`index_ordered` (id-ordered, value-then-id-ordered or ORDER BY
+  order, so row and batch execution enumerate identically) and sizes
+  them through
   :meth:`index_statistics` (NDV + entry counts feeding
   :class:`~repro.graph.statistics.GraphStatistics`);
 * index reads never under-approximate — a node whose predicate
@@ -201,12 +203,34 @@ def _is_nan(value):
     return isinstance(value, float) and value != value
 
 
+def _segment_of(key):
+    """``(segment, payload)`` of an index key in the sorted half, or None.
+
+    The key's type picks the comparable scalar segment: a number (NaN is
+    ``("nan",)``, in no segment) or a string is its own payload, and a
+    boolean's key ``("bool", v)`` has payload ``v``.  Mapping a payload
+    back is :func:`canonical_key`.
+    """
+    key_type = type(key)
+    if key_type is int or key_type is float:
+        return "num", key
+    if key_type is str:
+        return "str", key
+    if key_type is tuple and key[0] == "bool":
+        return "bool", key[1]
+    return None
+
+
 class _PropertyIndex:
     """One incremental composite ``(label, k1, k2, …)`` property index.
 
-    An *entry* exists for a node exactly when **every** key column is
-    non-null (Neo4j's composite-index contract), and is keyed by the
-    tuple of per-column (tag-first) :meth:`_canonical` forms.  The
+    A single-key index is the one-column case.  An *entry* exists for a
+    node exactly when **every** key column is non-null (Neo4j's
+    composite-index contract), and is keyed by the tuple of per-column
+    :func:`~repro.values.ordering.canonical_key` forms — the keys
+    DISTINCT and grouping use: an int, non-NaN float or string is its
+    own key (``1`` and ``1.0`` share a bucket), a boolean is
+    ``("bool", v)`` (apart from ``1``) and NaN ``("nan",)``.  The
     **hash half** maps every canonical *prefix* of an entry
     (lengths 1..depth) to its node-id set, so full-tuple equality and
     prefix-equality probes are O(bucket).  The **sorted half** is
@@ -214,7 +238,8 @@ class _PropertyIndex:
     place by bisection: the distinct next-column values under
     a prefix, bisectable within each *comparable scalar segment* —
     numbers (NaN excluded: no range predicate is ever true of it),
-    strings and booleans — mirroring
+    strings and booleans, picked by the key's type
+    (:func:`_segment_of`) — mirroring
     :func:`~repro.values.comparison.compare`, which only orders within
     those segments.  Values outside the segments (lists, maps,
     temporals) live in the hash half only; a range probe bounded by one
@@ -233,9 +258,6 @@ class _PropertyIndex:
         "label", "keys", "_single", "_key0", "_values", "_ids_by_prefix",
         "_children", "_depth_distincts", "_sorted", "_ordered", "_segments",
     )
-
-    #: canonical-key tag -> segment name for the sorted half.
-    _SEGMENT_OF = {"num": "num", "str": "str", "bool": "bool"}
 
     def __init__(self, label, keys):
         self.label = label
@@ -279,27 +301,6 @@ class _PropertyIndex:
 
     # -- maintenance -------------------------------------------------------
 
-    @staticmethod
-    def _canonical(value):
-        """The index's own tag-first form of one key value.
-
-        ``("num", v)`` / ``("str", v)`` / ``("bool", v)`` (``type is``
-        keeps bool out of ``num``): the tag picks the sorted-half segment
-        (:attr:`_SEGMENT_OF`), the payload is what it bisects.  NaN is
-        ``("nan",)``; anything else is :func:`canonical_key`, whose tags
-        name no segment.
-        """
-        value_type = type(value)
-        if value_type is int:
-            return ("num", value)
-        if value_type is str:
-            return ("str", value)
-        if value_type is float:
-            return ("nan",) if value != value else ("num", value)
-        if value_type is bool:
-            return ("bool", value)
-        return canonical_key(value)
-
     def update(self, node_id, properties):
         """Reconcile this node's entry with its current property map.
 
@@ -316,7 +317,7 @@ class _PropertyIndex:
             if value is None:
                 self.discard(node_id)
                 return
-            canon = (self._canonical(value),)
+            canon = (canonical_key(value),)
             existing = self._values.get(node_id)
             if existing is not None:
                 if existing[1] == canon:
@@ -351,8 +352,9 @@ class _PropertyIndex:
 
         Pair-for-pair identical to calling :meth:`update` in a loop;
         the depth-1 body is repeated here with every ``self`` attribute
-        hoisted to a local and the int/str canonical forms inlined —
-        bulk ingest is the one call site hot enough to warrant it.
+        hoisted to a local and the int/str keys (the values themselves)
+        inlined — bulk ingest is the one call site hot enough to warrant
+        it.
         """
         if not self._single:
             update = self.update
@@ -360,7 +362,6 @@ class _PropertyIndex:
                 update(node_id, properties)
             return
         key = self._key0
-        canonical_of = self._canonical
         values_map = self._values
         ids_by_prefix = self._ids_by_prefix
         root = self._children[()]
@@ -370,51 +371,37 @@ class _PropertyIndex:
         # so an empty memo stays empty and the flags can be hoisted.
         has_sorted = bool(sorted_memo)
         warm_halves = bool(self._ordered or self._segments)
-        # Per-call value caches: ingests recur heavily on distinct
-        # values, and for a recurring value the canonical tuple, the
-        # entry tuple (immutable, safely shared between nodes) and the
-        # target bucket are all fixed.  Caches are keyed per exact type
-        # (``True == 1`` must not alias), and dropped whenever a discard
-        # or per-node reconcile could delete a bucket out from under
-        # them.
-        int_cache = {}
-        str_cache = {}
+        # Per-call value cache: ingests recur heavily on distinct
+        # values, and for a recurring value the key tuple, the entry
+        # tuple (immutable, safely shared between nodes) and the target
+        # bucket are all fixed.  Only exact ints and strs enter it (no
+        # int equals a str, and ``True == 1`` must not alias), and it is
+        # dropped whenever a discard or per-node reconcile could delete
+        # a bucket out from under it.
+        cache = {}
         for node_id, properties in pairs:
             value = properties.get(key)
             if value is None:
                 if node_id in values_map:
                     self.discard(node_id)
-                    int_cache.clear()
-                    str_cache.clear()
+                    cache.clear()
                 continue
             value_type = type(value)
-            if value_type is int:
-                cache = int_cache
-                cached = cache.get(value)
-            elif value_type is str:
-                cache = str_cache
-                cached = cache.get(value)
-            else:
-                cache = cached = None
+            cacheable = value_type is int or value_type is str
+            cached = cache.get(value) if cacheable else None
             if cached is not None:
                 canon, entry, ids = cached
                 prior = values_map.setdefault(node_id, entry)
                 if prior is not entry:
                     values_map[node_id] = prior
                     self.update(node_id, properties)
-                    int_cache.clear()
-                    str_cache.clear()
+                    cache.clear()
                     continue
                 ids[node_id] = None
                 if has_sorted:
                     sorted_memo.pop(canon, None)
                 continue
-            if value_type is int:
-                canon = (("num", value),)
-            elif value_type is str:
-                canon = (("str", value),)
-            else:
-                canon = (canonical_of(value),)
+            canon = (value,) if cacheable else (canonical_key(value),)
             entry = ((value,), canon)
             prior = values_map.setdefault(node_id, entry)
             if prior is not entry:
@@ -422,8 +409,7 @@ class _PropertyIndex:
                 # the full per-node reconcile.
                 values_map[node_id] = prior
                 self.update(node_id, properties)
-                int_cache.clear()
-                str_cache.clear()
+                cache.clear()
                 continue
             ids = ids_by_prefix.get(canon)
             if ids is None:
@@ -437,16 +423,15 @@ class _PropertyIndex:
                 ids[node_id] = None
                 if has_sorted:
                     sorted_memo.pop(canon, None)
-            if cache is not None:
+            if cacheable:
                 cache[value] = (canon, entry, ids)
 
     def add(self, node_id, values):
         """Insert/refresh the entry for ``values`` (all columns non-null)."""
-        canonical_of = self._canonical
         if self._single:
-            canon = (canonical_of(values[0]),)
+            canon = (canonical_key(values[0]),)
         else:
-            canon = tuple(canonical_of(value) for value in values)
+            canon = tuple([canonical_key(value) for value in values])
         existing = self._values.get(node_id)
         if existing is not None:
             if existing[1] == canon:
@@ -548,11 +533,12 @@ class _PropertyIndex:
             children.insert(position, canonical)
         segments = self._segments.get(prefix)
         if segments is not None:
-            name = self._SEGMENT_OF.get(canonical[0])
-            if name is not None:
+            found = _segment_of(canonical)
+            if found is not None:
+                name, payload = found
                 payloads, buckets = segments[name]
-                position = bisect_left(payloads, canonical[1])
-                payloads.insert(position, canonical[1])
+                position = bisect_left(payloads, payload)
+                payloads.insert(position, payload)
                 buckets.insert(
                     position, self._ids_by_prefix[prefix + (canonical,)]
                 )
@@ -571,10 +557,11 @@ class _PropertyIndex:
             del children[position]
         segments = self._segments.get(prefix)
         if segments is not None:
-            name = self._SEGMENT_OF.get(canonical[0])
-            if name is not None:
+            found = _segment_of(canonical)
+            if found is not None:
+                name, payload = found
                 payloads, buckets = segments[name]
-                position = bisect_left(payloads, canonical[1])
+                position = bisect_left(payloads, payload)
                 del payloads[position]
                 del buckets[position]
 
@@ -608,14 +595,13 @@ class _PropertyIndex:
         for prefix, ids in self._ids_by_prefix.items():
             if len(prefix) != width:
                 continue
-            canonical = prefix[column]
-            tag = canonical[0]
-            if tag in self._SEGMENT_OF:
-                slot = tallies.setdefault(tag, {})
-                payload = canonical[1]
+            found = _segment_of(prefix[column])
+            if found is not None:
+                name, payload = found
+                slot = tallies.setdefault(name, {})
                 slot[payload] = slot.get(payload, 0) + len(ids)
         return {
-            tag: sorted(counts.items()) for tag, counts in tallies.items()
+            name: sorted(counts.items()) for name, counts in tallies.items()
         }
 
     # -- probes ------------------------------------------------------------
@@ -646,12 +632,8 @@ class _PropertyIndex:
         for value in values:
             if value is None or _is_nan(value):
                 return None
-            canon.append(self._canonical(value))
+            canon.append(canonical_key(value))
         return tuple(canon)
-
-    def lookup(self, value):
-        """Single-column equality probe (depth-1 compatibility form)."""
-        return self.probe((value,))
 
     def probe(self, values):
         """Equality-prefix probe: id-ordered candidates, possibly memoised.
@@ -668,13 +650,13 @@ class _PropertyIndex:
         return self._sorted_ids(canon)
 
     def lookup_many(self, values):
-        """The union of first-column :meth:`lookup` over ``values``."""
+        """The union of first-column :meth:`probe` over ``values``."""
         merged = {}
         ids_by_prefix = self._ids_by_prefix
         for value in values:
             if value is None or _is_nan(value):
                 continue
-            ids = ids_by_prefix.get((self._canonical(value),))
+            ids = ids_by_prefix.get((canonical_key(value),))
             if ids:
                 merged.update(ids)
         return sorted(merged, key=_id_value)
@@ -687,14 +669,20 @@ class _PropertyIndex:
             bucket = self._children.get(prefix)
             if bucket is None:
                 return [], []  # dead prefix: never memoised (see _sorted_ids)
-            segments = {"num": ([], []), "str": ([], []), "bool": ([], [])}
+            members = {"num": [], "str": [], "bool": []}
+            for key in bucket:
+                found = _segment_of(key)
+                if found is not None:
+                    members[found[0]].append((found[1], key))
             ids_by_prefix = self._ids_by_prefix
-            # (tag, payload) pairs sort by payload within a tag; segment
-            # names coincide with the canonical tags.
-            for canonical in sorted(c for c in bucket if c[0] in segments):
-                payloads, buckets = segments[canonical[0]]
-                payloads.append(canonical[1])
-                buckets.append(ids_by_prefix[prefix + (canonical,)])
+            segments = {}
+            for name, pairs in members.items():
+                pairs.sort()  # distinct payloads: keys never compared
+                segments[name] = (
+                    [payload for payload, _key in pairs],
+                    [ids_by_prefix[prefix + (key,)] for _p, key in pairs],
+                )
+            # Published whole: a concurrent reader never sees it partial.
             self._segments[prefix] = segments
         return segments[segment_name]
 
@@ -777,10 +765,11 @@ class _PropertyIndex:
         return None
 
     def _gather(self, prefix, segment_name, values):
-        tag = segment_name  # segment names coincide with canonical tags
+        if segment_name == "bool":
+            values = map(canonical_key, values)  # others are their own keys
         out = []
         for value in values:
-            grown = prefix + ((tag, value),)
+            grown = prefix + (value,)
             if grown in self._ids_by_prefix:
                 out.extend(self._sorted_ids(grown))
         return out
@@ -879,7 +868,7 @@ class _PropertyIndex:
             payloads = reversed(payloads)
         rest = directions[1:]
         for payload in payloads:
-            grown = prefix + ((segment_name, payload),)
+            grown = prefix + (canonical_key(payload),)
             if grown in self._ids_by_prefix:
                 yield from emit(grown, rest)
 
@@ -1372,36 +1361,29 @@ class MemoryGraph(PropertyGraph):
         return self._index(label, keys).column_distribution(column)
 
     def index_lookup(self, label, key, value):
-        """Equality probe: candidate node ids, id-ordered (see class doc)."""
-        return self._index(label, key).lookup(value)
+        """Equality probe on a single-key index: ``index_probe`` of one
+        value."""
+        return self._index(label, key).probe((value,))
 
     def index_lookup_many(self, label, key, values):
         """``IN`` probe over a value list: deduplicated, id-ordered."""
         return self._index(label, key).lookup_many(values)
 
     def index_probe(self, label, keys, values):
-        """Composite equality-prefix probe: candidates, id-ordered."""
+        """Equality-prefix probe: candidates, id-ordered (see class doc)."""
         return self._index(label, keys).probe(tuple(values))
-
-    def index_range(self, label, key, low, low_inclusive, high, high_inclusive):
-        """Range probe in index order; None when the bounds need a scan."""
-        return self._index(label, key).range_ids(
-            low, low_inclusive, high, high_inclusive
-        )
-
-    def index_prefix(self, label, key, prefix):
-        """``STARTS WITH`` probe in index order (exact)."""
-        return self._index(label, key).prefix_ids(prefix)
 
     def index_seek_range(
         self, label, keys, prefix_values,
         low, low_inclusive, high, high_inclusive, starts_with=None,
     ):
-        """Equality-prefix + range/STARTS WITH seek on a composite index.
+        """Equality-prefix + range/STARTS WITH seek, in index order.
 
-        Same contract as :meth:`index_range` / :meth:`index_prefix` with
-        the bound column sitting after ``prefix_values``; ``None`` still
-        means "bounds unsupported — scan the label".
+        The bound column sits after ``prefix_values`` (``()`` on a
+        single-key index).  Exact; ``None`` means "bounds unsupported —
+        scan the label", which is also the answer when neither a bound
+        nor ``starts_with`` is given (a null ``STARTS WITH`` operand is
+        the caller's to answer).
         """
         index = self._index(label, keys)
         if starts_with is not None:

@@ -389,14 +389,14 @@ def residual(predicate, served):
 
 @dataclass(frozen=True)
 class CompositeCandidate:
-    """A usable probe over one composite index's key columns.
+    """A usable probe over one index's key columns.
 
     ``equalities`` holds one ``"eq"`` sargable per consumed prefix
-    column (in key order); ``bound`` optionally adds one range /
-    ``STARTS WITH`` sargable on the next column.  Every column beyond
-    the probe was witnessed non-null, so the index's entry set covers
-    exactly the rows the predicates admit (see
-    :func:`collect_witnesses`).
+    column (in key order), or the one ``"in"`` of a single-key index;
+    ``bound`` optionally adds one range / ``STARTS WITH`` sargable on
+    the next column.  Every column beyond the probe was witnessed
+    non-null, so the index's entry set covers exactly the rows the
+    predicates admit (see :func:`collect_witnesses`).
     """
 
     keys: tuple

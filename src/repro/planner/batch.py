@@ -454,7 +454,7 @@ def _compile_batch_cover_fill(op, ctx):
     covered = getattr(op, "covered", ())
     if not covered:
         return None
-    keys = op.all_keys
+    keys = op.index_keys
     getter = ctx.graph.index_cover_getter(op.label, keys)
     properties = ctx.graph.properties
     targets = tuple(

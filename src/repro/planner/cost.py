@@ -250,28 +250,6 @@ class CostModel:
 
     # -- traversal ---------------------------------------------------------------
 
-    def expand_fanout(self, rel_pattern):
-        """Expected relationships per input row for one Expand step."""
-        from repro.ast import patterns as pt
-
-        types = rel_pattern.types or None
-        direction = (
-            "both" if rel_pattern.direction == pt.UNDIRECTED else "out"
-        )
-        fanout = self.statistics.expand_fanout(types, direction)
-        fanout *= PROPERTY_SELECTIVITY ** len(rel_pattern.properties)
-        return max(fanout, 0.001)
-
-    def chain_cardinality(self, path_pattern, start_cardinality):
-        """Rough output-size estimate of traversing a whole chain."""
-        estimate = start_cardinality
-        for rho in path_pattern.relationship_patterns:
-            fanout = self.expand_fanout(rho)
-            low, high = rho.resolved_range()
-            steps = high if high is not None else max(low, 3)
-            estimate *= fanout ** max(steps, 1)
-        return estimate
-
     def reachability_probe(self, rel_pattern, into, high):
         """The reachability index serving one var-length hop, or None.
 

@@ -94,55 +94,44 @@ class NodeByLabelScan(Operator):
 
 @dataclass(frozen=True)
 class IndexScan(Operator):
-    """Bind nodes from a ``(label, key)`` property index: ``=`` or ``IN``.
+    """Bind nodes from a property index: ``=`` or ``IN``.
 
     The cost model picks this over :class:`NodeByLabelScan` + Filter
-    when the NDV-backed estimate says the index prunes more.  ``probe``
-    is the sought-value expression, evaluated once per driving row
-    (so a probe over an outer variable is an index nested-loop join);
-    with ``many`` it must evaluate to a list and the scan probes each
-    element (``IN``).  The scan **over-approximates** (list and map
-    probes): it returns every node whose stored value *may* satisfy the
-    predicate, and the residual (the node pattern's property check and
-    the clause's WHERE Filter, which keeps every equality conjunct)
-    makes the final call — null/type semantics are therefore exactly
-    the label-scan path's.  Only ``IS NOT NULL`` on a key column leaves
-    the Filter: every candidate has an index entry, so every key column
-    non-null.
+    when the NDV-backed estimate says the index prunes more.
+    ``index_keys`` is the serving index's declared key tuple (a
+    single-key index is the one-column case) and ``probes`` holds the
+    sought-value expressions of its leading columns, evaluated once per
+    driving row (so a probe over an outer variable is an index
+    nested-loop join); fewer probes than keys is a prefix probe.  With
+    ``many`` the one probe must evaluate to a list and the scan probes
+    each element on the first column (``IN``).  The scan
+    **over-approximates** (list and map probes): it returns every node
+    whose stored value *may* satisfy the predicate, and the residual
+    (the node pattern's property check and the clause's WHERE Filter,
+    which keeps every equality conjunct) makes the final call —
+    null/type semantics are therefore exactly the label-scan path's.
+    Only ``IS NOT NULL`` on a key column leaves the Filter: every
+    candidate has an index entry, so every key column non-null.
     """
 
     child: Operator
     variable: str
     label: str
-    key: str
-    probe: object  # Expression
+    index_keys: Tuple[str, ...]
+    probes: Tuple[object, ...]  # Expressions, one per consumed column
     node_pattern: object
     many: bool = False
     fields: Tuple[str, ...] = ()
     estimated_rows: Optional[float] = None
-    #: Full declared key tuple of the serving index; () means the
-    #: single-key form (``key``/``probe`` above carry the probe).
-    index_keys: Tuple[str, ...] = ()
-    #: Equality-prefix probe expressions, one per consumed column
-    #: (composite indexes only; may be shorter than ``index_keys``).
-    probes: Tuple[object, ...] = ()
     #: ``((key, synthetic field name), …)`` when the scan also serves
     #: projections straight from its stored entry values (covering).
     covered: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def all_keys(self):
-        return self.index_keys or (self.key,)
-
-    @property
-    def all_probes(self):
-        return self.probes or (self.probe,)
-
     def _describe_line(self):
-        keys = self.all_keys
+        keys = self.index_keys
         shape = "IN …" if self.many else "= …"
-        if len(keys) > 1 and len(self.all_probes) < len(keys):
-            shape = "prefix(%d) %s" % (len(self.all_probes), shape)
+        if len(self.probes) < len(keys):
+            shape = "prefix(%d) %s" % (len(self.probes), shape)
         return "IndexScan({}:{}({}) {}{}{})".format(
             self.variable,
             self.label,
@@ -161,21 +150,25 @@ class IndexScan(Operator):
 class IndexRangeScan(Operator):
     """Bind nodes from the index's sorted half: range or prefix probes.
 
-    ``low``/``high`` are bound expressions (either may be None for a
-    half-open range); ``prefix`` serves ``STARTS WITH`` instead.  The
-    scan is **exact** (:mod:`repro.graph.store`'s contract), so on a
-    single-key index the conjuncts ``low`` and ``high`` came from leave
-    the residual Filter.  Bounds whose runtime type the sorted structure
-    cannot serve (lists, maps, temporals) degrade to the label scan list
-    narrowed to the nodes the range is true of, *inside* the operator.
-    Enumeration is index-ordered (value, then node id), identically on
-    the row and batch engines.
+    ``prefix_probes`` are equality probes on the leading columns of
+    ``index_keys`` (none on a single-key index); the bounded column is
+    ``index_keys[len(prefix_probes)]``.  ``low``/``high`` are bound
+    expressions (either may be None for a half-open range); ``prefix``
+    serves ``STARTS WITH`` instead.  The scan is **exact**
+    (:mod:`repro.graph.store`'s contract), so on a single-key index the
+    conjuncts ``low`` and ``high`` came from leave the residual Filter.
+    Bounds whose runtime type the sorted structure cannot serve (lists,
+    maps, temporals) degrade to the label scan list narrowed to the
+    nodes the range is true of, *inside* the operator.  Enumeration is
+    index-ordered (value, then node id), identically on the row and
+    batch engines.
     """
 
     child: Operator
     variable: str
     label: str
-    key: str
+    index_keys: Tuple[str, ...]
+    prefix_probes: Tuple[object, ...]  # Expressions (equality prefix)
     node_pattern: object
     low: Optional[object] = None        # Expression
     low_inclusive: bool = True
@@ -184,17 +177,8 @@ class IndexRangeScan(Operator):
     prefix: Optional[object] = None     # Expression (STARTS WITH)
     fields: Tuple[str, ...] = ()
     estimated_rows: Optional[float] = None
-    #: Full declared key tuple; () means the single-key form.  The
-    #: bounded column is ``keys[len(prefix_probes)]``.
-    index_keys: Tuple[str, ...] = ()
-    #: Equality probe expressions for the columns before the bound one.
-    prefix_probes: Tuple[object, ...] = ()
     #: Covering projection slots, as on :class:`IndexScan`.
     covered: Tuple[Tuple[str, str], ...] = ()
-
-    @property
-    def all_keys(self):
-        return self.index_keys or (self.key,)
 
     def _describe_line(self):
         if self.prefix is not None:
@@ -206,13 +190,12 @@ class IndexRangeScan(Operator):
             if self.high is not None:
                 parts.append("<%s …" % ("=" if self.high_inclusive else ""))
             shape = " AND ".join(parts)
-        keys = self.all_keys
         if self.prefix_probes:
             shape = "eq(%d) %s" % (len(self.prefix_probes), shape)
         return "IndexRangeScan({}:{}({}) {}{}{})".format(
             self.variable,
             self.label,
-            ",".join(keys),
+            ",".join(self.index_keys),
             shape,
             ", covering" if self.covered else "",
             "" if self.estimated_rows is None
@@ -267,10 +250,6 @@ class IndexOrderedScan(Operator):
     covered: Tuple[Tuple[str, str], ...] = ()
     fields: Tuple[str, ...] = ()
     estimated_rows: Optional[float] = None
-
-    @property
-    def all_keys(self):
-        return self.index_keys
 
     def _describe_line(self):
         consumed = len(self.prefix_probes)

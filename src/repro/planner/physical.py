@@ -606,36 +606,18 @@ def _index_probe(ctx, op):
     """``(row -> candidate ids, entry label)`` for an IndexScan.
 
     The single home of the probe semantics, shared verbatim by the row
-    and batch engines: a null probe (or null ``IN`` list) matches
-    nothing, a non-list ``IN`` container raises exactly the compiled
-    ``IN``'s type error, and candidate lists come back id-ordered from
-    the store.
+    and batch engines: the store treats a null or NaN anywhere in an
+    equality prefix as never-true (no candidates), a null ``IN`` list
+    matches nothing, a non-list ``IN`` container raises exactly the
+    compiled ``IN``'s type error, and candidate lists come back
+    id-ordered from the store.
     """
     graph = ctx.graph
-    label, key = op.label, op.key
-    if op.probes:
-        # Composite equality-prefix probe: evaluate every consumed
-        # column's expression per driving row; the store treats a null
-        # or NaN anywhere in the prefix as never-true (no candidates).
-        keys = op.index_keys
-        probes = tuple(ctx.compile(probe) for probe in op.probes)
-        index_probe = graph.index_probe
-
-        def candidates(row):
-            return index_probe(
-                label, keys, tuple(probe(row) for probe in probes)
-            )
-
-        keys_text = ",".join(keys)
-        if len(probes) < len(keys):
-            entry = "index seek :%s(%s) prefix(%d)" % (
-                label, keys_text, len(probes),
-            )
-        else:
-            entry = "index seek :%s(%s)" % (label, keys_text)
-        return candidates, entry
-    probe = ctx.compile(op.probe)
+    label, keys = op.label, op.index_keys
+    probes = [ctx.compile(probe) for probe in op.probes]
+    where = ":%s(%s)" % (label, ",".join(keys))
     if op.many:
+        (probe,) = probes
         lookup_many = graph.index_lookup_many
 
         def candidates(row):
@@ -646,52 +628,69 @@ def _index_probe(ctx, op):
                 raise CypherTypeError(
                     "IN requires a list, got %r" % (values,)
                 )
-            return lookup_many(label, key, values)
+            return lookup_many(label, keys, values)
 
-        return candidates, "index IN :%s(%s)" % (label, key)
-    lookup = graph.index_lookup
+        return candidates, "index IN " + where
+    index_probe = graph.index_probe
 
     def candidates(row):
-        return lookup(label, key, probe(row))
+        return index_probe(
+            label, keys, tuple([probe(row) for probe in probes])
+        )
 
-    return candidates, "index seek :%s(%s)" % (label, key)
+    entry = "index seek " + where
+    if len(probes) < len(keys):
+        entry += " prefix(%d)" % len(probes)
+    return candidates, entry
 
 
 def _index_range_probe(ctx, op):
     """``(row -> candidate ids, entry label)`` for an IndexRangeScan.
 
     Exact, so the planner may drop the range conjuncts from the residual
-    Filter: a null bound means the comparison can never be true, so the
-    row contributes nothing; a bound outside the sorted segments (list,
-    map, temporal) makes the store answer ``None``, and the label scan
-    list narrowed to the nodes the range is true of stands in for that
-    row (:func:`_range_fallback`) — slower, never different.  Shared by
-    both engines, like :func:`_index_probe`.
+    Filter.  Null anywhere in the equality prefix, a null bound or a
+    null ``STARTS WITH`` operand means the predicate can never be true,
+    so the row contributes nothing; the null operand is answered here
+    because the store reads a seek with neither bound nor prefix as
+    "unsupported".  A bound outside the sorted segments (list, map,
+    temporal) makes the store answer ``None``, and the label scan list
+    narrowed to the nodes the range is true of stands in for that row
+    (:func:`_range_fallback`; the residual still checks the equality
+    prefix) — slower, never different.  Shared by both engines, like
+    :func:`_index_probe`.
     """
     graph = ctx.graph
-    label, key = op.label, op.key
-    if op.index_keys:
-        return _composite_range_probe(ctx, op)
+    label, keys = op.label, op.index_keys
+    probes = [ctx.compile(probe) for probe in op.prefix_probes]
+    seek = graph.index_seek_range
+    consumed = len(probes)
+    where = ":%s(%s)" % (label, ",".join(keys))
+    if len(keys) > 1:
+        where += " eq(%d)" % consumed
     if op.prefix is not None:
-        prefix = ctx.compile(op.prefix)
-        index_prefix = graph.index_prefix
+        starts = ctx.compile(op.prefix)
 
         def candidates(row):
-            return index_prefix(label, key, prefix(row))
+            values = tuple([probe(row) for probe in probes])
+            text = starts(row)
+            if text is None:
+                return ()
+            return seek(label, keys, values, None, True, None, True, text)
 
-        return candidates, "index prefix :%s(%s)" % (label, key)
+        return candidates, "index prefix " + where
     bounds = _range_bounds(ctx, op)
-    index_range = graph.index_range
-    fallback = _range_fallback(graph, label, (key,), key)
+    fallback = _range_fallback(graph, label, keys, keys[consumed])
 
     def candidates(row):
         values = bounds(row)
         if values is None:
             return ()
-        ids = index_range(label, key, *values)
+        ids = seek(
+            label, keys, tuple([probe(row) for probe in probes]), *values
+        )
         return ids if ids is not None else fallback(values)
 
-    return candidates, "index range :%s(%s)" % (label, key)
+    return candidates, "index range " + where
 
 
 def _range_bounds(ctx, op):
@@ -748,49 +747,6 @@ def _range_fallback(graph, label, keys, column):
         return kept
 
     return fallback
-
-
-def _composite_range_probe(ctx, op):
-    """Equality-prefix + bounded-column probe over a composite index.
-
-    Null anywhere in the equality prefix, or a null bound, is never
-    true — the row contributes nothing.  A bound outside the sorted
-    segments degrades to the narrowed label scan exactly like the
-    single-key form (the residual still checks the equality prefix).
-    """
-    graph = ctx.graph
-    label, keys = op.label, op.index_keys
-    probes = tuple(ctx.compile(probe) for probe in op.prefix_probes)
-    seek = graph.index_seek_range
-    keys_text = ",".join(keys)
-    consumed = len(probes)
-    if op.prefix is not None:
-        starts = ctx.compile(op.prefix)
-
-        def candidates(row):
-            return seek(
-                label, keys, tuple(probe(row) for probe in probes),
-                None, True, None, True, starts(row),
-            )
-
-        return candidates, "index prefix :%s(%s) eq(%d)" % (
-            label, keys_text, consumed,
-        )
-    bounds = _range_bounds(ctx, op)
-    fallback = _range_fallback(graph, label, keys, keys[consumed])
-
-    def candidates(row):
-        values = bounds(row)
-        if values is None:
-            return ()
-        ids = seek(
-            label, keys, tuple(probe(row) for probe in probes), *values
-        )
-        return ids if ids is not None else fallback(values)
-
-    return candidates, "index range :%s(%s) eq(%d)" % (
-        label, keys_text, consumed,
-    )
 
 
 def _index_ordered_probe(ctx, op):
@@ -885,7 +841,7 @@ def _compile_cover_fill(op, ctx):
     covered = getattr(op, "covered", ())
     if not covered:
         return None
-    keys = op.all_keys
+    keys = op.index_keys
     getter = ctx.graph.index_cover_getter(op.label, keys)
     properties = ctx.graph.properties
     targets = tuple(

@@ -466,26 +466,16 @@ class _PlanBuilder:
                     best = (estimate, label, candidate)
         if best is not None and best[0] <= label_estimate:
             estimate, label, chosen = best
-            if isinstance(chosen, access.CompositeCandidate):
-                return self._composite_scan(
-                    plan, name, label, chosen, pattern, fields, estimate
+            if not isinstance(chosen, access.CompositeCandidate):
+                # A single-key index is the one-column composite.
+                bounded = chosen.kind in ("range", "prefix")
+                chosen = access.CompositeCandidate(
+                    keys=(chosen.key,),
+                    equalities=() if bounded else (chosen,),
+                    bound=chosen if bounded else None,
                 )
-            sargable = chosen
-            if sargable.kind in ("eq", "in"):
-                return lg.IndexScan(
-                    plan, name, label, sargable.key, sargable.value,
-                    pattern, many=sargable.kind == "in", fields=fields,
-                    estimated_rows=estimate,
-                )
-            return lg.IndexRangeScan(
-                plan, name, label, sargable.key, pattern,
-                low=sargable.low,
-                low_inclusive=sargable.low_inclusive,
-                high=sargable.high,
-                high_inclusive=sargable.high_inclusive,
-                prefix=sargable.value if sargable.kind == "prefix" else None,
-                fields=fields,
-                estimated_rows=estimate,
+            return self._composite_scan(
+                plan, name, label, chosen, pattern, fields, estimate
             )
         return lg.NodeByLabelScan(
             plan, name, entry_label, pattern, fields=fields,
@@ -495,17 +485,21 @@ class _PlanBuilder:
     def _composite_scan(
         self, plan, name, label, candidate, pattern, fields, estimate,
     ):
-        """Compile one :class:`~repro.planner.access.CompositeCandidate`."""
+        """The index scan serving one ``access.CompositeCandidate``.
+
+        Every index scan is built here; a single-key index is the
+        one-column case.
+        """
         probes = tuple(s.value for s in candidate.equalities)
         if candidate.bound is None:
             return lg.IndexScan(
-                plan, name, label, candidate.keys[0], probes[0],
-                pattern, fields=fields, estimated_rows=estimate,
-                index_keys=candidate.keys, probes=probes,
+                plan, name, label, candidate.keys, probes, pattern,
+                many=candidate.equalities[0].kind == "in", fields=fields,
+                estimated_rows=estimate,
             )
         bound = candidate.bound
         return lg.IndexRangeScan(
-            plan, name, label, bound.key, pattern,
+            plan, name, label, candidate.keys, probes, pattern,
             low=bound.low,
             low_inclusive=bound.low_inclusive,
             high=bound.high,
@@ -513,8 +507,6 @@ class _PlanBuilder:
             prefix=bound.value if bound.kind == "prefix" else None,
             fields=fields,
             estimated_rows=estimate,
-            index_keys=candidate.keys,
-            prefix_probes=probes,
         )
 
     def _plan_chain(
@@ -885,7 +877,7 @@ class _PlanBuilder:
 def _trimmed(predicate, scan):
     """``predicate`` minus the conjuncts index ``scan`` answers exactly."""
     return access.residual(predicate, access.served_conjuncts(
-        predicate, scan.variable, scan.all_keys,
+        predicate, scan.variable, scan.index_keys,
         getattr(scan, "low", None), getattr(scan, "high", None),
     ))
 
@@ -1005,11 +997,11 @@ def _ordered_index_replacement(scan, ordered_keys, directions,
     became — once ``plan_time_value`` shows its value is order-safe;
     any other bound is evaluated per row at runtime and bails.
     """
-    keys = scan.all_keys
+    keys = scan.index_keys
     low = high = prefix = None
     low_inclusive = high_inclusive = True
     if isinstance(scan, lg.IndexScan):
-        probes = scan.all_probes
+        probes = scan.probes
         consumed = len(probes)
     else:
         probes = scan.prefix_probes
@@ -1079,7 +1071,7 @@ def _apply_covering(plan):
     if not isinstance(scan.child, lg.Init):
         return plan
     variable = scan.variable
-    keys = scan.all_keys
+    keys = scan.index_keys
 
     # Ops between the scan and the first Strip above it, leaf upward:
     # only these still see the covered slots.

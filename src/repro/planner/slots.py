@@ -166,18 +166,9 @@ def collect_plan_names(plan):
         elif isinstance(op, lg.IndexScan):
             add(op.variable)
             add_pattern_properties(op.node_pattern)
-            add_expression(op.probe)
             for probe in op.probes:
                 add_expression(probe)
-        elif isinstance(op, lg.IndexRangeScan):
-            add(op.variable)
-            add_pattern_properties(op.node_pattern)
-            add_expression(op.low)
-            add_expression(op.high)
-            add_expression(op.prefix)
-            for probe in op.prefix_probes:
-                add_expression(probe)
-        elif isinstance(op, lg.IndexOrderedScan):
+        elif isinstance(op, (lg.IndexRangeScan, lg.IndexOrderedScan)):
             add(op.variable)
             add_pattern_properties(op.node_pattern)
             add_expression(op.low)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.exceptions import CypherTypeError
-from repro.values.base import NodeId, RelId
 
 
 def is_number(value):
@@ -17,11 +16,6 @@ def is_list_value(value):
 
 def is_map_value(value):
     return isinstance(value, dict)
-
-
-def is_entity(value):
-    """True for node or relationship identifiers."""
-    return isinstance(value, (NodeId, RelId))
 
 
 def as_boolean(value, context="expression"):
@@ -52,22 +46,4 @@ def as_float(value, context="expression"):
         return float(value)
     raise CypherTypeError(
         "%s must be a number, got %r" % (context, value)
-    )
-
-
-def as_string(value, context="expression"):
-    """Require a string; null passes through."""
-    if value is None or isinstance(value, str):
-        return value
-    raise CypherTypeError(
-        "%s must be a String, got %r" % (context, value)
-    )
-
-
-def as_list(value, context="expression"):
-    """Require a list; null passes through."""
-    if value is None or isinstance(value, list):
-        return value
-    raise CypherTypeError(
-        "%s must be a List, got %r" % (context, value)
     )

@@ -159,6 +159,53 @@ class TestCompositeSargableReads:
             indexed = _assert_read_agreement(query, COMPOSITE_INDEXED_GRAPH)
             assert plain.table.same_bag(indexed.table), query
 
+    #: ``STARTS WITH`` operands of every kind after an equality prefix:
+    #: null, NaN, a list and a number are never true.
+    STARTS_WITH_OPERANDS = (None, float("nan"), [1], 1, "x1", "node-")
+
+    def test_starts_with_operand_of_every_kind(self):
+        """Every executor, and a dirty snapshot view, agrees with the
+        interpreter on a composite prefix + ``STARTS WITH $p`` scan."""
+        queries = [
+            "MATCH (n:%s) WHERE n.v = 0 AND n.name STARTS WITH $p %s"
+            % (label, tail)
+            for label in ("A", "B")
+            for tail in (
+                "RETURN count(n) AS c",
+                "RETURN n.name AS b ORDER BY n.name LIMIT 3",
+            )
+        ]
+        pinned = CypherEngine(COMPOSITE_INDEXED_GRAPH)
+        live = CypherEngine(composite_indexed_fixture_graph())
+        session = live.session()
+        view = session.snapshot()
+        live.run("MATCH (n) WHERE n.v = 0 SET n.name = 'x1' + n.name")
+        try:
+            for query in queries:
+                kinds = {
+                    type(op) for op in _plan_operators(
+                        pinned.run(query, {"p": "node-"}).plan
+                    )
+                }
+                assert lg.IndexRangeScan in kinds, query
+                for operand in self.STARTS_WITH_OPERANDS:
+                    parameters = {"p": operand}
+                    want = pinned.run(query, parameters, mode="interpreter")
+                    now = live.run(query, parameters, mode="interpreter")
+                    for mode in ("row", "batch"):
+                        case = (query, operand, mode)
+                        assert pinned.run(
+                            query, parameters, mode=mode
+                        ).records == want.records, case
+                        assert view.run(
+                            query, parameters, mode=mode
+                        ).records == want.records, case
+                        assert live.run(
+                            query, parameters, mode=mode
+                        ).records == now.records, case
+        finally:
+            session.close()
+
 
 @pytest.mark.smoke
 class TestCompositeIndexedUpdates:
@@ -205,7 +252,7 @@ def test_composite_point_lookup_takes_the_index():
     scans = [op for op in _plan_operators(result.plan)
              if isinstance(op, lg.IndexScan)]
     assert scans, result.plan.describe()
-    assert scans[0].all_keys == ("v", "name"), result.plan.describe()
+    assert scans[0].index_keys == ("v", "name"), result.plan.describe()
     kinds = {type(op) for op in _plan_operators(result.plan)}
     assert lg.NodeByLabelScan not in kinds
     assert result.values("c") == [1]

@@ -133,8 +133,10 @@ class TestStoreMaintenance:
             "L", "v"
         )
         assert bulk.index_statistics() == incremental.index_statistics()
-        probe = ("L", "v", 0, True, None, True)
-        assert bulk.index_range(*probe) == incremental.index_range(*probe)
+        probe = ("L", "v", (), 0, True, None, True)
+        assert bulk.index_seek_range(*probe) == (
+            incremental.index_seek_range(*probe)
+        )
 
     def test_drop_index(self):
         graph = small_graph()
@@ -331,32 +333,38 @@ class TestProbeSemantics:
         nodes = {}
         for value in (3, 7, "a", "b", True, False):
             nodes[value] = graph.create_node(("L",), {"v": value})
-        assert graph.index_range("L", "v", 4, True, None, True) == [nodes[7]]
-        assert graph.index_range("L", "v", "a", False, None, True) == [
-            nodes["b"]
-        ]
-        assert graph.index_range("L", "v", False, False, None, True) == [
-            nodes[True]
-        ]
+        assert graph.index_seek_range(
+            "L", "v", (), 4, True, None, True
+        ) == [nodes[7]]
+        assert graph.index_seek_range(
+            "L", "v", (), "a", False, None, True
+        ) == [nodes["b"]]
+        assert graph.index_seek_range(
+            "L", "v", (), False, False, None, True
+        ) == [nodes[True]]
         # bool bounds never see numbers, and vice versa
-        assert nodes[3] not in graph.index_range(
-            "L", "v", False, True, None, True
+        assert nodes[3] not in graph.index_seek_range(
+            "L", "v", (), False, True, None, True
         )
 
     def test_range_unsupported_bound_reports_none(self):
         graph = MemoryGraph()
         graph.create_index("L", "v")
         graph.create_node(("L",), {"v": [1, 2]})
-        assert graph.index_range("L", "v", [1], True, None, True) is None
+        assert graph.index_seek_range(
+            "L", "v", (), [1], True, None, True
+        ) is None
 
     def test_range_nan_or_conflicting_bounds_match_nothing(self):
         graph = MemoryGraph()
         graph.create_index("L", "v")
         graph.create_node(("L",), {"v": 5})
-        assert graph.index_range(
-            "L", "v", float("nan"), True, None, True
+        assert graph.index_seek_range(
+            "L", "v", (), float("nan"), True, None, True
         ) == []
-        assert graph.index_range("L", "v", 1, True, "z", True) == []
+        assert graph.index_seek_range(
+            "L", "v", (), 1, True, "z", True
+        ) == []
 
     def test_range_is_value_then_id_ordered(self):
         graph = MemoryGraph()
@@ -364,7 +372,9 @@ class TestProbeSemantics:
         c = graph.create_node(("L",), {"v": 2})
         a = graph.create_node(("L",), {"v": 1})
         b = graph.create_node(("L",), {"v": 1})
-        assert graph.index_range("L", "v", 0, True, None, True) == [a, b, c]
+        assert graph.index_seek_range(
+            "L", "v", (), 0, True, None, True
+        ) == [a, b, c]
 
     def test_prefix_probe(self):
         graph = MemoryGraph()
@@ -373,10 +383,16 @@ class TestProbeSemantics:
         b = graph.create_node(("L",), {"name": "b"})
         abc = graph.create_node(("L",), {"name": "abc"})
         graph.create_node(("L",), {"name": 5})
-        assert graph.index_prefix("L", "name", "ab") == [ab, abc]
+
+        def starting(prefix):
+            return graph.index_seek_range(
+                "L", "name", (), None, True, None, True, prefix
+            )
+
+        assert starting("ab") == [ab, abc]
         # the empty prefix matches every string, never the number
-        assert graph.index_prefix("L", "name", "") == [ab, abc, b]
-        assert graph.index_prefix("L", "name", 7) == []
+        assert starting("") == [ab, abc, b]
+        assert starting(7) == []
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +556,7 @@ class TestPushdownChoices:
         )
         entry = entry_operator(plan)
         assert isinstance(entry, lg.IndexScan)
-        assert entry.key == "v"
+        assert entry.index_keys == ("v",)
 
     def test_no_index_means_label_scan(self):
         plan = self.run_plan(

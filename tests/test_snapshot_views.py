@@ -245,15 +245,22 @@ def assert_surface_agrees(view, copy, live):
             assert covered is None or covered == cover_copy(node)
         for value in PROBE_VALUES:
             if isinstance(keys, str):
-                assert view.index_lookup(label, keys, value) == (
-                    copy.index_lookup(label, keys, value)
+                assert view.index_probe(label, keys, (value,)) == (
+                    copy.index_probe(label, keys, (value,))
                 )
-                assert view.index_range(
-                    label, keys, value, True, None, True
-                ) == copy.index_range(label, keys, value, True, None, True)
-                assert view.index_prefix(label, keys, value) == (
-                    copy.index_prefix(label, keys, value)
+                assert view.index_seek_range(
+                    label, keys, (), value, True, None, True
+                ) == copy.index_seek_range(
+                    label, keys, (), value, True, None, True
                 )
+                # A null STARTS WITH operand is answered by the caller:
+                # the store reads it as "no prefix given".
+                if value is not None:
+                    assert view.index_seek_range(
+                        label, keys, (), None, True, None, True, value
+                    ) == copy.index_seek_range(
+                        label, keys, (), None, True, None, True, value
+                    )
             for prefix in ((), (value,)):
                 if len(prefix) >= depth:
                     continue
