@@ -13,7 +13,7 @@ materialised.
 Two properties distinguish this path from per-row loading:
 
 * **one transaction, exact rollback** — the whole ingest runs inside a
-  single undo-recording :class:`StoreTransaction`; a mid-stream failure
+  single pre-image-recording :class:`StoreTransaction`; a mid-stream failure
   (malformed row, dangling reference, duplicate id, injected fault)
   rolls the store back to its pre-ingest state exactly, and the
   declared indexes are restored too;

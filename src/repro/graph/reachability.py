@@ -23,7 +23,7 @@ component deletes re-run Tarjan locally over the old component's members
 the component; a redundant edge needs one early-exit search, no Tarjan)
 — while the interval labels are recomputed on the first query after a
 structural change.  Both mutators are idempotent per relationship id so
-that crash-replay and undo-replay converge, matching the property-index
+that crash-point rollback restores converge, matching the property-index
 discipline in :mod:`repro.graph.store`.
 
 ``snapshot()`` returns a canonical form (components as sorted member-id

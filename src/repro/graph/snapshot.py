@@ -2,12 +2,13 @@
 
 A :class:`VersionPin` freezes one store version *without copying the
 store*: :meth:`MemoryGraph.pin_version` registers the pin, and from then
-on every raw mutator preserves the **pre-image** of whatever it is about
-to touch into the pin's delta maps — first write wins, later writes to
-the same entity find the entry already present and pay one dict probe.
-The pin's **delta** is exactly that: the nodes, relationships and
-adjacency lists mutated since the pin was taken.  A writer pays one
-pre-image per touched entity and nothing per label, type or index.
+on, the store's one capture (record before mutate) hands the pin the
+**pre-image** of each node and relationship a raw mutator is about to
+touch, the same object the open statement's segment holds (first touch
+since the pin wins), plus, on a relationship create or delete, its
+endpoints' adjacency lists.  That is the pin's **delta**: what was
+mutated since the pin was taken.  A writer pays one pre-image per
+touched entity and nothing per label, type or index.
 
 A reader that wants the pinned version layers :class:`SnapshotGraph`
 over the pin.  Everything the view answers is *the live store's answer,
@@ -44,9 +45,9 @@ to the plain walk when ``reachability_index_for`` is absent.
 
 Soundness rests on two invariants:
 
-* **preserve before mutate** — every raw mutator (in-flight
-  transactions and undo replay included) records the pre-image of each
-  node, relationship and adjacency list it is about to change, so an
+* **record before mutate** — every raw mutator (in-flight
+  transactions and rollback restores included) records the pre-image of
+  each node, relationship and adjacency list it is about to change, so an
   entity *without* a delta entry is byte-identical to pin time: its
   labels, properties, endpoints, adjacency and therefore every index
   entry derived from them.  Conversely every entity whose index entry
@@ -78,7 +79,11 @@ ABSENT = object()
 
 
 class VersionPin:
-    """The pre-images one pinned version needs, filled copy-on-write."""
+    """The pre-images one pinned version needs, filled copy-on-write.
+
+    ``nodes`` and ``rels`` share the store's recorded pre-images (first
+    touch since the pin wins); ``adjacency`` is the pin's own.
+    """
 
     __slots__ = (
         "base",
@@ -119,31 +124,7 @@ class VersionPin:
         """True once the last reference is gone: nothing preserves for it."""
         return self.refs <= 0
 
-    # -- pre-image capture (called by the store *before* each mutation) ----
-
-    def preserve_node(self, graph, node_id):
-        if node_id not in self.nodes:
-            labels = graph._node_labels.get(node_id)
-            if labels is None:
-                self.nodes[node_id] = ABSENT
-            else:
-                self.nodes[node_id] = (
-                    set(labels),
-                    dict(graph._node_properties[node_id]),
-                )
-
-    def preserve_rel(self, graph, rel_id):
-        if rel_id not in self.rels:
-            endpoints = graph._rel_endpoints.get(rel_id)
-            if endpoints is None:
-                self.rels[rel_id] = ABSENT
-            else:
-                self.rels[rel_id] = (
-                    endpoints[0],
-                    endpoints[1],
-                    graph._rel_types[rel_id],
-                    dict(graph._rel_properties[rel_id]),
-                )
+    # -- adjacency capture (called by the store *before* each mutation) ----
 
     def preserve_adjacency(self, graph, node_id):
         if node_id not in self.adjacency:

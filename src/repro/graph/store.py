@@ -119,15 +119,19 @@ Write transactions (added for the slotted write pipeline):
 Sessions, rollback, snapshots and fault injection (the transactional
 robustness layer):
 
-* every open transaction makes every raw mutator append an **inverse
-  operation** to its undo log before mutating, and a statement has one
-  failure path: whatever raises, its opener calls
-  :meth:`StoreTransaction.rollback`, which replays the log in reverse
-  (with recording and fault injection suspended), restores the id
-  counters and clears the scan caches, leaving store *and* property
-  indexes exactly as before the statement — without a version bump,
-  since the pre-statement version still describes the restored
-  contents.  A statement is atomic, whichever executor ran it;
+* **record before mutate**: every raw mutator first records the
+  **pre-image** of each node and relationship it touches into the open
+  statement's segment (``entity id -> pre-image``, or ``ABSENT`` for an
+  entity that did not exist; the first touch per statement wins), and a
+  statement has one failure path: whatever raises, its opener calls
+  :meth:`StoreTransaction.rollback`, which restores the segment's
+  pre-images newest first (with recording and fault injection
+  suspended), restores the id counters and clears the scan caches,
+  leaving store *and* property indexes exactly as before the statement —
+  without a version bump, since the pre-statement version still
+  describes the restored contents.  A restore is absolute, so it
+  converges from any crash point.  A statement is atomic, whichever
+  executor ran it;
 * inside a **session scope** (see :mod:`repro.runtime.session`),
   :meth:`write_transaction` hands out :class:`_StatementTransaction`
   facades over one spanning :class:`StoreTransaction`, so the change
@@ -140,11 +144,12 @@ robustness layer):
   updating statement in such a scope (the caller's, or a one-statement
   scope of its own), so validation is one optional step before the
   commit and a refusal takes the same rollback;
-* :meth:`pin_version` freezes the current version copy-on-write: every
-  raw mutator first preserves the pre-image of each node, relationship
-  and adjacency list it touches into each active pin
-  (:class:`~repro.graph.snapshot.VersionPin`) — one pre-image per
-  touched entity, nothing per label, type or index — and
+* :meth:`pin_version` freezes the current version copy-on-write: the
+  same capture hands each pre-image to every active pin
+  (:class:`~repro.graph.snapshot.VersionPin`), which keeps the first
+  touch since it was taken — one record per touched entity, shared by
+  the segment and the pins, plus the adjacency lists a relationship
+  create or delete changes, and nothing per label, type or index — and
   :class:`~repro.graph.snapshot.SnapshotGraph` answers the full read
   interface, index probes included, as the live answer corrected by
   that delta;
@@ -170,7 +175,7 @@ from repro.exceptions import (
 )
 from repro.graph.model import PropertyGraph
 from repro.graph.reachability import ReachabilityIndex, best_covering, reachability_key
-from repro.graph.snapshot import VersionPin
+from repro.graph.snapshot import ABSENT, VersionPin
 from repro.values.base import NodeId, RelId
 from repro.values.base import is_cypher_value
 from repro.values.ordering import canonical_key, sort_key
@@ -186,7 +191,7 @@ def _insort_rel(rels, rel_id):
 
     Rollback resurrects relationships out of creation order, so the
     append-only invariant does not hold there; a guarded insort keeps
-    the lists id-sorted (and idempotent under crash-replay undo).
+    the lists id-sorted (and idempotent under crash-point restores).
     """
     if rel_id not in rels:
         insort(rels, rel_id, key=_id_value)
@@ -250,8 +255,8 @@ class _PropertyIndex:
 
     All mutators are state-driven per node (:meth:`update` recomputes
     the entry from the current property map), so double adds from
-    defensive call sites cannot skew the entry count and undo replay
-    converges from any intermediate state.
+    defensive call sites cannot skew the entry count and a rollback
+    restore converges from any intermediate state.
     """
 
     __slots__ = (
@@ -305,8 +310,8 @@ class _PropertyIndex:
         """Reconcile this node's entry with its current property map.
 
         The single maintenance entry point: creates, property changes,
-        label flips and undo replay all land here, and because the old
-        state is whatever :attr:`_values` holds, replay from any
+        label flips and rollback restores all land here, and because the
+        old state is whatever :attr:`_values` holds, a restore from any
         partial state converges on the rebuilt index.  The depth-1
         branch is :meth:`add` inlined — this method runs once per
         indexed property per write, and the memo upkeep is guarded so a
@@ -977,7 +982,7 @@ class MemoryGraph(PropertyGraph):
             "node": 0, "relationship": 0, "adjacency": 0,
         }
         self._largest_released_delta = 0
-        self._undo = None             # inverse-op log of the open recording tx
+        self._undo = None  # open statement's segment (id -> pre-image)
         self._active_transaction = None  # session-spanning StoreTransaction
         self._transaction_owner = None   # the session owning it
         self._session_scope = None       # session currently executing a statement
@@ -1566,7 +1571,8 @@ class MemoryGraph(PropertyGraph):
         """The statement-level entry point to the mutation kernel.
 
         Outside a session scope this is one :class:`StoreTransaction`
-        per statement, recording undo so the statement can roll back.
+        per statement, recording pre-images so the statement can roll
+        back.
         Inside a session scope, all statements share one spanning
         transaction and receive :class:`_StatementTransaction` facades
         over it; while that transaction is open, writes outside the
@@ -1681,23 +1687,46 @@ class MemoryGraph(PropertyGraph):
             "largest_delta": self._largest_released_delta,
         }
 
-    def _preserve_node(self, node_id):
-        for pin in self._pins:
-            pin.preserve_node(self, node_id)
+    # -- the change record (record before mutate) ----------------------------
 
-    def _preserve_rel(self, rel_id):
-        for pin in self._pins:
-            pin.preserve_rel(self, rel_id)
+    def _preimage(self, entity_id):
+        """An entity's state in the form a pin holds, or ``ABSENT``."""
+        if type(entity_id) is NodeId:
+            labels = self._node_labels.get(entity_id)
+            if labels is None:
+                return ABSENT
+            return set(labels), dict(self._node_properties[entity_id])
+        endpoints = self._rel_endpoints.get(entity_id)
+        if endpoints is None:
+            return ABSENT
+        properties = dict(self._rel_properties[entity_id])
+        return (*endpoints, self._rel_types[entity_id], properties)
 
-    def _preserve_adjacency(self, node_id):
-        for pin in self._pins:
-            pin.preserve_adjacency(self, node_id)
+    def _touch(self, entity_id, ends=()):
+        """Record before mutate: capture an entity's pre-image once.
 
-    def _preserve_entity(self, entity_id):
-        if isinstance(entity_id, NodeId):
-            self._preserve_node(entity_id)
+        The open statement's segment keeps the first touch per
+        statement, and each live pin the first touch since it was taken;
+        both hold the *same* object, so nothing may mutate a recorded
+        pre-image.  ``ends`` names the nodes whose adjacency lists a
+        relationship create or delete changes: only pins preserve those.
+        Returns at once when there is neither a segment nor a live pin.
+        """
+        segment = self._undo
+        if segment is not None and entity_id not in segment:
+            before = segment[entity_id] = self._preimage(entity_id)
+        elif self._pins:
+            before = None  # captured below, for a pin that lacks it
         else:
-            self._preserve_rel(entity_id)
+            return
+        for pin in self._pins:
+            delta = pin.nodes if type(entity_id) is NodeId else pin.rels
+            if entity_id not in delta:
+                if before is None:
+                    before = self._preimage(entity_id)
+                delta[entity_id] = before
+            for node_id in ends:
+                pin.preserve_adjacency(self, node_id)
 
     # -- fault injection -----------------------------------------------------
 
@@ -1712,84 +1741,70 @@ class MemoryGraph(PropertyGraph):
         if injector is not None:
             injector.trip(site)
 
-    # -- undo application (rollback replays these in reverse) ----------------
+    # -- rollback (restores pre-images, newest first) ------------------------
 
-    def _apply_undo(self, entry):
-        """Apply one inverse operation recorded by a raw mutator.
+    def _restore(self, entity_id, before):
+        """Put one entity back to its recorded pre-image.
 
-        Every inverse is idempotent-per-state (guarded membership tests,
-        idempotent index adds/removes), so replaying from any interior
-        crash point — where the forward mutation may have half-applied —
-        still converges on the pre-transaction state.
+        Absolute, so idempotent from any crash point: whatever the
+        forward mutation half-applied, the entity ends as recorded.  A
+        gone entity is first resurrected bare.  A live pin may share
+        ``before``, so the store only copies out of it.
         """
-        op = entry[0]
-        if op == "set_prop":
-            self._set_property_raw(entry[1], entry[2], entry[3])
-        elif op == "create_node":
-            if entry[1] in self._node_labels:
-                self._delete_node_raw(entry[1], detach=True)
-        elif op == "create_rel":
-            if entry[1] in self._rel_endpoints:
-                self._delete_relationship_raw(entry[1])
-        elif op == "create_nodes":
-            for node in reversed(entry[1]):
-                if node in self._node_labels:
-                    self._delete_node_raw(node, detach=True)
-        elif op == "create_rels":
-            for rel in reversed(entry[1]):
-                if rel in self._rel_endpoints:
-                    self._delete_relationship_raw(rel)
-        elif op == "delete_rel":
-            self._undo_delete_relationship(*entry[1:])
-        elif op == "delete_node":
-            self._undo_delete_node(*entry[1:])
-        elif op == "replace_props":
-            self._replace_properties_raw(entry[1], entry[2])
-        elif op == "add_label":
-            if entry[3]:  # only if the forward add actually added it
-                self._remove_label_raw(entry[1], entry[2])
-        elif op == "remove_label":
-            if entry[3]:  # only if the label was actually present
-                self._add_label_raw(entry[1], entry[2])
-        else:  # pragma: no cover — entries are produced in this module only
-            raise AssertionError("unknown undo entry %r" % (entry,))
+        if type(entity_id) is NodeId:
+            present = entity_id in self._node_labels
+            if before is ABSENT:
+                if present:
+                    self._delete_node_raw(entity_id, detach=True)
+                return
+            labels, properties = before
+            if not present:
+                self._node_labels[entity_id] = set()
+                self._node_properties[entity_id] = {}
+            current = self._node_labels[entity_id]
+            for label in current - labels:
+                self._remove_label_raw(entity_id, label)
+            for label in labels - current:
+                self._add_label_raw(entity_id, label)
+            self._restore_properties(entity_id, properties)
+            return
+        present = entity_id in self._rel_endpoints
+        if before is ABSENT:
+            if present:
+                self._delete_relationship_raw(entity_id)
+            return
+        source, target, rel_type, properties = before
+        if not present:
+            self._rel_endpoints[entity_id] = (source, target)
+            self._rel_types[entity_id] = rel_type
+            self._rel_properties[entity_id] = {}
+            _insort_rel(self._outgoing.setdefault(source, []), entity_id)
+            _insort_rel(self._incoming.setdefault(target, []), entity_id)
+            by_type = self._outgoing_by_type.setdefault(source, {})
+            _insort_rel(by_type.setdefault(rel_type, []), entity_id)
+            by_type = self._incoming_by_type.setdefault(target, {})
+            _insort_rel(by_type.setdefault(rel_type, []), entity_id)
+            self._type_index.setdefault(rel_type, set()).add(entity_id)
+            if self._reachability_indexes:
+                # add_edge is idempotent per rel id: crash-replay converges.
+                self._reachability_rel_created(
+                    entity_id, source, target, rel_type
+                )
+        self._restore_properties(entity_id, properties)
 
-    def _undo_delete_node(self, node_id, labels, properties):
-        """Resurrect a deleted node (its relationships resurrect first —
-        their undo entries were recorded earlier and replay before this
-        one in reverse order — so only node state needs restoring)."""
-        self._node_labels[node_id] = set(labels)
-        self._node_properties[node_id] = properties
-        for label in labels:
-            self._label_index.setdefault(label, set()).add(node_id)
-        if self._indexes_by_label:
-            # Blanket re-add: index adds are idempotent per (node, value),
-            # so entries the crashed delete never removed are skipped.
-            self._index_node_created(node_id, labels, properties)
+    def _restore_properties(self, entity_id, properties):
+        """Set back each key whose value is not the pre-image's own object.
 
-    def _undo_delete_relationship(self, rel_id, source, target, rel_type, properties):
-        self._rel_endpoints[rel_id] = (source, target)
-        self._rel_types[rel_id] = rel_type
-        self._rel_properties[rel_id] = properties
-        _insort_rel(self._outgoing.setdefault(source, []), rel_id)
-        _insort_rel(self._incoming.setdefault(target, []), rel_id)
-        _insort_rel(
-            self._outgoing_by_type.setdefault(source, {}).setdefault(
-                rel_type, []
-            ),
-            rel_id,
-        )
-        _insort_rel(
-            self._incoming_by_type.setdefault(target, {}).setdefault(
-                rel_type, []
-            ),
-            rel_id,
-        )
-        self._type_index.setdefault(rel_type, set()).add(rel_id)
-        if self._reachability_indexes:
-            # Resurrection bypasses _create_relationship_raw; add_edge is
-            # idempotent per rel id, so crash-replay converges here too.
-            self._reachability_rel_created(rel_id, source, target, rel_type)
+        The pre-image is a shallow copy, so an untouched key still holds
+        the very object it recorded.  Identity, not ``==``, decides:
+        ``1 == 1.0 == True`` in Python, while the store keeps them apart.
+        """
+        current = self._property_map(entity_id)
+        for key in current.keys() - properties.keys():
+            self._set_property_raw(entity_id, key, None)
+        for key, value in properties.items():
+            if current.get(key) is not value:
+                self._set_property_raw(entity_id, key, value)
 
     def create_node(self, labels=(), properties=None):
         """Add a node; returns its fresh :class:`NodeId`."""
@@ -1807,10 +1822,7 @@ class MemoryGraph(PropertyGraph):
         node_id = NodeId(self._next_node_id)
         self._next_node_id += 1
         label_set = set(labels)
-        if self._pins:
-            self._preserve_node(node_id)
-        if self._undo is not None:
-            self._undo.append(("create_node", node_id))
+        self._touch(node_id)
         self._node_labels[node_id] = label_set
         self._node_properties[node_id] = validated
         for label in label_set:
@@ -1830,20 +1842,16 @@ class MemoryGraph(PropertyGraph):
         per-row path would.  A validation failure mid-batch leaves the
         nodes before it fully created and indexed (properties validate
         before that node's entries land; the ``finally`` indexes the
-        prefix), which is the state the one undo entry inverts when the
-        statement rolls back.  ``ids`` is the caller's output list,
-        appended in creation order even when a later row raises, so that
-        entry covers exactly the created prefix.
+        prefix), each node recorded as ``ABSENT`` before it lands, which
+        is what the statement's rollback restores.  ``ids`` is the
+        caller's output list, appended in creation order even when a
+        later row raises.
         """
         self._fault("create_nodes")
         node_labels = self._node_labels
         node_properties = self._node_properties
         append = ids.append
-        pins = self._pins
-        if self._undo is not None:
-            # ``ids`` is appended in creation order even when a later row
-            # raises, so the one entry covers exactly the created prefix.
-            self._undo.append(("create_nodes", ids))
+        touch = self._touch
         indexed = None
         if self._indexes_by_label:
             indexed = [
@@ -1865,8 +1873,7 @@ class MemoryGraph(PropertyGraph):
                 validated = _validated_properties(properties)  # may raise
                 node_id = NodeId(self._next_node_id)
                 self._next_node_id += 1
-                if pins:
-                    self._preserve_node(node_id)
+                touch(node_id)
                 node_labels[node_id] = set(labels)
                 node_properties[node_id] = validated
                 append(node_id)
@@ -1907,12 +1914,7 @@ class MemoryGraph(PropertyGraph):
         validated = _validated_properties(properties)
         rel_id = RelId(self._next_rel_id)
         self._next_rel_id += 1
-        if self._pins:
-            self._preserve_rel(rel_id)
-            self._preserve_adjacency(src)
-            self._preserve_adjacency(tgt)
-        if self._undo is not None:
-            self._undo.append(("create_rel", rel_id))
+        self._touch(rel_id, (src, tgt))
         self._rel_endpoints[rel_id] = (src, tgt)
         self._rel_types[rel_id] = rel_type
         self._rel_properties[rel_id] = validated
@@ -1941,10 +1943,9 @@ class MemoryGraph(PropertyGraph):
         edge.  Ids are allocated in triple order, exactly as the per-row
         path would.  A validation or endpoint failure mid-batch leaves
         the relationships before it fully created (the ``finally``
-        indexes the prefix) for the statement's rollback to invert;
+        indexes the prefix) for the statement's rollback to remove;
         ``ids`` is the caller's output list, appended in creation order
-        even when a later triple raises, so the single undo entry covers
-        exactly the created prefix.
+        even when a later triple raises.
         """
         self._fault("create_rels")
         if not isinstance(rel_type, str) or not rel_type:
@@ -1958,9 +1959,7 @@ class MemoryGraph(PropertyGraph):
         outgoing_by_type = self._outgoing_by_type
         incoming_by_type = self._incoming_by_type
         append = ids.append
-        pins = self._pins
-        if self._undo is not None:
-            self._undo.append(("create_rels", ids))
+        touch = self._touch
         covering = [
             index
             for index in self._reachability_indexes.values()
@@ -1979,10 +1978,7 @@ class MemoryGraph(PropertyGraph):
                 validated = _validated_properties(properties)  # may raise
                 rel_id = RelId(self._next_rel_id)
                 self._next_rel_id += 1
-                if pins:
-                    self._preserve_rel(rel_id)
-                    self._preserve_adjacency(src)
-                    self._preserve_adjacency(tgt)
+                touch(rel_id, (src, tgt))
                 rel_endpoints[rel_id] = (src, tgt)
                 rel_types[rel_id] = rel_type
                 rel_properties[rel_id] = validated
@@ -2025,8 +2021,7 @@ class MemoryGraph(PropertyGraph):
             raise ValueError("node %r already exists" % (node_id,))
         validated = _validated_properties(properties)
         label_set = set(labels)
-        if self._pins:
-            self._preserve_node(node_id)
+        self._touch(node_id)
         self._node_labels[node_id] = label_set
         self._node_properties[node_id] = validated
         self._outgoing[node_id] = []
@@ -2071,12 +2066,7 @@ class MemoryGraph(PropertyGraph):
                 self._delete_relationship_raw(rel)
         labels = self._node_labels[node_id]
         properties = self._node_properties[node_id]
-        if self._pins:
-            self._preserve_node(node_id)
-        if self._undo is not None:
-            # ``properties`` transfers ownership: the map is deleted from
-            # the store below, so the entry can hold it un-copied.
-            self._undo.append(("delete_node", node_id, set(labels), properties))
+        self._touch(node_id)
         if self._indexes_by_label:
             self._index_node_deleted(node_id, labels, properties)
         for label in labels:
@@ -2099,19 +2089,7 @@ class MemoryGraph(PropertyGraph):
             raise EntityNotFound("no relationship %r in graph" % (rel_id,))
         source, target = self._rel_endpoints[rel_id]
         rel_type = self._rel_types[rel_id]
-        if self._pins:
-            self._preserve_rel(rel_id)
-            self._preserve_adjacency(source)
-            self._preserve_adjacency(target)
-        if self._undo is not None:
-            self._undo.append((
-                "delete_rel",
-                rel_id,
-                source,
-                target,
-                rel_type,
-                self._rel_properties[rel_id],
-            ))
+        self._touch(rel_id, (source, target))
         self._outgoing[source].remove(rel_id)
         self._incoming[target].remove(rel_id)
         self._remove_from_segment(self._outgoing_by_type, source, rel_type, rel_id)
@@ -2135,14 +2113,8 @@ class MemoryGraph(PropertyGraph):
             self._column_cache = {}
         props = self._property_map(entity_id)
         track = self._indexes_by_label and type(entity_id) is NodeId
-        record = self._undo is not None
-        old = props.get(key) if track or record else None
-        if self._pins:
-            self._preserve_entity(entity_id)
-        if record:
-            # Stored maps never hold None, so old None ⇔ key was absent
-            # and the inverse set_prop(None) removes it again.
-            self._undo.append(("set_prop", entity_id, key, old))
+        old = props.get(key) if track else None
+        self._touch(entity_id)
         if value is None:
             props.pop(key, None)
         else:
@@ -2161,10 +2133,7 @@ class MemoryGraph(PropertyGraph):
         if self._column_cache:
             self._column_cache = {}
         props = self._property_map(entity_id)
-        if self._pins:
-            self._preserve_entity(entity_id)
-        if self._undo is not None:
-            self._undo.append(("set_prop", entity_id, key, props.get(key)))
+        self._touch(entity_id)
         old = props.pop(key, None)
         if (
             old is not None
@@ -2189,12 +2158,8 @@ class MemoryGraph(PropertyGraph):
         # the old values it holds would be gone).
         validated = _validated_properties(properties)
         track = self._indexes_by_label and type(entity_id) is NodeId
-        record = self._undo is not None
-        old = dict(props) if track or record else None
-        if self._pins:
-            self._preserve_entity(entity_id)
-        if record:
-            self._undo.append(("replace_props", entity_id, old))
+        old = dict(props) if track else None
+        self._touch(entity_id)
         props.clear()
         props.update(validated)
         if track:
@@ -2214,13 +2179,9 @@ class MemoryGraph(PropertyGraph):
             self._column_cache = {}
         props = self._property_map(entity_id)
         track = self._indexes_by_label and type(entity_id) is NodeId
-        record = self._undo is not None
-        if self._pins:
-            self._preserve_entity(entity_id)
+        self._touch(entity_id)
         for key, value in (properties or {}).items():
-            old = props.get(key) if track or record else None
-            if record:
-                self._undo.append(("set_prop", entity_id, key, old))
+            old = props.get(key) if track else None
             if value is None:
                 props.pop(key, None)
             else:
@@ -2239,10 +2200,7 @@ class MemoryGraph(PropertyGraph):
         if node_id not in self._node_labels:
             raise EntityNotFound("no node %r in graph" % (node_id,))
         fresh = label not in self._node_labels[node_id]
-        if self._pins:
-            self._preserve_node(node_id)
-        if self._undo is not None:
-            self._undo.append(("add_label", node_id, label, fresh))
+        self._touch(node_id)
         self._node_labels[node_id].add(label)
         self._label_index.setdefault(label, set()).add(node_id)
         self._scan_cache.pop(("label", label), None)
@@ -2258,10 +2216,7 @@ class MemoryGraph(PropertyGraph):
         if node_id not in self._node_labels:
             raise EntityNotFound("no node %r in graph" % (node_id,))
         present = label in self._node_labels[node_id]
-        if self._pins:
-            self._preserve_node(node_id)
-        if self._undo is not None:
-            self._undo.append(("remove_label", node_id, label, present))
+        self._touch(node_id)
         self._node_labels[node_id].discard(label)
         if label in self._label_index:
             self._label_index[label].discard(node_id)
@@ -2289,8 +2244,8 @@ class MemoryGraph(PropertyGraph):
         validates by drift.
         The same counter guards a plan's parked pipeline, whose closures
         hold index *objects*: every path that replaces one (DDL, a
-        deferred ingest's drop and re-create) moves it; undo replays
-        mutate the existing objects in place.
+        deferred ingest's drop and re-create) moves it; rollback
+        restores mutate the existing objects in place.
         """
         return self._schema_version
 
@@ -2441,10 +2396,11 @@ class StoreTransaction:
       anything changed), so statistics snapshots and scan caches are
       invalidated per statement, not per mutation.
 
-    Every raw mutator records its inverse in the transaction's undo log
-    first, so the one failure path is :meth:`rollback`: a statement that
-    raises leaves the store, its indexes, the version and the id
-    counters exactly as before it.
+    Record before mutate: every raw mutator first records the pre-image
+    of each entity it touches into the open segment (one per statement,
+    first touch wins), so the one failure path is :meth:`rollback`: a
+    statement that raises leaves the store, its indexes, the version and
+    the id counters exactly as before it.
     """
 
     __slots__ = (
@@ -2452,7 +2408,7 @@ class StoreTransaction:
         "_pending_rel_deletes",
         "_pending_node_deletes",
         "_closed",
-        "_undo",
+        "_segments",
         "_begin_counters",
         "nodes_created",
         "relationships_created",
@@ -2467,7 +2423,8 @@ class StoreTransaction:
         self._pending_rel_deletes = {}   # RelId -> None (an ordered set)
         self._pending_node_deletes = {}  # NodeId -> bool (detach)
         self._closed = False
-        self._undo = graph._undo = []
+        self._segments = [{}]  # per statement; only the last may be empty
+        graph._undo = self._segments[0]
         self._begin_counters = (graph._next_node_id, graph._next_rel_id)
         self.nodes_created = 0
         self.relationships_created = 0
@@ -2601,17 +2558,22 @@ class StoreTransaction:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def _open_segment(self):
+        """Open a statement's segment; returns its index.
+
+        An empty last segment (the transaction's first, or the one a
+        failed statement left) is reused rather than followed.
+        """
+        segments = self._segments
+        if segments[-1]:
+            segments.append({})
+        self._graph._undo = segments[-1]
+        return len(segments) - 1
+
     @property
     def changed(self):
-        """True once any mutation has been applied to the store."""
-        return bool(
-            self.nodes_created
-            or self.relationships_created
-            or self.nodes_deleted
-            or self.relationships_deleted
-            or self.properties_set
-            or self.labels_changed
-        )
+        """True while a mutation applied and not rolled back is recorded."""
+        return any(self._segments)
 
     @property
     def closed(self):
@@ -2627,11 +2589,12 @@ class StoreTransaction:
     def rollback(self):
         """Undo every applied change and close.
 
-        Replays the undo log in reverse with recording and fault
-        injection suspended, restores the id counters, and clears the
-        scan caches.  No version bump: the pre-transaction version
-        still describes the restored contents exactly, so statistics
-        snapshots keyed on it stay *correct*, not just safe.
+        Restores every segment's pre-images, newest first, with
+        recording and fault injection suspended, restores the id
+        counters, and clears the scan caches.  No version bump: the
+        pre-transaction version still describes the restored contents
+        exactly, so statistics snapshots keyed on it stay *correct*,
+        not just safe.
         """
         if not self._closed:
             self.rollback_statement(0, self._begin_counters)
@@ -2639,7 +2602,9 @@ class StoreTransaction:
         return self
 
     def rollback_statement(self, mark, counters):
-        """Undo only the entries recorded past ``mark`` (one statement).
+        """Restore the segments from index ``mark`` on (one statement).
+
+        Segment ``mark`` stays, emptied, as the open one.
 
         Used by :class:`_StatementTransaction` when a single statement
         inside a session scope fails — raises, is cancelled or is
@@ -2649,16 +2614,18 @@ class StoreTransaction:
         graph = self._graph
         self._pending_rel_deletes = {}
         self._pending_node_deletes = {}
-        undo = self._undo
-        graph._undo = None  # inverse ops must not re-record
+        segments = self._segments
+        graph._undo = None  # restores must not re-record
         injector = graph._fault_injector
         graph._fault_injector = None  # nor re-crash mid-recovery
         try:
-            while len(undo) > mark:
-                graph._apply_undo(undo.pop())
+            for segment in reversed(segments[mark:]):
+                while segment:
+                    graph._restore(*segment.popitem())
+            del segments[mark + 1:]
         finally:
             graph._fault_injector = injector
-            graph._undo = undo
+            graph._undo = segments[-1]
         graph._next_node_id, graph._next_rel_id = counters
         graph._scan_cache.clear()
         return self
@@ -2668,7 +2635,7 @@ class StoreTransaction:
             return
         self._closed = True
         graph = self._graph
-        if graph._undo is self._undo:
+        if graph._undo is self._segments[-1]:
             graph._undo = None
         if graph._active_transaction is self:
             graph._active_transaction = None
@@ -2702,8 +2669,8 @@ class _StatementTransaction:
 
     * :meth:`commit` only flushes the statement's buffered deletes —
       the version bump is deferred to the session's commit;
-    * :meth:`rollback` unwinds exactly this statement's undo entries
-      (recorded past the watermark captured here), so a statement that
+    * :meth:`rollback` restores exactly this statement's segment (the
+      one opened here, whose index is the mark), so a statement that
       fails inside a session — raises, is cancelled, or is refused by
       the engine's schema guard — disappears atomically while earlier
       statements survive.
@@ -2714,7 +2681,7 @@ class _StatementTransaction:
     def __init__(self, parent):
         self._parent = parent
         graph = parent._graph
-        self._mark = len(parent._undo)
+        self._mark = parent._open_segment()
         self._counters = (graph._next_node_id, graph._next_rel_id)
 
     # -- mutators: straight delegation --------------------------------------

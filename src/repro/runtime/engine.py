@@ -666,7 +666,7 @@ class CypherEngine:
 
     @contextlib.contextmanager
     def _validated_statement(self):
-        """One schema-checked statement, unwound through its undo log.
+        """One schema-checked statement, unwound from its pre-images.
 
         The statement runs in a session scope: the caller's, inside an
         explicit session, or else a one-statement scope opened here.
@@ -674,9 +674,9 @@ class CypherEngine:
         transaction.  Validation is the one step this adds to the
         statement's path: after the statement the schema is validated,
         and a scope of our own then commits (one version bump).  On a
-        violation, or any exception, the statement's undo entries replay
-        — the same rollback every failing statement takes — and the
-        error propagates: no version or schema-epoch bump, and an
+        violation, or any exception, the statement's recorded pre-images
+        are restored — the same rollback every failing statement takes —
+        and the error propagates: no version or schema-epoch bump, and an
         explicit session's earlier statements stay for its commit or
         rollback.
         """

@@ -4,17 +4,19 @@ A :class:`Session` groups statements into one store transaction: writes
 from successive :meth:`Session.run` calls accumulate in a single
 always-recording :class:`~repro.graph.store.StoreTransaction` and become
 visible atomically — one version bump — at :meth:`Session.commit`, or
-vanish exactly at :meth:`Session.rollback` (the undo log restores the
-store, its statistics, scan caches and every property index to the
-rebuild-identical pre-``begin()`` state).
+vanish exactly at :meth:`Session.rollback` (record before mutate: the
+store captured each touched entity's pre-image once per statement, and
+restoring them returns the store, its statistics, scan caches and every
+property index to the rebuild-identical pre-``begin()`` state).
 
 Isolation is *read committed* for the session's own reads — statements
 inside the transaction see their own uncommitted writes (the store is
-mutated in place; the undo log is what makes rollback exact) — while
-:meth:`Session.snapshot` hands out a *snapshot isolation* reader: a
-pinned :class:`~repro.graph.snapshot.VersionPin` preserves pre-images
-copy-on-write, so the snapshot keeps answering from the version current
-when it was taken even while this or another session commits on top.
+mutated in place; the recorded pre-images are what make rollback
+exact) — while :meth:`Session.snapshot` hands out a *snapshot
+isolation* reader: a pinned :class:`~repro.graph.snapshot.VersionPin`
+shares those pre-images copy-on-write, so the snapshot keeps answering
+from the version current when it was taken even while this or another
+session commits on top.
 
 Sessions hold one admission slot on the engine from first use until
 :meth:`Session.close`; the engine's bounded gate turns overload into
@@ -168,9 +170,10 @@ class Session:
         """A read-only view pinned to the current committed version.
 
         The view stays stable while this or other sessions commit —
-        later mutations preserve their pre-images into the pin
-        copy-on-write, so pinning costs nothing up front and writers
-        only pay while a snapshot is actually live.  Inside a
+        later mutations hand the pre-images they record to the pin
+        copy-on-write, so pinning costs nothing up front and a live
+        snapshot adds only adjacency lists to what writers record
+        anyway.  Inside a
         transaction, take the snapshot *before* the first write: it
         then observes the version current at :meth:`begin` (our own
         uncommitted writes are invisible to it by construction), and

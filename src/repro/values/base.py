@@ -12,7 +12,7 @@ apart from every *value* type, because the value universe has no tuples:
 are ``list``), so an id is always an id and never a two-element list.
 
 Why a tuple rather than a slotted object: ids key every store dict,
-adjacency list, undo log, grouping table and ``DISTINCT`` set, so they
+adjacency list, change record, grouping table and ``DISTINCT`` set, so they
 are hashed and compared far more often than they are built.  A tuple
 subclass that defines **no** ``__hash__``, ``__eq__``, ``__ne__`` or
 ``__lt__`` in Python inherits tuple's C slots — a dict probe keyed by an

@@ -289,6 +289,10 @@ def pytest_configure(config):
         "markers",
         "smoke: the quick slice that `python -m repro.cli selftest` runs",
     )
+    # A worker thread that dies must fail its test, not leave a warning.
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     if os.environ.get("REPRO_COVERAGE") == "0":
         return
     if sys.gettrace() is not None:

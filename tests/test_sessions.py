@@ -412,3 +412,45 @@ class TestStatementAtomicity:
         assert transaction(engine, True) == baseline
         assert count_nodes(engine, ":Kept") == 1
         assert_indexes_consistent(engine.graph)
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("mode", ATOMIC_MODES)
+    def test_rollback_restores_the_value_type_not_an_equal_value(
+        self, mode, value
+    ):
+        # 1 == 1.0 == True in Python, but not to the store: the rolled-back
+        # value must be the int again, in its index bucket.
+        engine = CypherEngine()
+        engine.graph.create_index("T", "v")
+        engine.run("CREATE (:T {k: 1, v: 1})-[:R {w: 1}]->(:T {k: 2, v: 2})")
+        before = store_fingerprint(engine.graph)
+        with pytest.raises(CypherError):
+            engine.run(
+                "MATCH (n:T {k: 1})-[r:R]->() SET n.v = $value, r.w = $value "
+                "WITH n UNWIND [1, 0] AS x RETURN 1 / x AS y",
+                {"value": value},
+                mode=mode,
+            )
+        assert store_fingerprint(engine.graph) == before
+        [row] = engine.run(
+            "MATCH (n:T {k: 1})-[r:R]->() RETURN n.v AS v, r.w AS w"
+        ).table
+        assert type(row["v"]) is int and type(row["w"]) is int
+        [found] = engine.graph.index_lookup("T", "v", 1)
+        assert engine.graph.properties(found)["k"] == 1
+        assert_indexes_consistent(engine.graph)
+
+    @pytest.mark.parametrize("statement", FAILING_STATEMENTS)
+    @pytest.mark.parametrize("mode", ATOMIC_MODES)
+    def test_a_transaction_of_one_failed_statement_changed_nothing(
+        self, mode, statement
+    ):
+        engine = indexed_engine()
+        before = store_fingerprint(engine.graph)
+        with engine.session() as writer, engine.session() as reader:
+            writer.begin()
+            with pytest.raises(CypherError):
+                writer.run(statement, mode=mode)
+            reader.snapshot()  # nothing uncommitted: the pin is allowed
+            writer.commit()
+        assert store_fingerprint(engine.graph) == before

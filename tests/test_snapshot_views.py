@@ -549,6 +549,42 @@ class TestWritesUnderAPinPreserveEntitiesOnly:
             "node": 3, "relationship": 2, "adjacency": 3,
         }
 
+    def test_rollback_resurrects_from_a_copy_of_the_shared_preimage(self):
+        # The failing statement's segment and the live pin hold the same
+        # pre-images of ``n`` and ``r``; resurrecting them must copy, or
+        # the later SET would rewrite what the snapshot reads.
+        graph = MemoryGraph()
+        graph.create_index("P", "v")
+        for i in range(30):
+            graph.create_node(("P",), {"k": 100 + i, "v": 100 + i})
+        engine = CypherEngine(graph)
+        engine.run("CREATE (:P {k: 1, v: 10})-[:R {w: 1}]->(:Q)")
+        with engine.session() as reader, engine.session() as writer:
+            snapshot = reader.snapshot()
+            writer.begin()
+            with pytest.raises(CypherError):
+                writer.run(
+                    "MATCH (n:P {k: 1}) DETACH DELETE n WITH 1 AS one "
+                    "UNWIND [1, 0] AS x RETURN 1 / x AS y"
+                )
+            writer.run("MATCH (n:P {k: 1})-[r:R]->() SET n.v = 20, r.w = 2")
+            writer.commit()
+            for text, entry in (
+                ("MATCH (n:P) WHERE n.v = 10 RETURN n.k AS k",
+                 "index seek :P(v)"),
+                ("MATCH (n:P) WHERE n.v < 50 RETURN n.k AS k",
+                 "index range :P(v)"),
+            ):
+                seen = snapshot.run(text, profile=True)
+                assert entries_of(seen) == [entry]
+                assert seen.value() == 1
+            assert snapshot.run(
+                "MATCH (n:P {k: 1})-[r:R]->() RETURN [n.v, r.w] AS vw"
+            ).value() == [10, 1]
+        assert engine.run(
+            "MATCH (n:P {k: 1})-[r:R]->() RETURN [n.v, r.w] AS vw"
+        ).value() == [20, 2]
+
 
 class TestReleasedSnapshots:
     QUERY = "MATCH (n:P) RETURN count(*) AS c"
